@@ -140,13 +140,21 @@ class CompactLeaf(LeafNode):
     def _breathing_search_cost(self) -> None:
         if self.breathing is not None:
             # One extra dependent dereference before the data pointer.
-            self.cost.seq_lines(2)
+            self.cost.charge("seq_line", 2)
 
     def lookup(self, key: bytes) -> Optional[int]:
-        with self.cost.attributed_to("compact.search"):
-            self.cost.rand_lines(1)  # node access
+        # The point-lookup hot path: the same attribution as
+        # ``with cost.attributed_to("compact.search")``, set and restored
+        # by hand to skip the context-manager machinery.
+        cost = self.cost
+        previous = cost._attribution
+        cost._attribution = "compact.search"
+        try:
+            cost.charge("rand_line", 1)  # node access
             result = self.rep.search(key)
             self._breathing_search_cost()
+        finally:
+            cost._attribution = previous
         if result.found:
             return self.rep.tid_at(result.pos)
         return None

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.keys.bitops import get_bit
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.blindi.seqtrie import SeqTrieRep, _Descent
 from repro.table.table import Table
@@ -106,16 +105,18 @@ class SeqTreeRep(SeqTrieRep):
         d = _Descent(lo=0, hi=len(self.bits) - 1, j=0)
         tree = self.tree
         size = len(tree)
-        if size:
-            self.cost.seq_lines(1)  # the tree is a few contiguous bytes
+        if not size:
+            return d
+        bits = self.bits
         slot = 0
+        steps = 0
         while slot < size:
             m = tree[slot]
             if m == ET:
                 break
-            self.cost.compares(1)
-            self.cost.branches(1)
-            if get_bit(key, self.bits[m]):
+            steps += 1
+            b = bits[m]
+            if (key[b >> 3] >> (7 - (b & 7))) & 1:  # get_bit, inlined
                 d.j = m + 1
                 d.lo = m + 1
                 d.right_turn_inds.append(m)
@@ -124,6 +125,12 @@ class SeqTreeRep(SeqTrieRep):
                 d.hi = m - 1
                 d.left_turn_inds.append(m)
                 slot = 2 * slot + 1
+        # The tree is a few contiguous bytes: one sequential line, plus a
+        # compare and a branch per level taken.
+        charge = self.cost.charge
+        charge("seq_line", 1)
+        charge("compare", steps)
+        charge("branch", steps)
         return d
 
     # ------------------------------------------------------------------

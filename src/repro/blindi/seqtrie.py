@@ -144,16 +144,18 @@ class SeqTrieRep:
         count = hi - lo + 1
         if count <= 0:
             return j
-        self.cost.touch_bytes_seq(count * self.bit_entry_bytes)
-        self.cost.compares(count)
-        self.cost.branches(count)
+        cost = self.cost
+        cost.touch_bytes_seq(count * self.bit_entry_bytes)
+        cost.charge("compare", count)
+        cost.charge("branch", count)
         threshold = _INF
         bits = self.bits
         for i in range(lo, hi + 1):
             b = bits[i]
             if b > threshold:
                 continue
-            if get_bit(key, b):
+            # get_bit(key, b), inlined: this loop is the leaf search.
+            if (key[b >> 3] >> (7 - (b & 7))) & 1:
                 j = i + 1
                 threshold = _INF
             else:
@@ -167,7 +169,7 @@ class SeqTrieRep:
         descent = self._descend(key)
         j = self._scan(key, descent.lo, descent.hi, descent.j)
         candidate = self.table.load_key(self.tids[j])
-        self.cost.compares(1)
+        self.cost.charge("compare", 1)
         b_d = first_diff_bit(candidate, key)
         if b_d is None:
             return SearchResult(found=True, pos=j, pred=j)
@@ -234,9 +236,10 @@ class SeqTrieRep:
 
     def _charge_fixup(self, scanned: int) -> None:
         if scanned:
-            self.cost.touch_bytes_seq(scanned * self.bit_entry_bytes)
-            self.cost.compares(scanned)
-            self.cost.branches(scanned)
+            cost = self.cost
+            cost.touch_bytes_seq(scanned * self.bit_entry_bytes)
+            cost.charge("compare", scanned)
+            cost.charge("branch", scanned)
 
     # ------------------------------------------------------------------
     # Updates

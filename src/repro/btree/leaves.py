@@ -276,16 +276,19 @@ class StandardLeaf(LeafNode):
     # -- internal search ---------------------------------------------------
     def _search_cost(self) -> None:
         n = len(self.keys)
-        self.cost.rand_lines(1)
-        if n:
-            probes = max(1, n.bit_length())
-            self.cost.compares(probes)
-            self.cost.branches(probes)
-            # Binary search touches up to log2(lines) distinct lines of the
-            # key area; charge one extra random line for keys beyond one
-            # cache line, which matches a 16-slot STX leaf closely.
-            if n * self.key_width > _CACHE_LINE:
-                self.cost.rand_lines(1)
+        charge = self.cost.charge
+        if not n:
+            charge("rand_line", 1)
+            return
+        # Binary search touches up to log2(lines) distinct lines of the
+        # key area; charge one extra random line for keys beyond one
+        # cache line, which matches a 16-slot STX leaf closely.  Both
+        # lines go in one charge: rand_line is this search's first
+        # category either way.
+        charge("rand_line", 2 if n * self.key_width > _CACHE_LINE else 1)
+        probes = n.bit_length()
+        charge("compare", probes)
+        charge("branch", probes)
 
     def _position(self, key: bytes) -> int:
         self._search_cost()

@@ -68,15 +68,6 @@ class InnerNode:
         """Underflow threshold for non-root inner nodes."""
         return (self.capacity + 1) // 2
 
-    def route(self, key: bytes) -> int:
-        """Index of the child subtree responsible for ``key``."""
-        self.cost.rand_lines(1)
-        n = len(self.keys)
-        probes = max(1, n.bit_length())
-        self.cost.compares(probes)
-        self.cost.branches(probes)
-        return bisect.bisect_right(self.keys, key)
-
     def insert_child(self, taken_idx: int, separator: bytes, right: Node) -> None:
         """Insert ``separator`` and ``right`` after the child at ``taken_idx``."""
         self.keys.insert(taken_idx, separator)
@@ -182,18 +173,39 @@ class BPlusTree:
     # Descent
     # ------------------------------------------------------------------
     def descend(self, key: bytes) -> Tuple[Path, LeafNode]:
-        """Walk root-to-leaf for ``key``, recording the path taken."""
+        """Walk root-to-leaf for ``key``, recording the path taken.
+
+        Each inner node visited costs one random line plus one compare
+        and one branch per binary-search probe.  The walk tallies them
+        and charges each category once for the whole descent: the same
+        totals, in the same first-charge order, as charging level by
+        level.
+        """
         path: Path = []
         node = self.root
+        trace = self.trace
+        probes = 0
         while isinstance(node, InnerNode):
-            if self.trace is not None:
-                self.trace.append(node.node_id)
-            idx = node.route(key)
+            if trace is not None:
+                trace.append(node.node_id)
+            keys = node.keys
+            probes += len(keys).bit_length() or 1
+            idx = bisect.bisect_right(keys, key)
             path.append((node, idx))
             node = node.children[idx]
-        if self.trace is not None:
-            self.trace.append(node.node_id)
+        if trace is not None:
+            trace.append(node.node_id)
+        if path:
+            charge = self.cost.charge
+            charge("rand_line", len(path))
+            charge("compare", probes)
+            charge("branch", probes)
         return path, node
+
+    # The fenced variants below descend through this private alias, so
+    # an instrumenting wrapper around the public ``descend`` (as
+    # ``benchmarks/e2e/layertrace.py`` installs) sees only outside calls.
+    _walk = descend
 
     def _descend_bounded(
         self, key: bytes
@@ -205,21 +217,8 @@ class BPlusTree:
         same leaf, which is what lets batched inserts reuse one descent
         for a run of consecutive keys.
         """
-        path: Path = []
-        hi: Optional[bytes] = None
-        node = self.root
-        while isinstance(node, InnerNode):
-            if self.trace is not None:
-                self.trace.append(node.node_id)
-            idx = node.route(key)
-            if idx < len(node.keys):
-                # Separator ranges nest, so deeper bounds are tighter.
-                hi = node.keys[idx]
-            path.append((node, idx))
-            node = node.children[idx]
-        if self.trace is not None:
-            self.trace.append(node.node_id)
-        return path, node, hi
+        path, leaf = self._walk(key)
+        return path, leaf, _fences(path)[1]
 
     def _descend_fenced(
         self, key: bytes
@@ -230,23 +229,9 @@ class BPlusTree:
         unbounded): every key in ``[lo, hi)`` routes to this leaf, which
         is what the descent cache memoizes.
         """
-        path: Path = []
-        lo: Optional[bytes] = None
-        hi: Optional[bytes] = None
-        node = self.root
-        while isinstance(node, InnerNode):
-            if self.trace is not None:
-                self.trace.append(node.node_id)
-            idx = node.route(key)
-            if idx > 0:
-                lo = node.keys[idx - 1]
-            if idx < len(node.keys):
-                hi = node.keys[idx]
-            path.append((node, idx))
-            node = node.children[idx]
-        if self.trace is not None:
-            self.trace.append(node.node_id)
-        return path, node, lo, hi
+        path, leaf = self._walk(key)
+        lo, hi = _fences(path)
+        return path, leaf, lo, hi
 
     # ------------------------------------------------------------------
     # Adaptive caching (repro.cache)
@@ -295,7 +280,7 @@ class BPlusTree:
                     node = node.children[first]
                     continue
                 # The run spans several children: split it at each
-                # separator (keys == separator route right, as in route()).
+                # separator (keys == separator route right, as in descend()).
                 probe_events += last - first
                 bounds = [lo]
                 for ci in range(first, last):
@@ -1025,6 +1010,24 @@ class BPlusTree:
             assert chain == leaves_in_tree, "leaf chain disagrees with tree"
             total = sum(leaf.count for leaf in chain)
             assert total == self._count, f"count {self._count} != {total}"
+
+
+def _fences(path: Path) -> Tuple[Optional[bytes], Optional[bytes]]:
+    """The fence keys ``(lo, hi)`` of the leaf a descent ``path`` reached.
+
+    Separator ranges nest, so the deepest level that has a separator on
+    a side gives the tightest fence there (``None``: unbounded).
+    """
+    lo: Optional[bytes] = None
+    hi: Optional[bytes] = None
+    for node, idx in reversed(path):
+        if lo is None and idx > 0:
+            lo = node.keys[idx - 1]
+        if hi is None and idx < len(node.keys):
+            hi = node.keys[idx]
+        if lo is not None and hi is not None:
+            break
+    return lo, hi
 
 
 def _uncharged_items(leaf: LeafNode) -> List[Tuple[bytes, int]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheConfig, IndexCache
 from repro.cluster import ReplicaConfig, ReplicaSet, build_replica_set
@@ -42,6 +42,42 @@ def _encode_column(value, ctype: str, width: int) -> bytes:
     if ctype == "f64":
         return encode_f64(float(value))
     return encode_str(str(value), width)
+
+
+def _key_encoders(
+    types: Tuple[str, ...],
+    widths: Tuple[int, ...],
+    positions: Tuple[int, ...],
+) -> Tuple[Callable[[Sequence], bytes], Callable[[Sequence], bytes]]:
+    """An index's key encoders ``(of values, of row)``, picked once from
+    its column types.
+
+    A single ``u64`` column — the common case — encodes straight to its
+    big-endian bytes; any other column tuple joins the per-column
+    :func:`_encode_column` encodings.  Both give identical bytes (and
+    raise identically) for a single ``u64`` column.
+    """
+    if types == ("u64",):
+        (width,), (position,) = widths, positions
+
+        def of_values(values: Sequence) -> bytes:
+            return int(values[0]).to_bytes(width, "big")
+
+        def of_row(row: Sequence) -> bytes:
+            return int(row[position]).to_bytes(width, "big")
+
+        return of_values, of_row
+    columns = tuple(zip(types, widths))
+
+    def of_values(values: Sequence) -> bytes:
+        return b"".join(
+            _encode_column(v, t, w) for v, (t, w) in zip(values, columns)
+        )
+
+    def of_row(row: Sequence) -> bytes:
+        return of_values([row[p] for p in positions])
+
+    return of_values, of_row
 
 
 class TableView:
@@ -87,7 +123,9 @@ class SecondaryIndex:
         self.columns = columns
         self.widths = widths
         self.types = types or tuple("u64" for _ in columns)
-        self._positions = positions
+        self._encode_values, self._encode_row = _key_encoders(
+            self.types, widths, positions
+        )
         self.index = index
         self.view = view
         self._executor: Optional[BatchExecutor] = None
@@ -115,13 +153,10 @@ class SecondaryIndex:
             raise ValueError(
                 f"index {self.name!r} needs {len(self.widths)} values"
             )
-        return b"".join(
-            _encode_column(v, t, w)
-            for v, t, w in zip(values, self.types, self.widths)
-        )
+        return self._encode_values(values)
 
     def key_of_row(self, row: Tuple[int, ...]) -> bytes:
-        return self.key_of_values([row[p] for p in self._positions])
+        return self._encode_row(row)
 
     @property
     def index_bytes(self) -> int:
@@ -419,17 +454,18 @@ class DBTable:
 
     def get(self, index_name: str, values: Sequence[int]) -> Optional[Tuple]:
         """Point query through an index; returns the row or None."""
+        db = self.db
         secondary = self.indexes[index_name]
         if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
-        with self.db.trace_op(f"db.get[{index_name}]"):
+            db.advisor.unpark(self, secondary)
+        with db.trace_op("db.get", index_name):
             key = secondary.key_of_values(values)
             tid = secondary.index.lookup(key)
             row = self.table.row(tid) if tid is not None else None
-        advisor = self.db.advisor
+        advisor = db.advisor
         if advisor is not None:
             advisor.observe_point(self.schema.name, secondary.name, key)
-        self.db._tick(1)
+        db._tick(1)
         return row
 
     def get_batch(
@@ -437,20 +473,21 @@ class DBTable:
     ) -> List[Optional[Tuple]]:
         """Batched point queries through one index; row or ``None`` per
         entry, aligned with the input order."""
+        db = self.db
         secondary = self.indexes[index_name]
         if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
-        with self.db.trace_op(f"db.get_batch[{index_name}]"):
+            db.advisor.unpark(self, secondary)
+        with db.trace_op("db.get_batch", index_name):
             keys = [secondary.key_of_values(v) for v in values_batch]
             tids = secondary.executor.get_batch(keys)
             rows = [
                 self.table.row(tid) if tid is not None else None
                 for tid in tids
             ]
-        advisor = self.db.advisor
+        advisor = db.advisor
         if advisor is not None:
             advisor.observe_batch(self.schema.name, secondary.name, keys)
-        self.db._tick(len(keys))
+        db._tick(len(keys))
         return rows
 
     def scan(
@@ -469,22 +506,23 @@ class DBTable:
         old positional spelling still works but warns.
         """
         count = self._scan_count(legacy_count, count)
+        db = self.db
         secondary = self.indexes[index_name]
         if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
-        with self.db.trace_op(f"db.scan[{index_name}]"):
+            db.advisor.unpark(self, secondary)
+        with db.trace_op("db.scan", index_name):
             start = secondary.key_of_values(start_values)
             items = secondary.index.scan(start, count)
             if include_rows:
                 out = [self.table.row(tid) for _, tid in items]
             else:
                 out = [key for key, _ in items]
-        advisor = self.db.advisor
+        advisor = db.advisor
         if advisor is not None:
             advisor.observe_scan(
                 self.schema.name, secondary.name, start, count
             )
-        self.db._tick(1)
+        db._tick(1)
         return out
 
     def scan_batch(
@@ -501,10 +539,11 @@ class DBTable:
         returns index keys instead of rows, as in :meth:`scan`.
         """
         count = self._scan_count(legacy_count, count)
+        db = self.db
         secondary = self.indexes[index_name]
         if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
-        with self.db.trace_op(f"db.scan_batch[{index_name}]"):
+            db.advisor.unpark(self, secondary)
+        with db.trace_op("db.scan_batch", index_name):
             starts = [secondary.key_of_values(v) for v in start_values_batch]
             batches = secondary.executor.scan_batch(starts, count)
             if include_rows:
@@ -514,12 +553,12 @@ class DBTable:
                 ]
             else:
                 out = [[key for key, _ in items] for items in batches]
-        advisor = self.db.advisor
+        advisor = db.advisor
         if advisor is not None:
             advisor.observe_scan_batch(
                 self.schema.name, secondary.name, starts, count
             )
-        self.db._tick(len(starts))
+        db._tick(len(starts))
         return out
 
     @staticmethod
@@ -770,9 +809,10 @@ class Database:
     # ------------------------------------------------------------------
     # Observability surface
     # ------------------------------------------------------------------
-    def trace_op(self, op: str):
-        """Cost-attributed span over one operation (no-op when obs off)."""
-        return self.observer.tracer.trace_op(self.cost, op)
+    def trace_op(self, op: str, target: Optional[str] = None):
+        """Cost-attributed span over one operation, labelled ``op`` or
+        ``op[target]`` (no-op, and no label built, when obs is off)."""
+        return self.observer.tracer.trace_op(self.cost, op, target)
 
     def metrics_snapshot(self) -> str:
         """Prometheus exposition text of the observer's registry."""

@@ -343,9 +343,9 @@ class CostModel:
         if nbytes <= 0:
             return
         lines = (nbytes + _CACHE_LINE - 1) // _CACHE_LINE
-        self.rand_lines(1)
+        self.charge("rand_line", 1)
         if lines > 1:
-            self.seq_lines(lines - 1)
+            self.charge("seq_line", lines - 1)
 
     def cache_hits(self, n: int = 1) -> None:
         """Charge ``n`` software-cache probes (``repro.cache``)."""

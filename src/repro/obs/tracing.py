@@ -118,14 +118,18 @@ class Tracer:
         self._seq = 0
         self.dropped = 0
 
-    def trace_op(self, cost: CostModel, op: str):
+    def trace_op(self, cost: CostModel, op: str, target: Optional[str] = None):
         """Context manager recording one operation's cost delta.
 
-        Returns a shared no-op context while observability is disabled,
+        The span is labelled ``op``, or ``op[target]`` when a target
+        (e.g. an index name) is given.  Returns a shared no-op context
+        while observability is disabled — without building the label —
         so instrumented call sites can wrap hot paths unconditionally.
         """
         if not _state.enabled:
             return _NULL_CONTEXT
+        if target is not None:
+            op = f"{op}[{target}]"
         return _SpanContext(self, cost, op)
 
     def _record(self, span: Span) -> None:

@@ -125,7 +125,7 @@ class Table:
     def row(self, tid: int) -> Any:
         """Fetch a row by tuple id (charges one random access)."""
         row = self.live_row(tid)
-        self.cost_model.rand_lines(1)
+        self.cost_model.charge("rand_line", 1)
         return row
 
     def live_row(self, tid: int) -> Any:
