@@ -310,13 +310,15 @@ class StandardLeaf(LeafNode):
         n = len(leaf_keys)
         cost = self.cost
         # Leaf accesses across a batch's groups are independent loads:
-        # wave-priced under an open mlp_window, serial otherwise.
-        cost.wave_loads("rand_line", 1)
-        if n and n * self.key_width > _CACHE_LINE:
-            cost.wave_loads("rand_line", 1)
+        # wave-priced under an open mlp_window, serial otherwise.  The
+        # second line joins the same call: waves complete on the running
+        # pending count, so one call of 2 equals two calls of 1.
+        cost.wave_loads(
+            "rand_line", 2 if n * self.key_width > _CACHE_LINE else 1
+        )
         probes = max(1, n.bit_length()) if n else 1
-        cost.compares(probes * len(keys))
-        cost.branches(probes * len(keys))
+        cost.charge("compare", probes * len(keys))
+        cost.charge("branch", probes * len(keys))
         out: List[Optional[int]] = []
         hits = 0
         tids = self.tids
@@ -328,7 +330,7 @@ class StandardLeaf(LeafNode):
             else:
                 out.append(None)
         if hits:
-            cost.seq_lines(hits)  # tid slot accesses
+            cost.charge("seq_line", hits)  # tid slot accesses
         return out
 
     def upsert(self, key: bytes, tid: int) -> Optional[int]:

@@ -263,14 +263,15 @@ class BPlusTree:
         batched B+-tree execution.
         """
         groups: List[Tuple[LeafNode, int, int]] = []
+        trace = self.trace
         inner_visits = 0
         probe_events = 0
         stack: List[Tuple[Node, int, int]] = [(self.root, 0, len(run))]
         while stack:
             node, lo, hi = stack.pop()
             while isinstance(node, InnerNode):
-                if self.trace is not None:
-                    self.trace.append(node.node_id)
+                if trace is not None:
+                    trace.append(node.node_id)
                 inner_visits += 1
                 seps = node.keys
                 probe_events += max(1, len(seps).bit_length())
@@ -299,15 +300,16 @@ class BPlusTree:
                 if lo >= hi:
                     break
             else:
-                if self.trace is not None:
-                    self.trace.append(node.node_id)
+                if trace is not None:
+                    trace.append(node.node_id)
                 groups.append((node, lo, hi))
         # Sibling-subtree descents are independent pointer chases: under
         # an open mlp_window they issue as prefetch waves; with no window
         # this is plain serial rand_line charging.
-        self.cost.wave_loads("rand_line", inner_visits)
-        self.cost.compares(probe_events)
-        self.cost.branches(probe_events)
+        cost = self.cost
+        cost.wave_loads("rand_line", inner_visits)
+        cost.charge("compare", probe_events)
+        cost.charge("branch", probe_events)
         groups.sort(key=lambda g: g[1])
         return groups
 
@@ -407,8 +409,8 @@ class BPlusTree:
         """
         miss_keys: List[bytes] = []
         positions: List[int] = []
-        for position, key in enumerate(keys):
-            tid = cache.probe_row(key)
+        tids = cache.probe_row_batch(keys)
+        for position, (key, tid) in enumerate(zip(keys, tids)):
             if tid is not None:
                 results[position] = tid
             else:

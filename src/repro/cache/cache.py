@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.config import CacheConfig
@@ -198,7 +198,19 @@ class IndexCache:
     # ------------------------------------------------------------------
     def probe_row(self, key: bytes) -> Optional[int]:
         """Hot-row tier probe: cached tuple id for ``key``, or None."""
-        self._cost.cache_hits(1)
+        self._cost.charge("cache_hit", 1)
+        return self._probe_row(key)
+
+    def probe_row_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
+        """Hot-row tier probes for a batch: one :meth:`probe_row` result
+        per key, in order, with the batch's ``cache_hit`` units charged
+        in one charge."""
+        self._cost.charge("cache_hit", len(keys))
+        probe = self._probe_row
+        return [probe(key) for key in keys]
+
+    def _probe_row(self, key: bytes) -> Optional[int]:
+        """One row-tier probe minus its charge: sketch, LRU, counters."""
         self._window_probes += 1
         self._sketch.record(key)
         rows = self._rows

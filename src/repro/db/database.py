@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheConfig, IndexCache
@@ -345,8 +345,7 @@ class DBTable:
     # WriteBatch`es, so every mutation — scalar or staged — runs the
     # same facade -> WAL -> index pipeline; ``db.begin_batch()`` stages
     # several operations under one commit (one log append phase, one
-    # group-commit schedule).  The pre-redesign ``insert_many`` is a
-    # DeprecationWarning shim over ``insert_batch``.
+    # group-commit schedule).
 
     def insert(self, row: Sequence[int]) -> int:
         """Store a row and update every secondary index."""
@@ -360,16 +359,6 @@ class DBTable:
         batch = self.db.begin_batch()
         batch.insert_batch(self, rows)
         return batch.commit()
-
-    def insert_many(self, rows: Sequence[Sequence[int]]) -> List[int]:
-        """Deprecated spelling of :meth:`insert_batch`."""
-        warnings.warn(
-            "insert_many is deprecated; use insert_batch (or stage the "
-            "rows on db.begin_batch())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.insert_batch(rows)
 
     def delete(self, tid: int) -> Tuple[int, ...]:
         """Remove a row from the store and every index."""
@@ -447,10 +436,10 @@ class DBTable:
     # ------------------------------------------------------------------
     # One spelling per shape: ``get`` / ``get_batch`` for point queries,
     # ``scan`` / ``scan_batch`` for ranges.  Scans take ``count`` as a
-    # keyword and ``include_rows=False`` turns a scan into an
+    # required keyword and ``include_rows=False`` turns a scan into an
     # included-column query (section 2) answered from index keys alone.
-    # The pre-redesign ``*_many`` / ``included_scan`` shims are gone;
-    # only the positional scan count retains a DeprecationWarning shim.
+    # Batched shapes and scans fetch their rows with one
+    # ``Table.row_batch`` call, so one charge; ``get`` keeps ``Table.row``.
 
     def get(self, index_name: str, values: Sequence[int]) -> Optional[Tuple]:
         """Point query through an index; returns the row or None."""
@@ -479,11 +468,7 @@ class DBTable:
             db.advisor.unpark(self, secondary)
         with db.trace_op("db.get_batch", index_name):
             keys = [secondary.key_of_values(v) for v in values_batch]
-            tids = secondary.executor.get_batch(keys)
-            rows = [
-                self.table.row(tid) if tid is not None else None
-                for tid in tids
-            ]
+            rows = self.table.row_batch(secondary.executor.get_batch(keys))
         advisor = db.advisor
         if advisor is not None:
             advisor.observe_batch(self.schema.name, secondary.name, keys)
@@ -494,18 +479,16 @@ class DBTable:
         self,
         index_name: str,
         start_values: Sequence[int],
-        *legacy_count,
-        count: Optional[int] = None,
+        *,
+        count: int,
         include_rows: bool = True,
     ) -> Union[List[Tuple], List[bytes]]:
         """Range query from ``start_values`` in index order.
 
         Returns ``count`` rows, or — with ``include_rows=False`` — the
         index keys alone (an included-column query, section 2: no row
-        fetches on internal-key leaves).  ``count`` is keyword-only; the
-        old positional spelling still works but warns.
+        fetches on internal-key leaves).  ``count`` is keyword-only.
         """
-        count = self._scan_count(legacy_count, count)
         db = self.db
         secondary = self.indexes[index_name]
         if secondary.parked:
@@ -514,7 +497,7 @@ class DBTable:
             start = secondary.key_of_values(start_values)
             items = secondary.index.scan(start, count)
             if include_rows:
-                out = [self.table.row(tid) for _, tid in items]
+                out = self.table.row_batch([tid for _, tid in items])
             else:
                 out = [key for key, _ in items]
         advisor = db.advisor
@@ -529,8 +512,8 @@ class DBTable:
         self,
         index_name: str,
         start_values_batch: Sequence[Sequence[int]],
-        *legacy_count,
-        count: Optional[int] = None,
+        *,
+        count: int,
         include_rows: bool = True,
     ) -> Union[List[List[Tuple]], List[List[bytes]]]:
         """Batched range queries: ``count`` results per start key.
@@ -538,7 +521,6 @@ class DBTable:
         Result lists align with the input order; ``include_rows=False``
         returns index keys instead of rows, as in :meth:`scan`.
         """
-        count = self._scan_count(legacy_count, count)
         db = self.db
         secondary = self.indexes[index_name]
         if secondary.parked:
@@ -547,10 +529,10 @@ class DBTable:
             starts = [secondary.key_of_values(v) for v in start_values_batch]
             batches = secondary.executor.scan_batch(starts, count)
             if include_rows:
-                out = [
-                    [self.table.row(tid) for _, tid in items]
-                    for items in batches
-                ]
+                rows = iter(self.table.row_batch(
+                    [tid for items in batches for _, tid in items]
+                ))
+                out = [list(islice(rows, len(items))) for items in batches]
             else:
                 out = [[key for key, _ in items] for items in batches]
         advisor = db.advisor
@@ -560,23 +542,6 @@ class DBTable:
             )
         db._tick(len(starts))
         return out
-
-    @staticmethod
-    def _scan_count(legacy_count: tuple, count: Optional[int]) -> int:
-        """Resolve keyword ``count`` vs. the deprecated positional form."""
-        if legacy_count:
-            if len(legacy_count) > 1 or count is not None:
-                raise TypeError("scan takes a single count, as a keyword")
-            warnings.warn(
-                "passing the scan count positionally is deprecated; "
-                "use count=<n>",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return legacy_count[0]
-        if count is None:
-            raise TypeError("scan requires count=<n>")
-        return count
 
     def __len__(self) -> int:
         return len(self.table)

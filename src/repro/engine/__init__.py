@@ -19,9 +19,10 @@ A fourth layer decides *how* a scatter executes:
 * **executor** (:class:`~repro.engine.executor.ShardExecutor`): the
   scatter/gather backend behind the router.  The serial backend is
   byte-identical to visiting shards in a loop; the parallel backend
-  dispatches per-shard sub-batches over a thread pool and charges
-  critical-path cost, with deterministic retry/hedging/degradation
-  driven by a :class:`~repro.engine.faults.FaultPlan`.
+  runs the same sub-batches on the calling thread but charges
+  critical-path cost over ``workers``-wide modeled waves, with
+  deterministic retry/hedging/degradation driven by a
+  :class:`~repro.engine.faults.FaultPlan`.
 
 With one shard, no arbiter, and the serial executor the engine is
 byte-identical to the unsharded index it wraps; the layers add

@@ -5,9 +5,9 @@ The router partitions a batch into per-shard sub-batches; a
 
 * :class:`SerialShardExecutor` visits shards one at a time — the
   pre-executor behaviour, byte-identical in results **and** cost units.
-* :class:`ParallelShardExecutor` dispatches the sub-batches over a
-  ``ThreadPoolExecutor`` and charges **critical-path cost**: shards
-  that execute concurrently overlap, so each wave of ``workers``
+* :class:`ParallelShardExecutor` models a scatter over ``workers``
+  concurrent dispatch slots and charges **critical-path cost**: shards
+  that would execute concurrently overlap, so each wave of ``workers``
   dispatches charges only its most expensive member (plus a modeled
   per-shard coordination fee for the scatter/merge bookkeeping), not
   the serial sum.  This is the shard-level analogue of the cost model's
@@ -16,29 +16,26 @@ The router partitions a batch into per-shard sub-batches; a
   throughput — applied at the granularity the evaluation hardware
   actually exploits (cores x shards, not just outstanding loads).
 
-Cost accounting under threads
------------------------------
+The parallelism exists only in the ledger
+-----------------------------------------
 Shards are disjoint indexes, but they share one
-:class:`~repro.memory.cost_model.CostModel` ledger, and CPython threads
-interleave at bytecode granularity — letting worker threads charge the
-shared ledger concurrently would garble per-shard attribution and break
-the repo-wide determinism contract.  The parallel backend therefore
-serializes each sub-batch's *execution + measurement* under one lock
-(in CPython the GIL makes pure-Python shard work effectively serial
-anyway; the pool buys scheduling structure, saturation semantics, and
-real concurrency for any index that releases the GIL), measures each
-shard's exact cost delta, and then performs the parallelism *in the
-ledger*: :meth:`~repro.memory.cost_model.CostModel.charge_parallel`
-rebates every event hidden behind the critical path.  Results, costs,
-and event streams are byte-identical across runs regardless of thread
-completion order, because all events are emitted by the coordinator in
-shard order after the gather.
+:class:`~repro.memory.cost_model.CostModel` ledger, and every sub-batch
+must be measured on its own for per-shard attribution and the
+repo-wide determinism contract.  Pure-Python shard work cannot overlap
+under the interpreter lock anyway, so the parallel backend starts no
+thread: it runs the sub-batches on the calling thread, one after
+another in task order, measures each shard's exact cost delta, and then
+performs the parallelism *in the ledger*:
+:meth:`~repro.memory.cost_model.CostModel.charge_parallel` rebates every
+event hidden behind the critical path.  ``workers`` is the modeled wave
+width.  Results, costs and event streams are deterministic, and all
+events are emitted by the coordinator in shard order after the gather.
 
 Interaction with prefetch-wave pricing (DESIGN.md §10): a shard whose
 sub-batch runs with an :meth:`~repro.memory.cost_model.CostModel.
 mlp_window` width >= 2 records *wave-priced* counts (including the
 ``wave_issue`` fees) in its measured delta, because every window opens
-and closes inside the measurement lock.  ``charge_parallel`` then
+and closes inside the shard's measurement.  ``charge_parallel`` then
 rebates whole deltas of non-critical shards — exactly the counts they
 charged, wave fees included — so wave pricing and critical-path
 rebating **compose**: the intra-shard MLP discount applies first, the
@@ -62,15 +59,13 @@ Robustness layers (all scriptable via
   dispatch is issued and the cheaper attempt wins, the loser's events
   are rebated (``shard_hedge`` events).  Write sub-batches are never
   hedged (duplicate inserts are not idempotent);
-* **serial degradation per batch** — a saturated or shut-down pool
-  degrades the whole scatter to the serial backend
-  (``executor_degrade`` event, scope ``"batch"``).
+* **serial degradation per batch** — a saturated (scripted) or closed
+  modeled dispatch pool degrades the whole scatter to the serial
+  backend (``executor_degrade`` event, scope ``"batch"``).
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -173,11 +168,15 @@ class _Outcome:
 
 
 class ParallelShardExecutor(ShardExecutor):
-    """Concurrent scatter/gather with critical-path cost accounting.
+    """Modeled-concurrent scatter/gather with critical-path accounting.
+
+    Sub-batches run on the calling thread in task order; the overlap
+    between them is priced in the ledger, not executed (see the module
+    docstring).
 
     Args:
-        workers: Concurrent dispatch width — shards overlap in waves of
-            this many; also the thread-pool size.
+        workers: Modeled dispatch width — shards overlap in waves of
+            this many in the critical-path pricing.
         coordination_units: Modeled merge/coordination fee, in
             ``fixed_op`` cost units *per shard gathered* (the scatter
             bookkeeping, result splice, and k-way merge steering that
@@ -194,11 +193,12 @@ class ParallelShardExecutor(ShardExecutor):
             scripting conflicts, straggler delays, and pool saturation
             deterministically.
         strict_saturation: Raise
-            :class:`~repro.errors.ExecutorSaturatedError` when the pool
-            cannot accept a batch instead of degrading it to the serial
-            backend.  Engine paths leave this off (scatter results must
-            always materialize); direct executor users who prefer to
-            shed load themselves can opt in.
+            :class:`~repro.errors.ExecutorSaturatedError` when the
+            modeled dispatch pool cannot accept a batch (scripted
+            saturation, or a closed executor) instead of degrading it to
+            the serial backend.  Engine paths leave this off (scatter
+            results must always materialize); direct executor users who
+            prefer to shed load themselves can opt in.
     """
 
     name = "parallel"
@@ -233,31 +233,14 @@ class ParallelShardExecutor(ShardExecutor):
         self.strict_saturation = strict_saturation
         self.stats = ExecutorStats()
         self._serial = SerialShardExecutor()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        #: Serializes sub-batch execution + cost measurement (see
-        #: module docstring: per-shard deltas must be exact).
-        self._measure_lock = threading.Lock()
         #: Per-shard dispatch ordinal (FaultPlan addressing).
         self._ordinals: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise RuntimeError("executor closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-shard"
-            )
-        return self._pool
-
     def close(self) -> None:
+        """Close the modeled dispatch pool: later scatters degrade to
+        the serial backend (reason ``pool_closed``).  Idempotent."""
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -269,24 +252,20 @@ class ParallelShardExecutor(ShardExecutor):
             return []
         if len(tasks) == 1:
             # Nothing to overlap: a single-shard scatter is exactly the
-            # serial path (no coordination fee, no pool round-trip).
+            # serial path (no coordination fee).
             return self._serial.run_tasks(op, tasks, cost)
         if self.faults is not None and self.faults.take_saturation():
             if self.strict_saturation:
                 raise ExecutorSaturatedError("dispatch pool saturated")
             return self._degrade_batch(op, tasks, cost, "pool_saturated")
-        try:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(self._run_shard, op, task, self._next_ordinal(task),
-                            cost)
-                for task in tasks
-            ]
-        except RuntimeError:
+        if self._closed:
             if self.strict_saturation:
-                raise ExecutorSaturatedError("dispatch pool closed") from None
+                raise ExecutorSaturatedError("dispatch pool closed")
             return self._degrade_batch(op, tasks, cost, "pool_closed")
-        outcomes = [future.result() for future in futures]
+        outcomes = [
+            self._run_shard(op, task, self._next_ordinal(task), cost)
+            for task in tasks
+        ]
 
         # Hedge stragglers (reads only), then charge the critical path.
         if self.deadline_units is not None:
@@ -312,48 +291,45 @@ class ParallelShardExecutor(ShardExecutor):
     def _run_shard(
         self, op: str, task: ShardTask, ordinal: int, cost: CostModel
     ) -> _Outcome:
-        """Worker body: execute one sub-batch, measured, with bounded
-        conflict retry.  Runs under the measurement lock so the delta
-        is exact; emits nothing (the coordinator owns event order)."""
+        """Execute one sub-batch, measured, with bounded conflict
+        retry.  Emits nothing (the coordinator owns event order)."""
         outcome = _Outcome(task)
         faults = self.faults
-        with self._measure_lock:
-            with cost.measure() as delta:
-                attempt = 0
-                while True:
-                    attempt += 1
-                    conflicted = (
-                        faults is not None
-                        and faults.take_conflict(task.shard_id, ordinal)
-                    )
-                    if not conflicted:
-                        try:
-                            outcome.result = task.run()
-                            break
-                        except ShardConflictError:
-                            conflicted = True
-                    if attempt > self.max_retries:
-                        # Retries exhausted: degrade to an
-                        # unconditional final attempt so the scatter
-                        # always completes.
-                        if faults is not None:
-                            faults.drop_conflicts(task.shard_id, ordinal)
-                        outcome.degraded = True
-                        outcome.result = task.run()
-                        attempt += 1
-                        break
-                    backoff = self.backoff_units * (2 ** (attempt - 1))
-                    if backoff:
-                        cost.fixed_ops(backoff)
-                    outcome.retries.append((attempt, backoff))
-                delay = (
-                    faults.take_delay(task.shard_id)
-                    if faults is not None else 0.0
+        with cost.measure() as delta:
+            attempt = 0
+            while True:
+                attempt += 1
+                conflicted = (
+                    faults is not None
+                    and faults.take_conflict(task.shard_id, ordinal)
                 )
-                if delay:
-                    cost.fixed_ops(delay)
-            outcome.delta = delta
-            outcome.attempts = attempt
+                if not conflicted:
+                    try:
+                        outcome.result = task.run()
+                        break
+                    except ShardConflictError:
+                        conflicted = True
+                if attempt > self.max_retries:
+                    # Retries exhausted: degrade to an unconditional
+                    # final attempt so the scatter always completes.
+                    if faults is not None:
+                        faults.drop_conflicts(task.shard_id, ordinal)
+                    outcome.degraded = True
+                    outcome.result = task.run()
+                    attempt += 1
+                    break
+                backoff = self.backoff_units * (2 ** (attempt - 1))
+                if backoff:
+                    cost.fixed_ops(backoff)
+                outcome.retries.append((attempt, backoff))
+            delay = (
+                faults.take_delay(task.shard_id)
+                if faults is not None else 0.0
+            )
+            if delay:
+                cost.fixed_ops(delay)
+        outcome.delta = delta
+        outcome.attempts = attempt
         return outcome
 
     def _hedge(self, op: str, outcome: _Outcome, cost: CostModel) -> None:
@@ -361,15 +337,14 @@ class ParallelShardExecutor(ShardExecutor):
         and the loser's events are rebated from the ledger."""
         task = outcome.task
         outcome.primary_units = outcome.cost_units
-        with self._measure_lock:
-            with cost.measure() as hedge_delta:
-                hedge_result = task.run()
-                delay = (
-                    self.faults.take_delay(task.shard_id)
-                    if self.faults is not None else 0.0
-                )
-                if delay:
-                    cost.fixed_ops(delay)
+        with cost.measure() as hedge_delta:
+            hedge_result = task.run()
+            delay = (
+                self.faults.take_delay(task.shard_id)
+                if self.faults is not None else 0.0
+            )
+            if delay:
+                cost.fixed_ops(delay)
         outcome.hedged = True
         outcome.hedge_units = hedge_delta.weighted_cost()
         if outcome.hedge_units < outcome.primary_units:

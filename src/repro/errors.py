@@ -34,9 +34,10 @@ The concrete classes map to the layers that raise them:
   kind without ``replace=True``, or attaching a :class:`CacheConfig` to
   a tree whose kinds include one without cache support
   (``repro.btree.kinds``, ``repro.core``).
-* :class:`ExecutorSaturatedError` — the parallel executor's pool could
-  not accept work.  Engine paths never propagate it (they degrade to
-  the serial backend instead); direct executor users opt in with
+* :class:`ExecutorSaturatedError` — the parallel executor's modeled
+  dispatch pool could not accept work (saturated or closed).  Engine
+  paths never propagate it (they degrade to the serial backend
+  instead); direct executor users opt in with
   ``ParallelShardExecutor(strict_saturation=True)`` to shed load
   themselves.
 * :class:`ReplicaConfigError` — an impossible replica-cluster topology:
@@ -90,7 +91,7 @@ class ShardConflictError(ReproError):
 
 
 class ExecutorSaturatedError(ReproError):
-    """The parallel dispatch pool cannot accept more work right now."""
+    """The modeled parallel dispatch pool cannot accept work."""
 
 
 class CacheConfigError(ReproError):

@@ -226,13 +226,13 @@ class ShardDispatchEvent(Event):
     """The parallel shard executor completed one shard sub-batch.
 
     One event per (batch, shard) dispatch, emitted by the coordinator
-    in shard order after the gather (so the stream is deterministic for
-    any thread completion order).  ``wave`` is the concurrent execution
-    group the shard landed in (waves of ``workers`` shards overlap;
-    wave costs add), ``attempts`` counts conflict retries plus the
-    final success, ``cost_units`` is the shard's effective (winning)
-    sub-batch cost, and ``hedged`` records whether a duplicate dispatch
-    was issued for this shard.
+    in shard order after the gather (so the stream is deterministic).
+    ``wave`` is the modeled concurrent execution group the shard landed
+    in (waves of ``workers`` shards overlap; wave costs add),
+    ``attempts`` counts conflict retries plus the final success,
+    ``cost_units`` is the shard's effective (winning) sub-batch cost,
+    and ``hedged`` records whether a duplicate dispatch was issued for
+    this shard.
     """
 
     kind: ClassVar[str] = "shard_dispatch"
@@ -285,9 +285,10 @@ class ExecutorDegradeEvent(Event):
     """The parallel executor fell back to serial execution.
 
     ``scope`` is ``"batch"`` (the whole scatter ran on the serial
-    backend — pool saturated or shut down) or ``"shard"`` (one shard
-    exhausted its conflict retries and ran its final attempt
-    unconditionally).  ``shard`` is -1 for batch-scope events.
+    backend — the modeled dispatch pool saturated or closed) or
+    ``"shard"`` (one shard exhausted its conflict retries and ran its
+    final attempt unconditionally).  ``shard`` is -1 for batch-scope
+    events.
     """
 
     kind: ClassVar[str] = "executor_degrade"

@@ -128,6 +128,29 @@ class Table:
         self.cost_model.charge("rand_line", 1)
         return row
 
+    def row_batch(self, tids: Sequence[Optional[int]]) -> List[Any]:
+        """Fetch a batch of rows; a ``None`` tuple id gives ``None``.
+
+        Charges the same random accesses as one :meth:`row` per id, in
+        one charge.  A dead tuple id raises :meth:`row`'s ``KeyError``
+        once the rows fetched before it are charged.
+        """
+        rows = self._rows
+        out: List[Any] = []
+        fetched = 0
+        try:
+            for tid in tids:
+                row = None
+                if tid is not None:
+                    row = rows[tid]
+                    if row is None:
+                        raise KeyError(f"tuple id {tid} is not live")
+                    fetched += 1
+                out.append(row)
+        finally:
+            self.cost_model.charge("rand_line", fetched)
+        return out
+
     def live_row(self, tid: int) -> Any:
         """The live row stored under ``tid``, without cost charging.
 

@@ -9,6 +9,7 @@ mixed churn, sharded or not.
 """
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.errors import CacheConfigError, ShardConfigError
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
+from repro.obs import CacheEvent
 from repro.table.table import RowSchema
 
 from tests.conftest import U64Source
@@ -148,6 +150,56 @@ class TestRowTier:
         assert cache.stats.row_hits == 1
         assert cache.stats.row_misses == 1
         assert cost.counts.get("cache_hit") == 2  # every probe charges
+
+    def test_probe_row_batch_matches_per_key_loop(self):
+        rng = random.Random(5)
+        keys = [encode_u64(rng.randrange(48)) for _ in range(200)]
+
+        def run(batched):
+            # A small sketch sample ages the counters mid-batch.
+            cache, _, cost = make_bound_cache(
+                budget=4096, sketch_sample_size=64,
+            )
+            for v in range(0, 48, 3):
+                cache.admit_row(encode_u64(v), v)
+            cost.reset()
+            events = []
+            with obs.enabled() as bus:
+                unsubscribe = bus.subscribe(events.append)
+                try:
+                    if batched:
+                        got = cache.probe_row_batch(keys)
+                    else:
+                        got = [cache.probe_row(key) for key in keys]
+                finally:
+                    unsubscribe()
+            sketch = cache._sketch
+            # Event sequence numbers are global; compare the rest.
+            events = [
+                (type(event), {k: v for k, v in asdict(event).items()
+                               if k != "seq"})
+                for event in events
+            ]
+            return (
+                got, list(cost.counts.items()), asdict(cache.stats),
+                [bytes(row) for row in sketch._rows], sketch._samples,
+                list(cache._rows.items()), cache.take_window(), events,
+            )
+
+        batched, looped = run(batched=True), run(batched=False)
+        assert batched == looped
+        got, counts, stats, *_, events = batched
+        assert None in got and any(tid is not None for tid in got)
+        assert counts == [("cache_hit", len(keys))]
+        assert stats["row_hits"] + stats["row_misses"] == len(keys)
+        assert [kind for kind, _ in events] == [CacheEvent] * len(keys)
+
+    def test_probe_row_batch_of_nothing_charges_nothing(self):
+        cache, _, cost = make_bound_cache()
+        cost.reset()
+        assert cache.probe_row_batch([]) == []
+        assert cost.counts == {}
+        assert cache.take_window() == (0, 0)
 
     def test_tid_zero_is_a_hit(self):
         cache, _, _ = make_bound_cache()

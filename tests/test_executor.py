@@ -18,6 +18,7 @@ Four contracts:
 from __future__ import annotations
 
 import random
+import threading
 import warnings
 
 import pytest
@@ -574,6 +575,7 @@ class TestFaultMatrix:
         cost = CostModel()
         executor = ParallelShardExecutor(workers=2)
         executor.close()
+        executor.close()  # idempotent
         tasks = synthetic_tasks(cost, [1, 2])
         results, events = run_with_events(executor, "get", tasks, cost)
         assert results == [(0, 1), (1, 2)]
@@ -627,6 +629,46 @@ class TestFaultMatrix:
                 observer.close()
         finally:
             executor.close()
+
+
+class TestInlineDispatch:
+    """The parallel backend models its overlap in the ledger only: the
+    sub-batches run on the calling thread, in task order."""
+
+    def test_scatter_starts_no_thread(self):
+        executor = ParallelShardExecutor(workers=4)
+        index, table, _ = make_bare_index(4, "hash", executor)
+        values = load_values(index, table, n=400)
+        probes = [encode_u64(v) for v in values[:100]]
+        before = threading.active_count()
+        index.lookup_batch(probes)
+        index.scan_batch(probes[:8], 5)
+        index.scan(probes[0], 10)
+        assert executor.stats.batches == 3
+        assert threading.active_count() == before
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-shard")
+        ]
+
+    def test_tasks_run_on_the_caller_in_task_order(self):
+        cost = CostModel()
+        caller = threading.current_thread()
+        ran = []
+
+        def make(shard_id):
+            def run():
+                ran.append((shard_id, threading.current_thread() is caller))
+                cost.fixed_ops(1.0)
+                return shard_id
+            return ShardTask(shard_id=shard_id, ops=1, read_only=True,
+                             run=run)
+
+        executor = ParallelShardExecutor(workers=2)
+        order = [3, 0, 2, 1]
+        assert executor.run_tasks("get", [make(s) for s in order], cost) \
+            == order
+        assert ran == [(shard_id, True) for shard_id in order]
 
 
 # ----------------------------------------------------------------------

@@ -1,31 +1,35 @@
-"""Accounting identity of the scalar hot paths.
+"""Accounting identity of the scalar and batched hot paths.
 
 The descent, leaf-search and facade fast paths aggregate their charges
 (one ``CostModel.charge`` per category per descent instead of one per
 level, attribution set without the context manager, key encoders picked
-once per index).  That must make accounting cheaper, never different:
-the per-category totals, the order in which categories first appear
-(``weighted_cost`` sums in dict order, so a reorder can move the last
-float bit of a baseline) and the per-tag buckets must all stay exactly
-what the level-by-level code charged.  The pinned values below were
+once per index), and the batched read path charges its row fetches and
+cache probes once per batch.  That must make accounting cheaper, never
+different: the per-category totals, the order in which categories first
+appear (``weighted_cost`` sums in dict order, so a reorder can move the
+last float bit of a baseline) and the per-tag buckets must all stay
+exactly what the per-item code charged.  The pinned values below were
 recorded from that code.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import pytest
 
 from repro import obs
 from repro.cache import CacheConfig
 from repro.db.database import Database, _encode_column
+from repro.memory.cost_model import CostModel
 from repro.table.table import RowSchema
 
 KV = RowSchema("kv", ("k", "v"), (8, 8))
 ROWS = 3_000
 LOAD_CHUNK = 500
 OPS = 600
+BATCH_OPS = 240
 #: 0.4x the STX footprint of ROWS 8-byte keys: most leaves go compact.
 TIGHT_BOUND = int(31.0 * ROWS * 0.4)
 
@@ -221,6 +225,139 @@ class TestAccountingIdentity:
         }
         assert list(tagged) == list(PINNED[name]["tagged"])
         assert tagged == PINNED[name]["tagged"]
+
+
+def _batch_mix():
+    """Load a range-sharded cached elastic index and a hash-sharded
+    one, both behind the parallel executor, then play a fixed seeded mix
+    of the batched read shapes plus hash-scattered scans with
+    prefetch-wave pricing on.  Returns the database and its table."""
+    rng = random.Random("hot-path:batch")
+    db = Database(cost_model=CostModel(mlp_width=4))
+    table = db.create_table(KV)
+    # 0.8x the STX footprint leaves some compact leaves, whose rows the
+    # cache admits; 16 KiB of cache per shard gives its row tier room.
+    table.create_index(
+        "by_k", ("k",), kind="elastic",
+        size_bound_bytes=int(31.0 * ROWS * 0.8), shards=4,
+        partitioner="range", parallel=2,
+        cache=CacheConfig(budget_bytes=4 * 16 * 1024),
+    )
+    table.create_index(
+        "by_v", ("v",), kind="stx", shards=4, partitioner="hash",
+        parallel=2,
+    )
+    rows = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(ROWS)]
+    table.insert_batch(rows)
+    hot = rows[:64]
+    db.cost.reset()
+    for _ in range(BATCH_OPS):
+        roll = rng.random()
+        if roll < 0.45:
+            picked = [
+                rng.choice(hot if rng.random() < 0.6 else rows)
+                for _ in range(12)
+            ]
+            absent = [(rng.getrandbits(64),) for _ in range(4)]
+            probes = [(row[0],) for row in picked] + absent
+            assert table.get_batch("by_k", probes) == picked + [None] * 4
+        elif roll < 0.60:
+            picked = [rng.choice(rows) for _ in range(8)]
+            assert table.get_batch("by_v", [(row[1],) for row in picked]) \
+                == picked
+        elif roll < 0.75:
+            starts = [(rng.getrandbits(64),) for _ in range(6)]
+            table.scan_batch("by_k", starts, count=10)
+        elif roll < 0.85:
+            starts = [(rng.getrandbits(64),) for _ in range(4)]
+            table.scan_batch("by_v", starts, count=6)
+        else:
+            table.scan("by_v", (rng.getrandbits(64),), count=12)
+    return db, table
+
+
+#: Recorded from the thread-pool executor with per-row and per-probe
+#: charges (same seeds).
+PINNED_BATCH = {
+    "counts": [
+        ("cache_hit", 1152), ("compare", 24804), ("branch", 24388),
+        ("rand_line", 7428), ("wave_issue", 1296), ("seq_line", 2365),
+        ("alloc", 8), ("key_load", 422), ("fixed_op_milli", 45950),
+    ],
+    "tagged": {
+        "compact.search": [
+            ("rand_line", 788), ("wave_issue", 105), ("seq_line", 1321),
+            ("compare", 14671), ("branch", 14194), ("key_load", 7),
+        ],
+    },
+    "mlp_totals": {
+        "width": 1, "loads": 6588, "waves": 2113,
+        "serial_units": 6901.25, "wave_units": 2453.299999999998,
+    },
+    "executors": {
+        "by_k": {
+            "serial_sum_units": 19210.17,
+            "critical_path_units": 10525.819999999994,
+            "dispatches": 569,
+        },
+        "by_v": {
+            "serial_sum_units": 10221.26,
+            "critical_path_units": 5339.259999999993,
+            "dispatches": 358,
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def batch_mix():
+    return _batch_mix()
+
+
+def _executor_stats(table, name):
+    stats = table.indexes[name].index.executor.stats
+    return {
+        "serial_sum_units": stats.serial_sum_units,
+        "critical_path_units": stats.critical_path_units,
+        "dispatches": stats.dispatches,
+    }
+
+
+class TestBatchAccountingIdentity:
+    def test_shape_reaches_the_batch_paths(self, batch_mix):
+        _, table = batch_mix
+        index = table.indexes["by_k"].index
+        caches = index.caches()
+        assert all(cache.stats.row_hits > 0 for cache in caches)
+        assert all(cache.stats.row_misses > 0 for cache in caches)
+        assert all(
+            shard.index.stats().compact_leaf_count > 0
+            for shard in index.shards
+        )
+        for name in ("by_k", "by_v"):
+            assert table.indexes[name].index.executor.name == "parallel"
+
+    def test_counts_and_order(self, batch_mix):
+        db, _ = batch_mix
+        assert list(db.cost.counts.items()) == PINNED_BATCH["counts"]
+
+    def test_tagged_buckets(self, batch_mix):
+        db, _ = batch_mix
+        tagged = {
+            tag: list(bucket.items()) for tag, bucket in db.cost.tagged.items()
+        }
+        assert list(tagged) == list(PINNED_BATCH["tagged"])
+        assert tagged == PINNED_BATCH["tagged"]
+
+    def test_mlp_totals(self, batch_mix):
+        db, _ = batch_mix
+        assert asdict(db.cost.mlp_totals) == PINNED_BATCH["mlp_totals"]
+
+    def test_executor_stats(self, batch_mix):
+        _, table = batch_mix
+        for name in ("by_k", "by_v"):
+            assert _executor_stats(table, name) == \
+                PINNED_BATCH["executors"][name]
 
 
 def _traced_reads():

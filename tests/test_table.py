@@ -43,6 +43,38 @@ class TestTable:
         assert tid2 == tid
         assert table.load_key(tid2) == encode_u64(2)
 
+    def test_row_batch_matches_per_row_loop(self):
+        table, cost, _ = make_table()
+        tids = [table.insert_row(v) for v in range(10)]
+        batch = [tids[3], None, tids[0], tids[3], None, tids[9]]
+        cost.reset()
+        expected = [table.row(t) if t is not None else None for t in batch]
+        per_row = list(cost.counts.items())
+        cost.reset()
+        assert table.row_batch(batch) == expected
+        assert list(cost.counts.items()) == per_row
+        cost.reset()
+        assert table.row_batch([]) == []
+        assert table.row_batch([None, None]) == [None, None]
+        assert cost.counts == {}
+
+    def test_row_batch_dead_tid_charges_rows_before_it(self):
+        table, cost, _ = make_table()
+        tids = [table.insert_row(v) for v in range(4)]
+        table.delete_row(tids[2])
+        batch = [tids[0], None, tids[1], tids[2], tids[3]]
+        cost.reset()
+        with pytest.raises(KeyError) as per_row:
+            for tid in batch:
+                if tid is not None:
+                    table.row(tid)
+        per_row_counts = dict(cost.counts)
+        cost.reset()
+        with pytest.raises(KeyError) as batched:
+            table.row_batch(batch)
+        assert str(batched.value) == str(per_row.value)
+        assert cost.counts == per_row_counts == {"rand_line": 2}
+
     def test_dead_tid_raises(self):
         table, _, _ = make_table()
         tid = table.insert_row(1)

@@ -166,18 +166,13 @@ class TestWriteBatch:
             batch.delete(table, tid)
         assert batch.deleted_rows == [(4, 40)]
 
-    def test_insert_many_shim_warns_and_delegates(self):
+    def test_insert_many_is_gone(self):
         db, table = make_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tids = table.insert_many([(1, 1), (2, 2)])
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert tids == [0, 1]
+        assert not hasattr(table, "insert_many")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table.insert_batch([(3, 3)])  # canonical spelling is clean
+            # The canonical spelling is warning-free.
+            assert table.insert_batch([(1, 1), (2, 2)]) == [0, 1]
 
 
 class TestWalOffByteIdentity:
