@@ -22,7 +22,9 @@ def scaled(n: int) -> int:
 @pytest.fixture
 def show():
     """Print an ExperimentResult (visible with ``pytest -s``) and save it
-    under benchmarks/results/."""
+    under benchmarks/results/, a scratch directory git ignores.  The
+    tracked figure outputs are ``bench_results/``, written by
+    ``python -m repro.bench --outdir bench_results``."""
 
     def _show(result):
         print()

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.btree.leaves import LeafNode
     from repro.btree.tree import BPlusTree
     from repro.core.config import ElasticConfig
+    from repro.core.elasticity import ElasticityController
     from repro.table.table import Table
 
 #: (key, tuple id) pairs in key order, the conversion interchange format.
@@ -49,12 +50,14 @@ class LeafKindContext:
     ``config`` is the elastic configuration when the build happens under
     an elasticity controller (hooks then honour its representation
     knobs and set the k+1 elastic underflow invariant), or ``None`` for
-    static trees.
+    static trees.  ``controller`` is that controller: learned leaves
+    report their retrains to it.
     """
 
     tree: "BPlusTree"
     table: Optional["Table"] = None
     config: Optional["ElasticConfig"] = None
+    controller: Optional["ElasticityController"] = None
 
     def require_table(self, kind: str) -> "Table":
         if self.table is None:
@@ -286,6 +289,7 @@ def _learned_from_sorted(
         ),
         items=items or None,
     )
+    leaf.controller = ctx.controller
     if config is not None:
         leaf.elastic_underflow = True
     return leaf

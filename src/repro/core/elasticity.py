@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import obs
 from repro.blindi.leaf import CompactLeaf
@@ -93,6 +93,12 @@ class ElasticityController:
         #: path.  Policies queue work here; the elastic tree drains it at
         #: operation boundaries.
         self.pending_actions: List = []
+        #: Structural churn since the last :meth:`take_churn`: one per
+        #: leaf conversion, capacity change or learned-leaf retrain (the
+        #: events this controller's tree publishes with obs on), plus
+        #: the retrains' cost units.  Plain arithmetic, never charged.
+        self.churn_events = 0
+        self.retrain_cost_units = 0.0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -101,7 +107,8 @@ class ElasticityController:
         """Install the elastic overflow/underflow handlers on ``tree``."""
         self.tree = tree
         self.kind_context = LeafKindContext(
-            tree=tree, table=self.table, config=self.config
+            tree=tree, table=self.table, config=self.config,
+            controller=self,
         )
         tree.overflow_handler = self._handle_overflow
         tree.underflow_handler = self._handle_underflow
@@ -134,6 +141,17 @@ class ElasticityController:
                 ))
             self.policy.on_state_change(self, state)
         return state
+
+    def take_churn(self) -> Tuple[int, float]:
+        """Return ``(churn_events, retrain_cost_units)`` and clear them."""
+        churn = (self.churn_events, self.retrain_cost_units)
+        self.churn_events, self.retrain_cost_units = 0, 0.0
+        return churn
+
+    def note_retrain(self, cost_units: float) -> None:
+        """Count one retrain of a learned leaf this controller built."""
+        self.churn_events += 1
+        self.retrain_cost_units += cost_units
 
     def run_pending(self) -> None:
         """Execute policy actions deferred to an operation boundary."""
@@ -239,6 +257,7 @@ class ElasticityController:
                 self._count_conversion(target)
             tree.replace_leaf(path, leaf, new_leaf)
         self.stats.conversion_cost_units += delta.weighted_cost()
+        self.churn_events += 1
         if obs.is_enabled():
             if promoted:
                 obs.emit(CapacityChangeEvent(
@@ -286,6 +305,7 @@ class ElasticityController:
                 self.stats.reversions_to_standard += 1
             tree.replace_leaf(path, leaf, new_leaf)
         self.stats.conversion_cost_units += delta.weighted_cost()
+        self.churn_events += 1
         if obs.is_enabled():
             if stepped_down:
                 obs.emit(CapacityChangeEvent(
@@ -377,6 +397,7 @@ class ElasticityController:
         else:
             self.stats.expansion_splits += 1
         self.stats.conversion_cost_units += delta.weighted_cost()
+        self.churn_events += 2
         if obs.is_enabled():
             index_bytes = tree.index_bytes
             cost_units = delta.weighted_cost()
@@ -469,6 +490,7 @@ class ElasticityController:
             tree.replace_leaf(path, leaf, new_leaf)
         self._count_conversion(kind)
         self.stats.conversion_cost_units += delta.weighted_cost()
+        self.churn_events += 1
         if obs.is_enabled():
             obs.emit(LeafConversionEvent(
                 direction=f"to_{kind}", trigger="cold_sweep",
@@ -527,6 +549,7 @@ class ElasticityController:
                     from_kind=old_kind,
                 ))
         self._count_conversion(kind, converted)
+        self.churn_events += converted
         self.observe()
         return converted
 
@@ -592,5 +615,6 @@ class ElasticityController:
                     from_kind=old_kind,
                 ))
         self._count_conversion(target, converted)
+        self.churn_events += converted
         self.observe()
         return converted

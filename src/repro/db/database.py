@@ -569,8 +569,8 @@ class Database:
     """A set of tables sharing one cost account and allocator.
 
     Every database owns an :class:`~repro.obs.Observer` subscribed to
-    the global event bus: with observability enabled
-    (``repro.obs.set_enabled(True)``) elasticity and batch events are
+    the global event bus: with observability enabled by the caller
+    (``with repro.obs.enabled():``) elasticity and batch events are
     folded into its metrics registry and bounded event log, surfaced via
     :meth:`metrics_snapshot` / :meth:`event_log`.  With it disabled (the
     default) no events are published, so the observer stays empty and

@@ -198,6 +198,11 @@ class BudgetArbiter:
     def shard_names(self) -> List[str]:
         return list(self._names)
 
+    @property
+    def controllers(self) -> List:
+        """Every enrolled elasticity controller, in enrollment order."""
+        return list(self._controllers)
+
     def bounds(self) -> Dict[str, int]:
         """Current per-shard soft bounds."""
         return {

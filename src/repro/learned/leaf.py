@@ -17,7 +17,8 @@ not wrong answers.  Staleness is bounded anyway — the leaf fits with a
 tightened bound ``fit ε = max(1, ε // 4)`` and counts every structural
 mutation as one position of *drift*; when drift would exceed
 ``ε - fit ε - 1`` the leaf **retrains** (reloads its keys, refits the
-segments), billed like a conversion and emitted as a
+segments), billed like a conversion, reported to the owning elasticity
+controller's churn counters and emitted as a
 :class:`~repro.obs.events.LeafRetrainEvent`.  That keeps every probe of
 a stored key within ε of its prediction (the hypothesis-tested
 invariant) and makes churn measurably expensive — exactly the signal
@@ -97,6 +98,9 @@ class LearnedLeaf(LeafNode):
         #: Set by the elasticity controller: raises the underflow trigger
         #: to the paper's k+1 invariant (section 4).
         self.elastic_underflow = False
+        #: Set by the learned kind's build hook: the elasticity
+        #: controller whose churn counters this leaf's retrains feed.
+        self.controller = None
         self._alive = True
         self._seg_charged = 0
         self.breathing: Optional[BreathingTidArray] = None
@@ -201,6 +205,9 @@ class LearnedLeaf(LeafNode):
                 self._fit(keys)
                 self._resize_segment_slab()
         self.retrain_count += 1
+        cost_units = delta.weighted_cost()
+        if self.controller is not None:
+            self.controller.note_retrain(cost_units)
         if obs.is_enabled():
             obs.emit(LeafRetrainEvent(
                 node_id=self.node_id,
@@ -208,7 +215,7 @@ class LearnedLeaf(LeafNode):
                 count=self.count,
                 segments=len(self.segments),
                 retrain_count=self.retrain_count,
-                cost_units=delta.weighted_cost(),
+                cost_units=cost_units,
             ))
 
     def _note_churn(self) -> None:
@@ -412,6 +419,7 @@ class LearnedLeaf(LeafNode):
             items=list(zip(keys[mid:], tids[mid:])),
         )
         right.elastic_underflow = self.elastic_underflow
+        right.controller = self.controller
         self.tids = tids[:mid]
         self._fit(keys[:mid])
         self._resize_segment_slab()
@@ -450,6 +458,7 @@ class LearnedLeaf(LeafNode):
             adopt=(self.tids, self.segments),
         )
         leaf.elastic_underflow = self.elastic_underflow
+        leaf.controller = self.controller
         leaf.drift = self.drift
         leaf.retrain_count = self.retrain_count
         leaf.churn_ops = self.churn_ops

@@ -1,8 +1,8 @@
 """The online self-tuning advisor: closed-loop what-if tuning.
 
 :class:`SelfTuningAdvisor` consumes online statistics — per-index
-query-class windows fed from the database's read/write paths, plus
-churn counters folded in from :mod:`repro.obs` structural events — and,
+query-class windows fed from the database's read/write paths, plus the
+structural churn its database's elasticity controllers count — and,
 at every :class:`~repro.engine.arbiter.BudgetArbiter` tick boundary,
 scores candidate reconfigurations by Extend-style what-if costing:
 each candidate is priced by replaying a sampled recent op window
@@ -54,9 +54,6 @@ from repro.engine import ShardedIndex, build_sharded_index
 from repro.exec import BatchExecutor
 from repro.memory.allocator import TrackingAllocator
 from repro.obs import (
-    CapacityChangeEvent,
-    LeafConversionEvent,
-    LeafRetrainEvent,
     TuningActionEvent,
     TuningPaybackEvent,
     TuningProbeEvent,
@@ -154,17 +151,8 @@ class SelfTuningAdvisor:
         self._collectors: Dict[Tuple[str, str], StatsCollector] = {}
         self._last_action_tick: Dict[str, int] = {}
         self._ticks = 0
-        self._churn_since_tick = 0
-        self._retrain_cost_since_tick = 0.0
         self._scored_this_tick = 0
-        self._probing = False
-        self._unsubscribe = obs.BUS.subscribe(self._on_bus_event)
-        # The advisor's observation plane rides the structural event
-        # stream: retrain costs observed on the bus are the one honest
-        # signal a fresh-built scratch tree cannot reproduce (drift
-        # accumulates with table scale).  Emission is cost-model-silent,
-        # so turning the bus on never changes a run's cost units.
-        obs.set_enabled(True)
+        self._take_churn()  # churn from before the loop closed
 
     # ------------------------------------------------------------------
     # Observation plane (cost-silent, called from the database hot paths)
@@ -216,24 +204,22 @@ class SelfTuningAdvisor:
     def observe_parked_write(self, table: str, index: str, n: int) -> None:
         self.stats.parked_writes_skipped += n
 
-    def _on_bus_event(self, event) -> None:
-        """Fold structural churn from the obs bus into the windows.
+    def _take_churn(self) -> Tuple[int, float]:
+        """Drain the churn counters of every enrolled controller.
 
-        Events raised by the advisor's own scratch probes and applied
-        rebuilds are skipped (``_probing``): self-inflicted churn is not
+        Retrain costs are the one honest drift signal a fresh-built
+        scratch tree cannot reproduce (drift accumulates with table
+        scale).  Callers discard what the advisor's own probes, applied
+        actions and rebuilds caused: self-inflicted churn is not
         workload churn, and counting an apply's bulk retrains would
         immediately argue for undoing the action just taken.
         """
-        if self._probing:
-            return
-        if isinstance(
-            event,
-            (LeafConversionEvent, LeafRetrainEvent, CapacityChangeEvent),
-        ):
-            self._churn_since_tick += 1
-            self.stats.churn_events += 1
-            if isinstance(event, LeafRetrainEvent):
-                self._retrain_cost_since_tick += event.cost_units
+        events, units = 0, 0.0
+        for controller in self.arbiter.controllers:
+            n, cost = controller.take_churn()
+            events += n
+            units += cost
+        return events, units
 
     # ------------------------------------------------------------------
     # The tick hook (registered with BudgetArbiter.add_interval_hook)
@@ -243,26 +229,21 @@ class SelfTuningAdvisor:
         most one action.  Returns the fired family name, if any."""
         self._ticks += 1
         self.stats.ticks += 1
-        churn = self._churn_since_tick
-        retrain_cost = self._retrain_cost_since_tick
-        self._churn_since_tick = 0
-        self._retrain_cost_since_tick = 0.0
+        churn, retrain_cost = self._take_churn()
+        self.stats.churn_events += churn
         closed: Dict[Tuple[str, str], WindowStats] = {}
         for key, collector in self._collectors.items():
             if churn:
-                # Structural churn is pooled per tick: bus events carry
-                # node ids, not index names, so every window sees the
-                # global count.  Scoring re-gates on whether the index's
-                # own lattice could even have produced the cost.
+                # Structural churn is pooled per tick: every window sees
+                # the database-wide count.  Scoring re-gates on whether
+                # the index's own lattice could even have produced the
+                # cost.
                 collector.observe_churn(churn, retrain_cost)
             closed[key] = collector.roll()
             self.stats.windows_rolled += 1
         self._scored_this_tick = 0
-        self._probing = True
-        try:
-            candidates = self._gather_candidates(closed)
-        finally:
-            self._probing = False
+        candidates = self._gather_candidates(closed)
+        self._take_churn()
         if self._scored_this_tick:
             fee = self.config.advisor_fee_units * self._scored_this_tick
             self.cost.fixed_ops(fee)
@@ -273,11 +254,8 @@ class SelfTuningAdvisor:
         best = max(candidates, key=lambda c: (c.net_gain, -c.order))
         if best.net_gain <= 0.0:
             return None
-        self._probing = True
-        try:
-            cost_units = best.fire()
-        finally:
-            self._probing = False
+        cost_units = best.fire()
+        self._take_churn()
         self._last_action_tick[best.label] = self._ticks
         self.stats.actions_applied += 1
         self.stats.actions_by_family[best.family] = (
@@ -554,30 +532,27 @@ class SelfTuningAdvisor:
         bound = info.get("size_bound_bytes")
         kwargs = dict(info.get("index_kwargs", {}))
         store = dbtable.table
-        self._probing = True
-        try:
-            with self.cost.measure() as delta:
-                pairs = [
-                    (secondary.key_of_row(row), tid)
-                    for tid, row in store.iter_live()
-                ]
-                pairs.sort()
-                # The table sweep reads every live row off the heap.
-                self.cost.copy_bytes(len(pairs) * store.row_bytes)
-                fresh = build_index(
-                    info.get("kind", "elastic"),
-                    table=secondary.view,
-                    allocator=TrackingAllocator(cost_model=self.cost),
-                    cost=self.cost,
-                    key_width=secondary.key_width,
-                    size_bound_bytes=bound,
-                    **kwargs,
-                )
-                if pairs:
-                    fresh.insert_sorted_batch(pairs)
-                self._reattach_cache(fresh, info, label)
-        finally:
-            self._probing = False
+        with self.cost.measure() as delta:
+            pairs = [
+                (secondary.key_of_row(row), tid)
+                for tid, row in store.iter_live()
+            ]
+            pairs.sort()
+            # The table sweep reads every live row off the heap.
+            self.cost.copy_bytes(len(pairs) * store.row_bytes)
+            fresh = build_index(
+                info.get("kind", "elastic"),
+                table=secondary.view,
+                allocator=TrackingAllocator(cost_model=self.cost),
+                cost=self.cost,
+                key_width=secondary.key_width,
+                size_bound_bytes=bound,
+                **kwargs,
+            )
+            if pairs:
+                fresh.insert_sorted_batch(pairs)
+            self._reattach_cache(fresh, info, label)
+        fresh.controller.take_churn()  # the rebuild is not workload churn
         cost_units = delta.weighted_cost()
         secondary.index = fresh
         secondary.parked = False
@@ -652,8 +627,8 @@ class SelfTuningAdvisor:
             return None
         # Observed structural-churn surcharge: a fresh-built scratch has
         # no drift, so it systematically underprices what retrains cost
-        # the incumbent at full table scale.  The bus-observed retrain
-        # units from the closed window are the incumbent's actual bill —
+        # the incumbent at full table scale.  The retrain units the
+        # controllers counted in the closed window are the actual bill —
         # added only when this index's lattice contains learned leaves,
         # since nothing else can retrain (the pooled per-tick churn may
         # include siblings' events otherwise).
@@ -969,5 +944,5 @@ class SelfTuningAdvisor:
         ]
 
     def close(self) -> None:
-        """Detach from the obs bus (tests and short-lived advisors)."""
-        self._unsubscribe()
+        """Does nothing: the advisor holds no resource to release.  Kept
+        so callers that tear an advisor down keep working."""

@@ -10,8 +10,8 @@ boundaries — pushes it into a short history deque.  Windows carry
   repeats** so the ``move_cache`` family can replay the exact reuse
   sequence through its deterministic LRU simulation,
 * a coarse 32-bucket key-prefix heat map, and
-* churn counts folded in from :mod:`repro.obs` structural events
-  (leaf conversions, retrains, capacity changes).
+* structural churn (leaf conversions, capacity changes, learned-leaf
+  retrains and their cost units) counted by the elasticity controllers.
 
 Nothing here touches the cost model or the wall clock: collection is
 plain attribute arithmetic so the advisor's observation plane is

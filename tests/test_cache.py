@@ -29,13 +29,6 @@ from tests.conftest import U64Source
 from tests.test_elastic import fill, make_elastic
 
 
-@pytest.fixture(autouse=True)
-def _obs_off_between_tests():
-    obs.set_enabled(False)
-    yield
-    obs.set_enabled(False)
-
-
 def make_bound_cache(budget=8192, **config_kwargs):
     """An IndexCache bound to a fresh allocator/cost pair."""
     config_kwargs.setdefault("sketch_width", 64)

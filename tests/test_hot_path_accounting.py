@@ -34,14 +34,6 @@ BATCH_OPS = 240
 TIGHT_BOUND = int(31.0 * ROWS * 0.4)
 
 
-@pytest.fixture(autouse=True)
-def _obs_off_between_tests():
-    """Every test starts and ends with observability disabled."""
-    obs.set_enabled(False)
-    yield
-    obs.set_enabled(False)
-
-
 def _run_mix(leaf_kinds):
     """Load a tight elastic index (plus a cached one), then play a fixed
     seeded mix of scalar gets, scans, inserts and deletes through the

@@ -24,14 +24,6 @@ from tests.conftest import U64Source
 from tests.test_elastic import fill, make_elastic
 
 
-@pytest.fixture(autouse=True)
-def _obs_off_between_tests():
-    """Every test starts and ends with observability disabled."""
-    obs.set_enabled(False)
-    yield
-    obs.set_enabled(False)
-
-
 def run_grow_shrink(n=3000, size_bound=40_000, seed=3, policy=None,
                     observer=None):
     """A grow-then-shrink elastic workload touching every event source."""
@@ -344,8 +336,7 @@ class TestTracing:
     def test_span_records_cost_delta_by_category(self):
         cost = CostModel()
         tracer = obs.Tracer()
-        obs.set_enabled(True)
-        with tracer.trace_op(cost, "op1"):
+        with obs.enabled(), tracer.trace_op(cost, "op1"):
             cost.charge("rand_line", 2)
             cost.charge("compare", 5)
         spans = tracer.snapshot()
@@ -359,10 +350,10 @@ class TestTracing:
     def test_ring_buffer_bounds_spans(self):
         cost = CostModel()
         tracer = obs.Tracer(capacity=4)
-        obs.set_enabled(True)
-        for i in range(10):
-            with tracer.trace_op(cost, f"op{i}"):
-                cost.charge("branch", 1)
+        with obs.enabled():
+            for i in range(10):
+                with tracer.trace_op(cost, f"op{i}"):
+                    cost.charge("branch", 1)
         spans = tracer.snapshot()
         assert len(spans) == 4
         assert [s.op for s in spans] == ["op6", "op7", "op8", "op9"]
@@ -372,9 +363,8 @@ class TestTracing:
     def test_tracing_charges_no_cost(self):
         cost = CostModel()
         tracer = obs.Tracer()
-        obs.set_enabled(True)
         before = cost.weighted_cost()
-        with tracer.trace_op(cost, "noop"):
+        with obs.enabled(), tracer.trace_op(cost, "noop"):
             pass
         assert cost.weighted_cost() == before
         assert tracer.snapshot()[0].by_category == {}

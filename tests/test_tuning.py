@@ -5,10 +5,13 @@ validation, the park/unpark roundtrip through the public read/write
 surface, in-place lattice retargeting, what-if payback gating, the
 single shared op-boundary clock, the advisor-off zero-overhead
 identity, and DDL replay of ``enable_self_tuning`` through crash
-recovery.  The end-to-end dominance claim (self-tuned beats every
+recovery, and the churn signal the elasticity controllers count for
+the advisor.  The end-to-end dominance claim (self-tuned beats every
 static arm on the five adversarial scenarios) lives in the
 ``BENCH_selftune.json`` regression gate, not here.
 """
+
+import random
 
 import pytest
 
@@ -18,9 +21,12 @@ from repro.btree.stats import collect_stats
 from repro.cache.cache import CacheConfig
 from repro.db.database import Database
 from repro.errors import TuningConfigError
+from repro.keys.encoding import encode_u64
+from repro.obs import CapacityChangeEvent, LeafConversionEvent, LeafRetrainEvent
 from repro.table.table import RowSchema
 from repro.tools import tuning_summary
 from repro.tuning import SelfTuningAdvisor, TuningConfig
+from repro.tuning.advisor import _Candidate
 from repro.tuning.config import PRESET_LATTICES
 from repro.wal import WalConfig, recover_database, state_digest
 
@@ -360,3 +366,164 @@ class TestRecoveryReplay:
         rtable = recovered.tables["t"]
         rtable.insert_batch(rows_u64(64, start=10_000))
         assert recovered.advisor.stats.ticks >= 1
+
+
+# ----------------------------------------------------------------------
+# The churn signal: elasticity controllers count, the advisor pulls
+# ----------------------------------------------------------------------
+
+CHURN_EVENTS = (LeafConversionEvent, CapacityChangeEvent, LeafRetrainEvent)
+
+
+def churn_published(action):
+    """Run ``action`` with obs on; return the churn events it published."""
+    events = []
+    with obs.enabled():
+        unsubscribe = obs.BUS.subscribe(events.append)
+        try:
+            action()
+        finally:
+            unsubscribe()
+    return [e for e in events if isinstance(e, CHURN_EVENTS)]
+
+
+def closed_window(advisor, index="by_k"):
+    """The most recently closed stats window of ``t.<index>``."""
+    return advisor._collectors[("t", index)].recent(1)[0]
+
+
+def insert_and_read(table, n=2000):
+    """Scalar inserts in shuffled key order, each read back: conversions
+    under a tight bound (sorted batches mostly split instead), and the
+    index stays read-live, so the advisor never parks it."""
+    rows = rows_u64(n)
+    random.Random(1).shuffle(rows)
+    for row in rows:
+        table.insert(row)
+        table.get("by_k", row[:1])
+
+
+class TestChurnSignal:
+    @pytest.mark.parametrize("kinds,other", [
+        (("standard", "compact"), ("standard", "learned")),
+        (("standard", "learned"), ("standard", "compact")),
+    ])
+    def test_controller_churn_matches_the_bus(self, kinds, other):
+        """Every conversion, capacity change, split-down half and
+        learned-leaf retrain counts once, and the retrain units are the
+        ones the retrain events carry."""
+        from tests.conftest import U64Source
+        from tests.test_elastic import fill, make_elastic
+
+        source = U64Source()
+        # Tight enough that learned leaves also split at the top rung.
+        tree = make_elastic(source, size_bound=20_000, leaf_kinds=kinds,
+                            expand_split_probability=0.5)
+        controller = tree.controller
+
+        def grow_shrink():
+            fill(tree, source, 6000, shuffle_seed=3)
+            controller.retarget_lattice({"leaf_kinds": other})
+            controller.retarget_lattice({"leaf_kinds": kinds})
+            for v in range(5400):
+                tree.remove(encode_u64(v))
+            rng = random.Random(2)
+            for _ in range(3000):
+                tree.lookup(encode_u64(rng.randrange(5400, 6000)))
+            controller.bulk_convert(other[1])
+
+        events = churn_published(grow_shrink)
+        assert controller.stats.expansion_splits > 0
+        retrains = [e for e in events if isinstance(e, LeafRetrainEvent)]
+        assert bool(retrains) == ("learned" in kinds)
+        assert controller.take_churn() == (
+            len(events), sum(e.cost_units for e in retrains)
+        )
+        assert controller.take_churn() == (0, 0.0)
+
+    def test_self_inflicted_churn_never_reaches_windows(self, monkeypatch):
+        db, table = make_db(interval_ops=1 << 30, total_bytes=40_000)
+        table.insert_batch(rows_u64(3000, start=10_000))
+        controller = table.indexes["by_k"].index.controller
+        assert controller.churn_events  # before the loop closed
+        advisor = db.enable_self_tuning()
+        workload = churn_published(lambda: insert_and_read(table))
+        assert workload
+        lattices = iter(["learned", "paper", "learned"])
+        migrated = []
+
+        def churn_live_index():
+            preset = PRESET_LATTICES[next(lattices)]
+            migrated.append(controller.retarget_lattice(dict(preset)))
+            return 0.0
+
+        def gather_then_fire(closed):
+            churn_live_index()  # a probe of the live index
+            return [_Candidate(
+                family="swap_preset", label="t.by_k", detail="paper",
+                modeled_saving=1.0, apply_cost=0.0, items=0,
+                fire=churn_live_index,
+            )]
+
+        def gather_only(closed):
+            churn_live_index()
+            return []
+
+        for gather, fired, window_churn in (
+            (gather_then_fire, "swap_preset", len(workload)),
+            (gather_only, None, 0),
+            (lambda closed: [], None, 0),
+        ):
+            monkeypatch.setattr(advisor, "_gather_candidates", gather)
+            assert advisor.on_interval() == fired
+            assert closed_window(advisor).churn_events == window_churn
+        assert len(migrated) == 3 and all(migrated)
+        assert advisor.stats.churn_events == len(workload)
+
+    def test_unpark_rebuild_is_not_workload_churn(self):
+        db, table = make_db(
+            interval_ops=64, total_bytes=40_000,
+            indexes=(("by_k", ("k",)), ("by_aux", ("v",))),
+        )
+        advisor = db.enable_self_tuning(park_tuning_config())
+        table.insert_batch(rows_u64(256))
+        drive_park(db, table)
+        assert advisor.parked_indexes() == ["t.by_aux"]
+        rebuild = churn_published(
+            lambda: table.get("by_aux", (7 * 3 + 1,))
+        )
+        assert advisor.parked_indexes() == []
+        assert rebuild  # the rebuild converted leaves ...
+        # ... and none of it is left for the next tick to count.
+        assert table.indexes["by_aux"].index.controller.take_churn() == (
+            0, 0.0
+        )
+
+    def test_self_tuning_leaves_observability_off(self):
+        db, table = make_db(interval_ops=64, total_bytes=40_000)
+        advisor = db.enable_self_tuning()
+        assert not obs.is_enabled()
+        published = []
+        unsubscribe = obs.BUS.subscribe(published.append)
+        try:
+            insert_and_read(table)
+        finally:
+            unsubscribe()
+        assert advisor.stats.ticks > 0 and advisor.stats.churn_events > 0
+        assert not obs.is_enabled()
+        assert published == []
+
+    def test_churn_stays_with_its_database(self):
+        busy_db, busy = make_db(interval_ops=64, total_bytes=40_000)
+        idle_db, idle = make_db(interval_ops=64)
+        busy_db.enable_self_tuning()
+        idle_db.enable_self_tuning()
+        idle.insert_batch(rows_u64(32))
+        insert_and_read(busy)
+        for i in range(64):
+            idle.get("by_k", (i % 32,))
+        assert busy_db.advisor.stats.churn_events > 0
+        assert idle_db.advisor.stats.ticks >= 1
+        assert idle_db.advisor.stats.churn_events == 0
+        history = idle_db.advisor._collectors[("t", "by_k")].history
+        assert history and all(w.churn_events == 0 for w in history)
