@@ -15,7 +15,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Type
 
 from repro.btree.leaves import LeafFullError, LeafNode, next_node_id
 from repro.blindi.breathing import BreathingTidArray, TID_BYTES
-from repro.blindi.seqtrie import SeqTrieRep, _bits_of_sorted_keys
+from repro.blindi.seqtrie import SearchResult, SeqTrieRep
 from repro.keys.bitops import first_diff_bit
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
@@ -114,7 +114,7 @@ class CompactLeaf(LeafNode):
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
-        return self.rep.n
+        return len(self.rep.tids)
 
     @property
     def capacity(self) -> int:
@@ -142,8 +142,8 @@ class CompactLeaf(LeafNode):
             # One extra dependent dereference before the data pointer.
             self.cost.charge("seq_line", 2)
 
-    def lookup(self, key: bytes) -> Optional[int]:
-        # The point-lookup hot path: the same attribution as
+    def _search(self, key: bytes) -> SearchResult:
+        # Every point operation's hot path: the same attribution as
         # ``with cost.attributed_to("compact.search")``, set and restored
         # by hand to skip the context-manager machinery.
         cost = self.cost
@@ -155,8 +155,12 @@ class CompactLeaf(LeafNode):
             self._breathing_search_cost()
         finally:
             cost._attribution = previous
+        return result
+
+    def lookup(self, key: bytes) -> Optional[int]:
+        result = self._search(key)
         if result.found:
-            return self.rep.tid_at(result.pos)
+            return self.rep.tids[result.pos]
         return None
 
     def lookup_batch(self, keys: List[bytes]) -> List[Optional[int]]:
@@ -178,29 +182,35 @@ class CompactLeaf(LeafNode):
         return out
 
     def upsert(self, key: bytes, tid: int) -> Optional[int]:
-        with self.cost.attributed_to("compact.search"):
-            self.cost.rand_lines(1)
-            result = self.rep.search(key)
-            self._breathing_search_cost()
+        rep = self.rep
+        result = self._search(key)
         if result.found:
-            return self.rep.replace_tid(result.pos, tid)
-        if self.rep.n >= self._capacity:
+            return rep.replace_tid(result.pos, tid)
+        n = len(rep.tids)
+        if n >= self._capacity:
             raise LeafFullError()
-        with self.cost.attributed_to("compact.update"):
+        cost = self.cost  # attribution set by hand, as in _search
+        previous = cost._attribution
+        cost._attribution = "compact.update"
+        try:
             if self.breathing is not None:
-                self.breathing.ensure_room(self.rep.n + 1)
-            self.rep.insert_new(result, key, tid)
+                self.breathing.ensure_room(n + 1)
+            rep.insert_new(result, key, tid)
+        finally:
+            cost._attribution = previous
         return None
 
     def remove(self, key: bytes) -> Optional[int]:
-        with self.cost.attributed_to("compact.search"):
-            self.cost.rand_lines(1)
-            result = self.rep.search(key)
-            self._breathing_search_cost()
+        result = self._search(key)
         if not result.found:
             return None
-        with self.cost.attributed_to("compact.update"):
+        cost = self.cost
+        previous = cost._attribution
+        cost._attribution = "compact.update"
+        try:
             return self.rep.remove_at(result.pos)
+        finally:
+            cost._attribution = previous
 
     # ------------------------------------------------------------------
     # Ordered access (each key is an indirect load)
@@ -273,9 +283,8 @@ class CompactLeaf(LeafNode):
             self.breathing.ensure_room(self.rep.n)
 
     def keys_and_tids(self) -> Tuple[List[bytes], List[int]]:
-        tids = [self.rep.tid_at(pos) for pos in range(self.rep.n)]
-        keys = [self.table.load_key_batched(tid) for tid in tids]
-        return keys, tids
+        tids = list(self.rep.tids)
+        return self.table.load_keys_batched(tids), tids
 
     # ------------------------------------------------------------------
     # Conversion helpers (used by the elasticity algorithm)

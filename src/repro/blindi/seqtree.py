@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.memory.cost_model import CostModel, NULL_COST_MODEL
+from repro.memory.cost_model import _CACHE_LINE, CostModel, NULL_COST_MODEL
 from repro.blindi.seqtrie import SeqTrieRep, _Descent
 from repro.table.table import Table
 
@@ -78,25 +78,37 @@ class SeqTreeRep(SeqTrieRep):
         self._build_range(0, 0, len(self.bits) - 1)
 
     def _build_range(self, slot: int, lo: int, hi: int) -> None:
-        """(Re)build the subtree at ``slot`` for bits range [lo, hi]."""
-        if slot >= len(self.tree):
+        """(Re)build the subtree at ``slot`` for bits range [lo, hi]:
+        per non-empty range a compare per entry and ``touch_bytes_seq``
+        of its bytes, tallied and charged once."""
+        tree = self.tree
+        size = len(tree)
+        if slot >= size:
             return
-        if lo > hi:
-            self.tree[slot] = ET
-            self._build_range(2 * slot + 1, 1, 0)
-            self._build_range(2 * slot + 2, 1, 0)
-            return
-        span = hi - lo + 1
-        self.cost.compares(span)
-        self.cost.touch_bytes_seq(span * self.bit_entry_bytes)
-        best = lo
         bits = self.bits
-        for i in range(lo + 1, hi + 1):
-            if bits[i] < bits[best]:
-                best = i
-        self.tree[slot] = best
-        self._build_range(2 * slot + 1, lo, best - 1)
-        self._build_range(2 * slot + 2, best + 1, hi)
+        entry = self.bit_entry_bytes
+        compares = rand_lines = seq_lines = 0
+        todo = [(slot, lo, hi)]
+        while todo:
+            slot, lo, hi = todo.pop()
+            left = 2 * slot + 1
+            if lo > hi:
+                tree[slot] = ET
+                if left < size:
+                    todo += ((left, 1, 0), (left + 1, 1, 0))
+                continue
+            span = hi - lo + 1
+            compares += span
+            rand_lines += 1
+            seq_lines += (span * entry - 1) // _CACHE_LINE
+            best = bits.index(min(bits[lo:hi + 1]), lo)
+            tree[slot] = best
+            if left < size:
+                todo += ((left, lo, best - 1), (left + 1, best + 1, hi))
+        charge = self.cost.charge
+        charge("compare", compares)
+        charge("rand_line", rand_lines)
+        charge("seq_line", seq_lines)
 
     # ------------------------------------------------------------------
     # Search: tree descent bounds the sequential scan
@@ -136,67 +148,73 @@ class SeqTreeRep(SeqTrieRep):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _shift_cost(self) -> None:
-        size = len(self.tree)
-        if size:
-            self.cost.compares(size)
-            self.cost.touch_bytes_seq(size)
-
     def _after_insert(self, pos: int, bits_idx: int) -> None:
         tree = self.tree
         size = len(tree)
         if not size:
             return
+        cost = self.cost
+        charge = cost.charge
         # 1. Entries at or beyond the insertion point moved one right.
-        self._shift_cost()
+        charge("compare", size)
+        cost.touch_bytes_seq(size)
         for slot in range(size):
-            if tree[slot] != ET and tree[slot] >= bits_idx:
-                tree[slot] += 1
+            m = tree[slot]
+            if m != ET and m >= bits_idx:
+                tree[slot] = m + 1
         # 2. Place the new entry: drop into an empty slot, splice above a
         #    subtree whose root bit is larger (rebuild), or fall below.
-        new_bit = self.bits[bits_idx]
+        #    A compare and a branch per level, charged once.
+        bits = self.bits
+        new_bit = bits[bits_idx]
         slot = 0
-        lo, hi = 0, len(self.bits) - 1
+        lo, hi = 0, len(bits) - 1
+        steps = 0
+        splice = None
         while slot < size:
             m = tree[slot]
             if m == ET:
                 tree[slot] = bits_idx
-                return
-            self.cost.compares(1)
-            self.cost.branches(1)
-            root_bit = self.bits[m]
-            if new_bit < root_bit:
-                # The new entry is the range's minimum: it becomes the
-                # subtree root (the paper's splice).
-                self._build_range(slot, lo, hi)
-                return
+                break
+            steps += 1
+            if new_bit < bits[m]:
+                splice = slot
+                break
             if bits_idx < m:
                 hi = m - 1
                 slot = 2 * slot + 1
             else:
                 lo = m + 1
                 slot = 2 * slot + 2
+        charge("compare", steps)
+        charge("branch", steps)
+        if splice is not None:
+            # The new entry is the range's minimum: it becomes the
+            # subtree root (the paper's splice).
+            self._build_range(splice, lo, hi)
 
     def _after_remove(self, pos: int, removed_bits_idx: Optional[int]) -> None:
         tree = self.tree
         size = len(tree)
         if not size:
             return
-        if removed_bits_idx is None or not self.bits:
+        bits = self.bits
+        if removed_bits_idx is None or not bits:
             for slot in range(size):
                 tree[slot] = ET
             return
         r = removed_bits_idx
-        # Locate r in the tree (old coordinates) before shifting.
+        # Locate r in the tree (old coordinates) before shifting: a
+        # compare and a branch per level, charged once.
         found_slot = None
         slot = 0
-        lo, hi = 0, len(self.bits)  # old array was one entry longer
+        steps = 0
+        lo, hi = 0, len(bits)  # old array was one entry longer
         while slot < size:
             m = tree[slot]
             if m == ET:
                 break
-            self.cost.compares(1)
-            self.cost.branches(1)
+            steps += 1
             if m == r:
                 found_slot = slot
                 break
@@ -206,10 +224,17 @@ class SeqTreeRep(SeqTrieRep):
             else:
                 lo = m + 1
                 slot = 2 * slot + 2
-        self._shift_cost()
-        for s in range(size):
-            if tree[s] != ET and tree[s] > r:
-                tree[s] -= 1
+        cost = self.cost
+        charge = cost.charge
+        charge("compare", steps)
+        charge("branch", steps)
+        # Entries beyond the removed one move one left.
+        charge("compare", size)
+        cost.touch_bytes_seq(size)
+        for slot in range(size):
+            m = tree[slot]
+            if m != ET and m > r:
+                tree[slot] = m - 1
         if found_slot is not None:
             # The removed entry's range, in new coordinates, lost one slot.
             self._build_range(found_slot, lo, hi - 1)

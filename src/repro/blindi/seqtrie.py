@@ -26,6 +26,7 @@ to restrict both scans to a small range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from repro.keys.bitops import first_diff_bit, get_bit
@@ -86,6 +87,8 @@ class SeqTrieRep:
         self.table = table
         self.key_width = key_width
         self.cost = cost_model
+        #: Bytes per discriminating-bit entry: 1 for keys <= 32 B.
+        self.bit_entry_bytes = 1 if key_width <= 32 else 2
         self.bits: List[int] = []
         self.tids: List[int] = []
 
@@ -121,11 +124,6 @@ class SeqTrieRep:
     def n(self) -> int:
         """Number of keys stored."""
         return len(self.tids)
-
-    @property
-    def bit_entry_bytes(self) -> int:
-        """Bytes per discriminating-bit entry: 1 for keys <= 32 B."""
-        return 1 if self.key_width <= 32 else 2
 
     def payload_bytes(self, capacity: int) -> int:
         """Bytes of blind-trie metadata for a node of ``capacity`` keys
@@ -164,7 +162,7 @@ class SeqTrieRep:
 
     def search(self, key: bytes) -> SearchResult:
         """Predecessor search: position of ``key`` or of its predecessor."""
-        if self.n == 0:
+        if not self.tids:
             return SearchResult(found=False, pos=0, pred=-1)
         descent = self._descend(key)
         j = self._scan(key, descent.lo, descent.hi, descent.j)
@@ -214,7 +212,7 @@ class SeqTrieRep:
                 self._charge_fixup(scanned)
                 return ind
         self._charge_fixup(scanned)
-        return self.n - 1
+        return len(self.tids) - 1
 
     def _boundary_left(self, descent: _Descent, j: int, b_d: int) -> int:
         """First index < j scanning leftward whose discriminating bit is
@@ -259,7 +257,7 @@ class SeqTrieRep:
         entries are provably unchanged; see module docstring).
         """
         pos = result.pos
-        if self.n == 0:
+        if not self.tids:
             self.tids.append(tid)
             return
         assert result.b_d is not None and result.bits_insert_idx is not None
@@ -388,11 +386,19 @@ class SeqTrieRep:
 
 
 def _bits_of_sorted_keys(keys: List[bytes]) -> List[int]:
-    """Discriminating bits of consecutive sorted keys."""
+    """Discriminating bits of consecutive sorted keys (``first_diff_bit``
+    of each adjacent pair), computed on integers; uncharged."""
     out: List[int] = []
-    for a, b in zip(keys, keys[1:]):
-        bit = first_diff_bit(a, b)
-        if bit is None:
+    if not keys:
+        return out
+    width = len(keys[0])
+    previous = int.from_bytes(keys[0], "big")
+    for key in islice(keys, 1, None):
+        if len(key) != width:
+            raise ValueError(f"key widths differ: {width} vs {len(key)}")
+        value = int.from_bytes(key, "big")
+        if value == previous:
             raise ValueError("duplicate keys in blind trie")
-        out.append(bit)
+        out.append(8 * width - (previous ^ value).bit_length())
+        previous = value
     return out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import struct
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheConfig, IndexCache
@@ -52,30 +54,44 @@ def _key_encoders(
     """An index's key encoders ``(of values, of row)``, picked once from
     its column types.
 
-    A single ``u64`` column — the common case — encodes straight to its
-    big-endian bytes; any other column tuple joins the per-column
-    :func:`_encode_column` encodings.  Both give identical bytes (and
-    raise identically) for a single ``u64`` column.
+    Any column tuple can join the per-column :func:`_encode_column`
+    encodings.  An all-``u64`` tuple of 8-byte columns — the common
+    case — packs its values with one precompiled big-endian struct
+    instead; a value the struct rejects (out of range, or not an
+    integer) takes the join, so the bytes, and the exception on a bad
+    value, are the join's.
     """
-    if types == ("u64",):
-        (width,), (position,) = widths, positions
-
-        def of_values(values: Sequence) -> bytes:
-            return int(values[0]).to_bytes(width, "big")
-
-        def of_row(row: Sequence) -> bytes:
-            return int(row[position]).to_bytes(width, "big")
-
-        return of_values, of_row
     columns = tuple(zip(types, widths))
 
-    def of_values(values: Sequence) -> bytes:
+    def join_values(values: Sequence) -> bytes:
         return b"".join(
             _encode_column(v, t, w) for v, (t, w) in zip(values, columns)
         )
 
+    def join_row(row: Sequence) -> bytes:
+        return join_values([row[p] for p in positions])
+
+    if any(column != ("u64", 8) for column in columns):
+        return join_values, join_row
+    pack = struct.Struct(">" + "Q" * len(columns)).pack
+    # The row's index columns as a tuple (an itemgetter of one position
+    # would return the bare value).
+    if len(positions) > 1:
+        picked = itemgetter(*positions)
+    else:
+        picked = itemgetter(slice(positions[0], positions[0] + 1))
+
+    def of_values(values: Sequence) -> bytes:
+        try:
+            return pack(*values)
+        except struct.error:
+            return join_values(values)
+
     def of_row(row: Sequence) -> bytes:
-        return of_values([row[p] for p in positions])
+        try:
+            return pack(*picked(row))
+        except struct.error:
+            return join_row(row)
 
     return of_values, of_row
 
@@ -101,6 +117,9 @@ class TableView:
         row = self._table.live_row(tid)
         self._table.cost_model.key_loads_batched(1)
         return self._key_of_row(row)
+
+    def load_keys_batched(self, tids: Sequence[int]) -> List[bytes]:
+        return self._table._keys_batched(tids, self._key_of_row)
 
     def peek_key(self, tid: int) -> bytes:
         return self._key_of_row(self._table.live_row(tid))

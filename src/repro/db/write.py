@@ -5,7 +5,7 @@ Every mutation in the database flows through one entry point —
 are *staged* (validated, nothing touched), and :meth:`WriteBatch.
 commit` runs the whole pipeline::
 
-    facade -> WAL append -> group commit -> shard/index apply -> tick
+    facade -> delete check -> WAL append -> group commit -> apply -> tick
 
 The scalar spellings (``DBTable.insert`` / ``insert_batch`` /
 ``delete``) are one-operation auto-committed batches over the same
@@ -14,8 +14,10 @@ costs** to the pre-batch write path — staging is pure Python, the WAL
 phases vanish, and the apply phase replays the exact historical charge
 sequences.
 
-With a log configured, commit first appends one logical redo record per
-row (``log_append`` each), emits the batch's
+Commit first rejects a delete of a row not live at its turn, before
+anything is logged, applied or charged, so the log never holds a record
+recovery could not replay.  With a log configured, commit then appends
+one logical redo record per row (``log_append`` each), emits the batch's
 :class:`~repro.obs.WalAppendEvent`, and schedules group-commit fsync
 barriers (see :mod:`repro.wal.log`); only then does it mutate volatile
 state, one staged operation at a time, ticking the budget arbiter after
@@ -37,11 +39,12 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.errors import WalError
 from repro.obs import WalAppendEvent
+from repro.table.table import TidReplay
 
 if TYPE_CHECKING:
     from repro.db.database import Database, DBTable
@@ -67,6 +70,8 @@ class WriteBatch:
         #: rows) | ("delete", table, tid), in stage order.
         self._staged: List[Tuple[str, "DBTable", object]] = []
         self._committed = False
+        self._has_deletes = False  # commit validates staged deletes
+        self._stores = 0  # staged rows to store, which bounds their tid reuse
         #: Tuple ids of every inserted row, in stage order (set by
         #: :meth:`commit`).
         self.tids: Optional[List[int]] = None
@@ -80,6 +85,7 @@ class WriteBatch:
         """Stage one row insert."""
         dbtable = self._resolve(table)
         self._staged.append(("insert", dbtable, self._validate(dbtable, row)))
+        self._stores += 1
 
     def insert_batch(
         self, table: "Union[DBTable, str]", rows: Sequence[Sequence]
@@ -88,15 +94,15 @@ class WriteBatch:
         insert per index (the gapped data-parallel unit the log's group
         commit amortizes over)."""
         dbtable = self._resolve(table)
-        self._staged.append((
-            "insert_rows",
-            dbtable,
-            [self._validate(dbtable, row) for row in rows],
-        ))
+        rows = [self._validate(dbtable, row) for row in rows]
+        self._staged.append(("insert_rows", dbtable, rows))
+        self._stores += len(rows)
 
     def delete(self, table: "Union[DBTable, str]", tid: int) -> None:
-        """Stage one delete by tuple id (liveness checked at apply)."""
+        """Stage one delete by tuple id (liveness checked at commit,
+        before anything is logged or applied)."""
         self._staged.append(("delete", self._resolve(table), tid))
+        self._has_deletes = True
 
     def _resolve(self, table: "Union[DBTable, str]") -> "DBTable":
         self._check_open()
@@ -134,13 +140,15 @@ class WriteBatch:
         volatile state untouched."""
         self._check_open()
         self._committed = True
+        if self._has_deletes:
+            self._check_deletes()
         db = self._db
         wal = db.wal
         if wal is not None and self._staged:
             records = []
             for op, dbtable, payload in self._staged:
                 name = dbtable.schema.name
-                row_bytes = dbtable.schema.row_bytes
+                row_bytes = dbtable.table.row_bytes
                 if op == "insert":
                     records.append(
                         wal.append("insert", name, payload, row_bytes)
@@ -180,6 +188,22 @@ class WriteBatch:
             db._tick(ops)
         self.tids = tids
         return tids
+
+    def _check_deletes(self) -> None:
+        """Raise what the apply phase would raise for the first staged
+        delete of a row that is not live at its turn."""
+        replays: Dict["DBTable", TidReplay] = {}
+        for op, dbtable, payload in self._staged:
+            replay = replays.get(dbtable)
+            if replay is None:
+                replay = replays[dbtable] = TidReplay(
+                    dbtable.table, self._stores
+                )
+            if op == "delete":
+                replay.delete(payload)
+            else:
+                for _ in range(1 if op == "insert" else len(payload)):
+                    replay.store()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "WriteBatch":

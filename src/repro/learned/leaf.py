@@ -402,8 +402,7 @@ class LearnedLeaf(LeafNode):
     # ------------------------------------------------------------------
     def keys_and_tids(self) -> Tuple[List[bytes], List[int]]:
         tids = list(self.tids)
-        keys = [self.table.load_key_batched(tid) for tid in tids]
-        return keys, tids
+        return self.table.load_keys_batched(tids), tids
 
     def split(self, fraction: float = 0.5) -> Tuple["LearnedLeaf", bytes]:
         keys, tids = self.keys_and_tids()

@@ -98,12 +98,12 @@ class Table:
     # ------------------------------------------------------------------
     def insert_row(self, row: Any) -> int:
         """Store a row; returns its tuple id."""
-        if self._free_tids:
-            tid = self._free_tids.pop()
-            self._rows[tid] = row
+        rows = self._rows
+        tid = _take_tid(self._free_tids, len(rows))
+        if tid < len(rows):
+            rows[tid] = row
         else:
-            tid = len(self._rows)
-            self._rows.append(row)
+            rows.append(row)
         self._live_rows += 1
         if self.allocator is not None:
             self.allocator.allocate(self.row_bytes, "table")
@@ -182,6 +182,28 @@ class Table:
         self.cost_model.key_loads_batched(1)
         return self._key_of_row(row)
 
+    def load_keys_batched(self, tids: Sequence[int]) -> List[bytes]:
+        """One :meth:`load_key_batched` per id, in one charge."""
+        return self._keys_batched(tids, self._key_of_row)
+
+    def _keys_batched(
+        self, tids: Sequence[int], key_of_row: Callable[[Any], bytes]
+    ) -> List[bytes]:
+        # Shared with TableView, which passes its index's key extractor.
+        rows = self._rows
+        keys: List[bytes] = []
+        loaded = 0
+        try:
+            for tid in tids:
+                row = rows[tid]
+                if row is None:
+                    raise KeyError(f"tuple id {tid} is not live")
+                loaded += 1
+                keys.append(key_of_row(row))
+        finally:
+            self.cost_model.key_loads_batched(loaded)
+        return keys
+
     def peek_key(self, tid: int) -> bytes:
         """Load a key *without* charging cost (test/verification use only)."""
         return self._key_of_row(self.live_row(tid))
@@ -206,3 +228,40 @@ class Table:
     def dataset_bytes(self) -> int:
         """Total bytes of live row data."""
         return self._live_rows * self.row_bytes
+
+
+def _take_tid(free: List[int], next_tid: int) -> int:
+    """The tuple id a stored row takes: the most recently freed one,
+    popped from ``free``, else the new ``next_tid``."""
+    return free.pop() if free else next_tid
+
+
+class TidReplay:
+    """A table's tuple-id assignment replayed over staged writes that
+    store at most ``stores`` rows, without touching the table.
+    :meth:`delete` raises what :meth:`Table.delete_row` would raise at
+    that turn."""
+
+    __slots__ = ("_table", "_free", "_next_tid", "_live")
+
+    def __init__(self, table: Table, stores: int) -> None:
+        free = table._free_tids
+        self._table = table
+        self._free = free[-stores:] if stores else []  # the top of the stack
+        self._next_tid = len(table._rows)
+        self._live: Dict[int, bool] = {}  # the ids the replay touched
+
+    def store(self) -> None:
+        tid = _take_tid(self._free, self._next_tid)
+        if tid == self._next_tid:
+            self._next_tid += 1
+        self._live[tid] = True
+
+    def delete(self, tid: int) -> None:
+        live = self._live.get(tid)
+        if live is None:
+            self._table.live_row(tid)
+        elif not live:
+            raise KeyError(f"tuple id {tid} is not live")
+        self._live[tid] = False
+        self._free.append(tid)

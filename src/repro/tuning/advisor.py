@@ -93,6 +93,19 @@ class _SampleView:
         self._cost.key_loads_batched(1)
         return self.keys[tid]
 
+    def load_keys_batched(self, tids: Sequence[int]) -> List[bytes]:
+        """Per-key loads in one charge (a missing id's own included)."""
+        keys = self.keys
+        out: List[bytes] = []
+        loaded = 0
+        try:
+            for tid in tids:
+                loaded += 1
+                out.append(keys[tid])
+        finally:
+            self._cost.key_loads_batched(loaded)
+        return out
+
     def peek_key(self, tid: int) -> bytes:
         return self.keys[tid]
 

@@ -1,20 +1,22 @@
-"""Accounting identity of the scalar and batched hot paths.
+"""Accounting identity of the scalar, batched and write hot paths.
 
 The descent, leaf-search and facade fast paths aggregate their charges
 (one ``CostModel.charge`` per category per descent instead of one per
 level, attribution set without the context manager, key encoders picked
-once per index), and the batched read path charges its row fetches and
-cache probes once per batch.  That must make accounting cheaper, never
-different: the per-category totals, the order in which categories first
-appear (``weighted_cost`` sums in dict order, so a reorder can move the
-last float bit of a baseline) and the per-tag buckets must all stay
-exactly what the per-item code charged.  The pinned values below were
-recorded from that code.
+once per index), the batched read path charges its row fetches and
+cache probes once per batch, and the write path tallies its BlindiTree
+maintenance and re-materializes a leaf's keys in one charge.  That must
+make accounting cheaper, never different: the per-category totals, the
+order in which categories first appear (``weighted_cost`` sums in dict
+order, so a reorder can move the last float bit of a baseline) and the
+per-tag buckets must all stay exactly what the per-item code charged.
+The pinned values below were recorded from that code.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import asdict
 
 import pytest
@@ -23,7 +25,9 @@ from repro import obs
 from repro.cache import CacheConfig
 from repro.db.database import Database, _encode_column
 from repro.memory.cost_model import CostModel
-from repro.table.table import RowSchema
+from repro.table.table import RowSchema, Table
+from repro.tuning.advisor import _SampleView
+from repro.wal import WalConfig
 
 KV = RowSchema("kv", ("k", "v"), (8, 8))
 ROWS = 3_000
@@ -352,6 +356,277 @@ class TestBatchAccountingIdentity:
                 PINNED_BATCH["executors"][name]
 
 
+WRITE_LOW = 300
+WRITE_HIGH = 1_500
+#: Both elastic bounds hold the STX footprint of this many keys: the
+#: cycle starts well over them and shrinks well under them.
+WRITE_BOUND_KEYS = 900
+
+
+def _write_mix(leaf_kinds):
+    """Load a WAL-backed table over the bounds of two elastic indexes
+    (``by_k`` on ``leaf_kinds``, and the two-column ``u64`` ``by_vk``),
+    then play one seeded cycle of scalar writes with a get after every
+    second write: delete the smallest keys first down to ``WRITE_LOW``
+    rows (capacity halvings, reversions, expansion splits), then insert
+    fresh keys back up to ``WRITE_HIGH`` (conversions and capacity
+    doublings).  Shrinking first makes a remove the first charge in the
+    ``compact.update`` bucket, so its first-charge order is pinned too.
+    Returns the database and its table."""
+    rng = random.Random(f"hot-path:write:{len(leaf_kinds)}")
+    db = Database(wal=WalConfig(group_size=8))
+    table = db.create_table(KV)
+    table.create_index(
+        "by_k", ("k",), kind="elastic",
+        size_bound_bytes=int(31.0 * WRITE_BOUND_KEYS), leaf_kinds=leaf_kinds,
+    )
+    table.create_index(
+        "by_vk", ("v", "k"), kind="elastic",
+        size_bound_bytes=int(43.4 * WRITE_BOUND_KEYS),
+    )
+    taken = set()
+
+    def fresh():
+        while True:
+            key = rng.getrandbits(64)
+            if key not in taken:
+                taken.add(key)
+                return key
+
+    rows = [(fresh(), rng.getrandbits(64)) for _ in range(WRITE_HIGH)]
+    live = list(zip(table.insert_batch(rows), rows))
+    db.cost.reset()
+    live.sort(key=lambda item: item[1][0], reverse=True)
+    for step in range(2 * (WRITE_HIGH - WRITE_LOW)):
+        if step < WRITE_HIGH - WRITE_LOW:
+            tid, row = live.pop()
+            assert table.delete(tid) == row
+        else:
+            row = (fresh(), rng.getrandbits(64))
+            live.append((table.insert(row), row))
+        if step % 2 == 0:
+            _, row = rng.choice(live)
+            if rng.random() < 0.5:
+                assert table.get("by_k", (row[0],)) == row
+            else:
+                assert table.get("by_vk", (row[1], row[0])) == row
+    return db, table
+
+
+#: Recorded from the per-level maintenance charges and per-key loads
+#: (same seeds); ``stats`` is each controller's ``ElasticityStats``,
+#: load included.
+PINNED_WRITE = {
+    "two_way": {
+        "counts": [
+            ("log_append", 2400), ("rand_line", 29587), ("compare", 110667),
+            ("branch", 97918), ("copy_line", 17660), ("free", 1675),
+            ("seq_line", 9261), ("key_load", 2633), ("log_fsync", 300),
+            ("alloc", 1743), ("key_load_batched", 278),
+        ],
+        "tagged": {
+            "compact.search": [
+                ("rand_line", 5495), ("seq_line", 7058), ("compare", 42929),
+                ("branch", 40580), ("key_load", 2349),
+            ],
+            "compact.update": [
+                ("copy_line", 6314), ("compare", 8972), ("branch", 3328),
+                ("rand_line", 1845), ("free", 133), ("alloc", 133),
+            ],
+            "elastic.convert": [
+                ("copy_line", 436), ("alloc", 221), ("rand_line", 390),
+                ("free", 159), ("key_load_batched", 143), ("seq_line", 281),
+                ("compare", 2059),
+            ],
+        },
+        "stats": {
+            "by_k": {
+                "conversions_to_compact": 38, "conversions_to_learned": 0,
+                "conversions_other": 0, "capacity_promotions": 4,
+                "capacity_stepdowns": 10, "reversions_to_standard": 6,
+                "expansion_splits": 12, "churn_splits": 0,
+                "state_transitions": 3,
+                "conversion_cost_units": 842.010000000001,
+            },
+            "by_vk": {
+                "conversions_to_compact": 35, "conversions_to_learned": 0,
+                "conversions_other": 0, "capacity_promotions": 9,
+                "capacity_stepdowns": 16, "reversions_to_standard": 3,
+                "expansion_splits": 2, "churn_splits": 0,
+                "state_transitions": 3,
+                "conversion_cost_units": 637.8000000000002,
+            },
+        },
+    },
+    "three_way": {
+        "counts": [
+            ("log_append", 2400), ("rand_line", 29532), ("compare", 114919),
+            ("branch", 102646), ("copy_line", 18007), ("seq_line", 9259),
+            ("key_load", 2736), ("free", 1676), ("log_fsync", 300),
+            ("alloc", 1733), ("key_load_batched", 306), ("model_eval", 37),
+        ],
+        "tagged": {
+            "compact.search": [
+                ("rand_line", 5509), ("seq_line", 7059), ("compare", 47738),
+                ("branch", 45385), ("key_load", 2353),
+            ],
+            "compact.update": [
+                ("copy_line", 6756), ("compare", 8979), ("branch", 3323),
+                ("rand_line", 1859), ("free", 141), ("alloc", 141),
+            ],
+            "elastic.convert": [
+                ("copy_line", 392), ("alloc", 194), ("rand_line", 297),
+                ("free", 143), ("key_load_batched", 144), ("seq_line", 213),
+                ("compare", 1530),
+            ],
+            "learned.search": [
+                ("rand_line", 37), ("seq_line", 74), ("model_eval", 37),
+                ("compare", 166), ("branch", 166), ("key_load", 105),
+            ],
+            "learned.update": [
+                ("copy_line", 64), ("free", 4), ("alloc", 4),
+                ("rand_line", 4),
+            ],
+            "learned.retrain": [
+                ("rand_line", 2), ("key_load_batched", 44), ("compare", 44),
+                ("copy_line", 2),
+            ],
+        },
+        "stats": {
+            "by_k": {
+                "conversions_to_compact": 27, "conversions_to_learned": 5,
+                "conversions_other": 0, "capacity_promotions": 6,
+                "capacity_stepdowns": 10, "reversions_to_standard": 7,
+                "expansion_splits": 11, "churn_splits": 0,
+                "state_transitions": 3,
+                "conversion_cost_units": 765.8000000000008,
+            },
+            "by_vk": {
+                "conversions_to_compact": 25, "conversions_to_learned": 0,
+                "conversions_other": 0, "capacity_promotions": 8,
+                "capacity_stepdowns": 15, "reversions_to_standard": 2,
+                "expansion_splits": 3, "churn_splits": 0,
+                "state_transitions": 3,
+                "conversion_cost_units": 520.6899999999997,
+            },
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module", params=["two_way", "three_way"])
+def write_mix(request):
+    leaf_kinds = {
+        "two_way": ("standard", "compact"),
+        "three_way": ("standard", "compact", "learned"),
+    }[request.param]
+    db, table = _write_mix(leaf_kinds)
+    return request.param, db, table
+
+
+def _controller_stats(table, name):
+    return asdict(table.indexes[name].index.controller.stats)
+
+
+class TestWriteAccountingIdentity:
+    def test_shape_crosses_the_thresholds(self, write_mix):
+        name, _, table = write_mix
+        for index_name in ("by_k", "by_vk"):
+            stats = _controller_stats(table, index_name)
+            for action in (
+                "conversions_to_compact", "reversions_to_standard",
+                "capacity_promotions", "capacity_stepdowns",
+                "expansion_splits",
+            ):
+                assert stats[action] > 0, (index_name, action)
+        if name == "three_way":
+            assert _controller_stats(table, "by_k")["conversions_to_learned"]
+
+    def test_counts_and_order(self, write_mix):
+        name, db, _ = write_mix
+        assert list(db.cost.counts.items()) == PINNED_WRITE[name]["counts"]
+
+    def test_tagged_buckets(self, write_mix):
+        name, db, _ = write_mix
+        tagged = {
+            tag: list(bucket.items()) for tag, bucket in db.cost.tagged.items()
+        }
+        assert list(tagged) == list(PINNED_WRITE[name]["tagged"])
+        assert tagged == PINNED_WRITE[name]["tagged"]
+
+    def test_controller_stats(self, write_mix):
+        name, _, table = write_mix
+        for index_name in ("by_k", "by_vk"):
+            assert _controller_stats(table, index_name) == \
+                PINNED_WRITE[name]["stats"][index_name]
+
+
+def _plain_table():
+    cost = CostModel()
+    table = Table(lambda row: row[0].to_bytes(8, "big"), 16, cost)
+    tids = [table.insert_row((7 * i + 3, i)) for i in range(9)]
+    table.delete_row(tids[4])
+    return table, cost, tids
+
+
+def _table_view():
+    db = Database()
+    table = db.create_table(KV)
+    table.create_index("by_vk", ("v", "k"))
+    tids = table.insert_batch([(7 * i + 3, 11 * i) for i in range(9)])
+    table.delete(tids[4])
+    return table.indexes["by_vk"].view, db.cost, tids
+
+
+def _sample_view():
+    cost = CostModel()
+    view = _SampleView(cost)
+    tids = [100 + i for i in range(9)]
+    view.register([((7 * i + 3).to_bytes(8, "big"), tid)
+                   for i, tid in enumerate(tids) if i != 4])
+    return view, cost, tids
+
+
+def _ledger(cost, load, window):
+    """``load()``'s keys (or exception) with the charges it left."""
+    cost.reset()
+    with cost.attributed_to("elastic.convert"), \
+            (cost.mlp_window(window) if window else nullcontext()):
+        try:
+            out = load()
+        except (KeyError, IndexError) as exc:
+            out = (type(exc), str(exc))
+    tagged = {tag: list(bucket.items()) for tag, bucket in cost.tagged.items()}
+    return out, list(cost.counts.items()), tagged, asdict(cost.mlp_totals)
+
+
+class TestLoadKeysBatched:
+    """``load_keys_batched`` charges exactly what a per-key
+    ``load_key_batched`` loop charges, in one charge."""
+
+    @pytest.mark.parametrize("window", [None, 4])
+    @pytest.mark.parametrize("make", [_plain_table, _table_view, _sample_view])
+    @pytest.mark.parametrize("pick", [
+        "live", "none", "dead_midway", "missing_last",
+    ])
+    def test_matches_the_per_key_loop(self, make, pick, window):
+        view, cost, tids = make()
+        picked = {
+            "live": tids[:4] + tids[5:],
+            "none": [],
+            # Index 4 is dead (a deleted row, or an unregistered id).
+            "dead_midway": tids[:6],
+            "missing_last": tids[:3] + [max(tids) + 50],
+        }[pick]
+        batched = _ledger(cost, lambda: view.load_keys_batched(picked), window)
+        per_key = _ledger(
+            cost, lambda: [view.load_key_batched(t) for t in picked], window
+        )
+        assert batched == per_key
+        if pick == "live":
+            assert batched[0] == [view.peek_key(t) for t in picked]
+            assert batched[1]
+
 def _traced_reads():
     """One of each read shape through the facade with observability on;
     returns each span's label and per-category cost delta."""
@@ -429,7 +704,16 @@ TYPED = RowSchema(
 )
 
 
+U64_PAIR = RowSchema("pair", ("x", "y"), (8, 8), ("u64", "u64"))
+
+
 class TestKeyEncoders:
+    @pytest.fixture
+    def by_yx(self):
+        """A two-column all-``u64`` index, columns in reverse order."""
+        table = Database().create_table(U64_PAIR)
+        return table.create_index("by_yx", ("y", "x"))
+
     @pytest.fixture
     def table(self):
         table = Database().create_table(TYPED)
@@ -475,3 +759,34 @@ class TestKeyEncoders:
         assert by_ab.key_of_row(row) == expected
         with pytest.raises(ValueError):
             by_ab.key_of_values((7,))
+
+    @pytest.mark.parametrize("x", U64_EDGES)
+    @pytest.mark.parametrize("y", U64_EDGES)
+    def test_u64_pair_matches_generic(self, by_yx, x, y):
+        expected = _encode_column(y, "u64", 8) + _encode_column(x, "u64", 8)
+        assert by_yx.key_of_values((y, x)) == expected
+        assert by_yx.key_of_row((x, y)) == expected
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_u64_pair_out_of_range_raises_overflow(self, by_yx, bad, column):
+        values = [5, 5]
+        values[column] = bad
+        with pytest.raises(OverflowError):
+            by_yx.key_of_values(values)
+        with pytest.raises(OverflowError):
+            by_yx.key_of_row(values)
+
+    @pytest.mark.parametrize("value", [2.5, "7", True])
+    def test_u64_non_int_values_convert_as_generic(self, table, by_yx, value):
+        single = _encode_column(value, "u64", 8)
+        assert table.indexes["by_a"].key_of_values((value,)) == single
+        assert table.indexes["by_a"].key_of_row((value, 0, 0.0, "")) == single
+        pair = _encode_column(value, "u64", 8) + _encode_column(3, "u64", 8)
+        assert by_yx.key_of_values((value, 3)) == pair
+        assert by_yx.key_of_row((3, value)) == pair
+
+    @pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])
+    def test_u64_pair_wrong_arity_raises(self, by_yx, values):
+        with pytest.raises(ValueError):
+            by_yx.key_of_values(values)

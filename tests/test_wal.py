@@ -15,7 +15,7 @@ learned leaves), engine shards, and replica sets.
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -23,7 +23,7 @@ from repro.cluster import ReplicaConfig
 from repro.db.database import Database
 from repro.engine import FaultPlan
 from repro.errors import RecoveryError, WalError
-from repro.table.table import RowSchema
+from repro.table.table import RowSchema, Table
 from repro.tools import wal_summary
 from repro.wal import (
     CrashError,
@@ -424,6 +424,120 @@ class TestRecoveryIdempotence:
         assert state_digest(twice) == digest_once
         assert report_twice.records_discarded == 0
         assert report_twice.records_replayed == report_once.records_replayed
+
+
+class TestDeadDeletes:
+    """A staged delete of a dead row rejects its whole batch at commit,
+    before the log, the table or the ledger sees any of it."""
+
+    def test_double_delete_leaves_the_log_replayable(self):
+        db, table = make_db(wal=WalConfig(group_size=1))
+        tid = table.insert((1, 10))
+        table.delete(tid)
+        lsn = db.wal.next_lsn
+        with pytest.raises(KeyError, match="not live"):
+            table.delete(tid)
+        assert db.wal.next_lsn == lsn
+        recovered, _ = recover_database(db)
+        assert state_digest(recovered) == state_digest(db)
+
+    def test_insert_then_dead_delete_touches_nothing(self):
+        db, table = make_db(wal=WalConfig(group_size=1))
+        tids = [table.insert((k, k)) for k in range(3)]
+        table.delete(tids[0])
+        table.delete(tids[1])
+        before = state_digest(db)
+        lsn = db.wal.next_lsn
+        counts = dict(db.cost.counts)
+        batch = db.begin_batch()
+        # The insert takes the most recently freed id (tids[1]), so
+        # tids[0] is still dead at the delete's turn.
+        batch.insert(table, (9, 9))
+        batch.delete(table, tids[0])
+        with pytest.raises(KeyError, match="not live"):
+            batch.commit()
+        assert state_digest(db) == before
+        assert db.wal.next_lsn == lsn
+        assert dict(db.cost.counts) == counts
+        assert len(table) == 1
+
+    def test_deleting_a_row_the_batch_stores_is_valid(self):
+        db, table = make_db(wal=WalConfig(group_size=1))
+        tids = [table.insert((k, k)) for k in range(3)]
+        with db.begin_batch() as batch:
+            # Frees tids[2]; the insert reuses it, and the second delete
+            # removes that new row.
+            batch.delete(table, tids[2])
+            batch.insert(table, (9, 9))
+            batch.delete(table, tids[2])
+        assert batch.tids == [tids[2]]
+        assert batch.deleted_rows == [(2, 2), (9, 9)]
+        recovered, _ = recover_database(db)
+        assert state_digest(recovered) == state_digest(db)
+
+    def test_dead_delete_without_a_log_touches_nothing(self):
+        db, table = make_db()
+        tid = table.insert((1, 10))
+        table.delete(tid)
+        counts = dict(db.cost.counts)
+        batch = db.begin_batch()
+        batch.insert(table, (2, 20))
+        batch.delete(table, tid + 1)
+        with pytest.raises(IndexError):
+            batch.commit()
+        assert len(table) == 0
+        assert dict(db.cost.counts) == counts
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), max_size=4, unique=True),
+        st.lists(
+            st.one_of(st.just("insert"), st.just("rows"), st.integers(0, 6)),
+            max_size=8,
+        ),
+    )
+    # The insert reuses the most recently freed id, 3, not 1.
+    @example(freed=[1, 3], staged=["insert", 3])
+    def test_check_agrees_with_the_table(self, freed, staged):
+        # Oracle: the same writes applied one by one to a bare Table in
+        # the same state; a staged int deletes that tuple id.
+        db, table = make_db()
+        shadow = Table(lambda row: b"", 16)
+        for k in range(4):
+            table.insert((k, k))
+            shadow.insert_row((k, k))
+        for tid in freed:
+            table.delete(tid)
+            shadow.delete_row(tid)
+        expected = None
+        batch = db.begin_batch()
+        for i, op in enumerate(staged):
+            rows = []
+            if op == "insert":
+                rows = [(100 + 2 * i, 0)]
+                batch.insert(table, rows[0])
+            elif op == "rows":
+                rows = [(100 + 2 * i, 0), (101 + 2 * i, 0)]
+                batch.insert_batch(table, rows)
+            else:
+                batch.delete(table, op)
+            for row in rows:
+                shadow.insert_row(row)
+            if not rows and expected is None:
+                try:
+                    shadow.delete_row(op)
+                except (KeyError, IndexError) as exc:
+                    expected = type(exc)
+        counts = dict(db.cost.counts)
+        if expected is None:
+            batch.commit()
+            assert [t for t, _ in table.table.iter_live()] == [
+                t for t, _ in shadow.iter_live()
+            ]
+        else:
+            with pytest.raises(expected):
+                batch.commit()
+            assert dict(db.cost.counts) == counts
 
 
 class TestTickRegression:
