@@ -1,127 +1,53 @@
 #!/usr/bin/env python
-"""Guard the batched-execution economics against regressions.
+"""Gate the modeled-cost economics of nine subsystems against regressions.
 
-Runs the batch-lookup benchmark (``repro.bench.batch``), the
-sharded-engine benchmark (``repro.bench.shard``), the parallel
-scatter/gather benchmark (``repro.bench.parallel``), the adaptive
-cache benchmark (``repro.bench.cache``), the prefetch-wave
-benchmark (``repro.bench.mlp``), the leaf-kind frontier benchmark
-(``repro.bench.learned``), the divergent-replica cluster benchmark
-(``repro.bench.cluster``), the durable-write benchmark
-(``repro.bench.wal``), and the self-tuning advisor benchmark
-(``repro.bench.selftune``) in small, deterministic smoke
-configurations and compares their *weighted cost units* — which are
-exactly reproducible, unlike wall-clock — against the committed
-baselines ``BENCH_batch.json``, ``BENCH_shard.json``,
-``BENCH_parallel.json``, ``BENCH_cache.json``, ``BENCH_mlp.json``,
-``BENCH_learned.json``, ``BENCH_cluster.json``, ``BENCH_wal.json``,
-and ``BENCH_selftune.json`` (``--list`` enumerates all nine; a missing
-baseline fails loudly; ``--only <gate> ...`` restricts a run — and
-``--update`` — to a subset).
-The MLP gate asserts the wave-pricing contract: results byte-identical
-to serial pricing on every arm, wave-priced descents strictly cheaper
-than serial pricing at every W >= 2, W=1 reproducing today's batched
-counts exactly, and the elastic W=4 arm beating flat batched pricing
-by at least 20%.
-The learned gate asserts the three-point frontier contract: identical
-results on every arm, learned leaves strictly smaller than full and
-strictly cheaper per sorted-probe lookup than compact, the 3-way
-elastic arm never worse than the 2-way arm at the same soft bound,
-and an explicit ``leaf_kinds=("standard", "compact")`` build
-reproducing the default-config event counts exactly (the learned-off
-passthrough).
-The cluster gate asserts the divergent-replication contract: identical
-results on every arm, a divergent 3-replica cluster strictly beating
-three identical replicas at equal total memory (acceptance floor),
-``replicas=ReplicaConfig(replicas=1)`` byte-identical to the plain
-index, and a scripted mid-workload outage replaying deterministically
-with its failover visible as ``replica_failover`` events in the
-enabled replay.
-The selftune gate asserts the closed-loop dominance contract: over the
-five-scenario adversarial pack at equal total memory, the self-tuned
-arm returns identical query answers, costs no more than the *best*
-static arm on every scenario (graded post-hoc against the sweep's
-luckiest entry), is strictly cheaper on at least three, and actually
-fires at least one tuning action per scenario; the enabled replay must
-surface the decisions as ``tuning_probe``/``tuning_action`` events and
-``repro_tuning_*`` metrics without changing a single cost unit.
-The WAL gate asserts the durable-write contract: digests identical
-across the WAL-off, per-op-fsync, and group-commit arms, group commit
-cutting the durability overhead by at least 30% vs per-op fsync at
-group size 64, the scripted kill + recover differential matching an
-independent replay of exactly the committed prefix (deterministically
-across two cycles), and the WAL-off arm bit-identical to its
-committed baseline — the redesigned write surface costs nothing when
-no log is attached.
-Fails (exit 1) when any tracked cost metric regresses by more than
-25%, when the batch cost saving falls below the 30% acceptance floor,
-when the budget arbiter fails to strictly dominate the static
-equal split in the sharded smoke (lower total cost units at equal
-global memory, with at least one rebalance applied and visible as a
-``budget_rebalance`` event in the enabled replay), when the parallel
-executor violates its contract (results must be identical to serial on
-every op; the critical path must sit strictly below the serial sum on
-hash-sharded batched lookups at >= 4 shards; a single-shard scatter
-must charge exactly serial cost), or when the cache smoke violates its
-contract (cache-on must return byte-identical answers, cut weighted
-cost by at least 25% at equal total memory on both skewed workloads,
-and the cache-off arm must match the committed baseline exactly —
-proving the cache wiring costs nothing when no cache is attached).
-Optionally smoke-runs the wall-clock microbenchmarks (one pass, timing
-disabled) to catch crashes there without gating on noisy timings.
+Each entry of ``GATES`` is one *gate*: a smoke run of the driver
+``repro.bench.<name>.run`` in a small, deterministic configuration
+(seeded rngs, so weighted cost units are exactly reproducible, unlike
+wall-clock), checked three ways:
 
-Observability guards: with instrumentation *disabled* (the default) the
-smoke cost metrics must match the committed baseline **exactly** at the
-baseline's stored precision — the zero-overhead guarantee of
-``repro.obs``; the smoke is then replayed with instrumentation
-*enabled*, which must capture events without changing a single cost
-unit.  A subprocess smoke also exercises the redesigned ``DBTable``
-read surface under ``-W error::DeprecationWarning`` to prove the new
-spellings are warning-free.
+* its **contract** — predicates over the run's ``meta``, each with the
+  message it fails with (answers identical across arms, acceptance
+  floors, passthrough arms exact, ...);
+* its **baseline** — the committed ``BENCH_<name>.json``.  Every stored
+  metric must be present and match the run exactly at the stored
+  4-decimal precision; a metric that grew past ``TOLERANCE`` is
+  reported as a regression.  With observability disabled (the
+  default) any drift at all means instrumentation or wiring leaked
+  into the hot path — the zero-overhead guarantee of ``repro.obs``;
+* its **enabled replay** — the same smoke rerun with observability on
+  and an ``Observer`` attached, which must reproduce every cost metric
+  and make the gate's activity visible as registry metrics and events.
+
+A subprocess smoke also exercises the ``DBTable`` read/write surface
+under ``-W error::DeprecationWarning`` to prove the current spellings
+are warning-free.  A missing baseline fails the run and is named.
 
 Not part of the tier-1 test suite (pytest testpaths excludes scripts/);
 run it by hand or from CI:
 
     PYTHONPATH=src python scripts/check_bench_regression.py
+    PYTHONPATH=src python scripts/check_bench_regression.py --only wal cache
     PYTHONPATH=src python scripts/check_bench_regression.py --update
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Tuple, Union
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO, "BENCH_batch.json")
-SHARD_BASELINE_PATH = os.path.join(REPO, "BENCH_shard.json")
-PARALLEL_BASELINE_PATH = os.path.join(REPO, "BENCH_parallel.json")
-CACHE_BASELINE_PATH = os.path.join(REPO, "BENCH_cache.json")
-MLP_BASELINE_PATH = os.path.join(REPO, "BENCH_mlp.json")
-LEARNED_BASELINE_PATH = os.path.join(REPO, "BENCH_learned.json")
-CLUSTER_BASELINE_PATH = os.path.join(REPO, "BENCH_cluster.json")
-WAL_BASELINE_PATH = os.path.join(REPO, "BENCH_wal.json")
-SELFTUNE_BASELINE_PATH = os.path.join(REPO, "BENCH_selftune.json")
-
-#: Every committed baseline this script gates on.  ``--list`` prints
-#: these; a gate whose baseline is missing fails loudly rather than
-#: silently skipping.  ``--only <gate>`` restricts a run (and
-#: ``--update``) to a subset, so a new gate's baseline can be minted
-#: without regenerating the others.
-ALL_BASELINES = (
-    ("batch", BASELINE_PATH),
-    ("shard", SHARD_BASELINE_PATH),
-    ("parallel", PARALLEL_BASELINE_PATH),
-    ("cache", CACHE_BASELINE_PATH),
-    ("mlp", MLP_BASELINE_PATH),
-    ("learned", LEARNED_BASELINE_PATH),
-    ("cluster", CLUSTER_BASELINE_PATH),
-    ("wal", WAL_BASELINE_PATH),
-    ("selftune", SELFTUNE_BASELINE_PATH),
-)
 TOLERANCE = 0.25
+#: Higher-is-better metric suffixes: growth is no regression, so they
+#: get only the exact-match check.
+HIGHER_IS_BETTER = ("cost_saving", "hit_rate")
+#: Batched lookups must cut cost by at least this much on every index.
 SAVING_FLOOR = 0.30
 #: The arbiter must beat static equal split by at least this saving in
 #: the sharded smoke configuration (strict-dominance acceptance).
@@ -129,282 +55,484 @@ SHARD_SAVING_FLOOR = 0.05
 #: The adaptive cache must cut weighted cost by at least this much at
 #: equal total memory on each skewed smoke workload (acceptance floor).
 CACHE_SAVING_FLOOR = 0.25
-
-#: Deterministic smoke configuration (seeded rngs, cost units exact).
-SMOKE = dict(
-    n_keys=20_000,
-    query_count=2048,
-    batch_sizes=(1, 16, 256, 2048),
-    indexes=("elastic", "stx"),
-    seed=11,
-    wall_repeats=1,
-)
-
-#: Sharded-engine smoke: two tables, two shards each, one global bound,
-#: budget arbitration vs static split (repro.bench.shard).
-SHARD_SMOKE = dict(
-    n_big=4000,
-    n_small=300,
-    txn_ops=6000,
-    shards=2,
-    seed=17,
-)
-
-#: Parallel-executor smoke: serial vs parallel scatter/gather over a
-#: hash-sharded index at one shard (single-task short-cut: exactly
-#: serial) and four shards (critical path strictly below serial sum).
-PARALLEL_SMOKE = dict(
-    n_keys=6000,
-    batch_ops=512,
-    scan_ops=64,
-    scan_count=8,
-    shard_counts=(1, 4),
-    workers=4,
-    seed=19,
-)
-
-
-#: Adaptive-cache smoke: YCSB-C zipfian + IOTTA trace, cache on vs off
-#: at one identical soft memory bound (repro.bench.cache).
-CACHE_SMOKE = dict(
-    n_keys=8000,
-    query_count=16_000,
-    iotta_rows=6000,
-    seed=23,
-)
-
 #: The wave-priced elastic arm at W=4 must beat the flat batched (W=1)
 #: pricing by at least this saving (acceptance floor).
 MLP_SAVING_FLOOR = 0.20
-
-#: Prefetch-wave smoke: scalar vs batched vs wave-priced lookups across
-#: wave widths on three index families (repro.bench.mlp).
-MLP_SMOKE = dict(
-    n_keys=10_000,
-    query_count=1024,
-    widths=(1, 2, 3, 4),
-    indexes=("elastic", "stx", "seqtree128"),
-    seed=13,
-    batch_size=256,
-)
-
-#: Leaf-kind frontier smoke: full vs compact vs learned vs 2-way and
-#: 3-way elastic arms at one derived soft bound (repro.bench.learned).
-LEARNED_SMOKE = dict(
-    n_keys=9_000,
-    query_count=2_048,
-    seed=29,
-    batch_size=256,
-)
-#: Every arm the learned smoke measures (metric key prefixes).
-LEARNED_ARMS = ("full", "compact", "learned", "elastic-2way",
-                "elastic-3way")
-
 #: The divergent 3-replica cluster must beat three identical replicas
 #: at equal total memory by at least this saving (acceptance floor).
 CLUSTER_SAVING_FLOOR = 0.03
-
-#: Divergent-replica cluster smoke: uniform vs divergent 3-replica
-#: arms, replicas=1 passthrough, scripted failover (repro.bench.cluster).
-CLUSTER_SMOKE = dict(
-    n_keys=6_000,
-    ops=3_000,
-    seed=41,
-)
-
 #: Group commit must cut the durability overhead (cost above the
 #: WAL-off arm) by at least this much vs per-operation fsync at the
 #: smoke's group size (acceptance floor; in practice it is far lower —
 #: one barrier per 64 records).
 WAL_SAVING_FLOOR = 0.30
-
-#: Durable-write smoke: WAL off vs per-op fsync vs group commit, plus
-#: a scripted kill + recovery differential (repro.bench.wal).
-WAL_SMOKE = dict(
-    n_rows=2_000,
-    batch_rows=24,
-    group_size=64,
-    kill_after_applies=90,
-    seed=43,
-)
-
-#: Self-tuning smoke: the five-scenario adversarial pack at scale 1,
-#: self-tuned arm vs the swept static grid (repro.bench.selftune).
-SELFTUNE_SMOKE = dict(scale=1)
-
+WAL_GROUP_SIZE = 64
 #: The self-tuned arm must be strictly cheaper than the *best* static
 #: arm on at least this many of the five scenarios (and never worse on
 #: any).
 SELFTUNE_STRICT_WINS_FLOOR = 3
 
+BATCH_INDEXES = ("elastic", "stx")
+MLP_INDEXES = ("elastic", "stx", "seqtree128")
+MLP_WIDTHS = (1, 2, 3, 4)
+LEARNED_ARMS = ("full", "compact", "learned", "elastic-2way",
+                "elastic-3way")
 
-def run_smoke():
-    from repro.bench import batch
-
-    result = batch.run(**SMOKE)
-    metrics = {}
-    for kind in SMOKE["indexes"]:
-        summary = result.meta[kind]
-        metrics[f"{kind}.scalar_cost_units"] = summary["scalar_cost_units"]
-        metrics[f"{kind}.batch_cost_units"] = summary["batch_cost_units"]
-        metrics[f"{kind}.cost_saving"] = summary["cost_saving"]
-    return result, metrics
+#: A failure message: fixed text, or built from the run's ``meta``.
+Message = Union[str, Callable[[dict], str]]
 
 
-def run_shard_smoke():
-    """The sharded smoke with observability left alone (disabled)."""
-    from repro.bench import shard
+@dataclass(frozen=True)
+class Gate:
+    """One smoke run of ``repro.bench.<name>.run`` and its checks.
 
-    result = shard.run(capture_events=False, **SHARD_SMOKE)
-    meta = result.meta
+    ``config`` is the smoke's driver kwargs, stored as the baseline's
+    ``config``; ``metrics`` maps ``meta`` to the stored metrics;
+    ``contract`` pairs predicates over ``meta`` with their messages;
+    ``replay`` pairs counts over ``(observer, meta)`` that must be
+    non-zero with theirs; ``*_kwargs`` go to the driver as well.
+    """
+
+    config: dict
+    metrics: Callable[[dict], Dict[str, float]]
+    contract: Tuple[Tuple[Callable[[dict], bool], Message], ...]
+    replay: Tuple[Tuple[Callable[[object, dict], float], Message], ...]
+    base_kwargs: dict = field(default_factory=dict)
+    replay_kwargs: dict = field(default_factory=dict)
+
+
+def registry(metric: str):
+    """Replay count: the total of an observer registry metric."""
+    def total(observer, meta):
+        found = observer.registry.get(metric)
+        return 0 if found is None else found.total()
+    return total
+
+
+def events(kind: str, where=lambda event: True):
+    """Replay count: retained observer events of ``kind``."""
+    return lambda observer, meta: sum(
+        1 for event in observer.event_log(kind) if where(event)
+    )
+
+
+def captured(log: str, kind: str):
+    """Replay count: events of ``kind`` the driver captured itself."""
+    return lambda observer, meta: meta[log].get(kind, 0)
+
+
+def _answers(gate: str, what: str, changes: str) -> tuple:
+    """The contract most gates share: arms differ in cost, not answers."""
+    return (lambda m: m["results_identical"],
+            f"{gate}: {what} — {changes} must change cost accounting, "
+            "never answers")
+
+
+def _mlp_contract() -> tuple:
+    """Per index: answers and W=1 exact, wave pricing below serial."""
+    contract = []
+    for kind in MLP_INDEXES:
+        contract += [
+            (lambda m, k=kind: m[k]["results_identical"],
+             f"mlp: {kind} wave-priced results diverged — wave pricing "
+             "must change cost accounting, never answers"),
+            (lambda m, k=kind: m[k]["w1_exact"],
+             f"mlp: {kind} W=1 arm did not reproduce plain batched "
+             "event counts exactly (serial-passthrough contract)"),
+        ]
+        for width in (str(w) for w in MLP_WIDTHS if w >= 2):
+            contract.append((
+                lambda m, k=kind, w=width: m[k]["per_width_cost_units"][w]
+                < m[k]["scalar_cost_units"],
+                lambda m, k=kind, w=width: f"mlp: {k} W={w} wave pricing "
+                f"{m[k]['per_width_cost_units'][w]:.1f} not strictly below "
+                f"serial pricing {m[k]['scalar_cost_units']:.1f}",
+            ))
+    return tuple(contract)
+
+
+def _selftune_metrics(meta: dict) -> Dict[str, float]:
+    """Per-scenario costs plus pack totals, summed in scenario order."""
+    scenarios = sorted(meta["scenarios"].items())
     metrics = {
-        "shard.static_cost_units": meta["static_cost_units"],
-        "shard.arbiter_cost_units": meta["arbiter_cost_units"],
-        "shard.cost_saving": meta["cost_saving"],
+        f"selftune.{name}.{metric}": verdict[metric]
+        for name, verdict in scenarios
+        for metric in ("self_cost_units", "best_static_units")
     }
-    return result, metrics, meta
+    metrics["selftune.self_cost_units"] = round(
+        sum(v["self_cost_units"] for _, v in scenarios), 2)
+    metrics["selftune.best_static_cost_units"] = round(
+        sum(v["best_static_units"] for _, v in scenarios), 2)
+    return metrics
 
 
-def run_parallel_smoke():
-    """The parallel-executor smoke (observability left disabled)."""
-    from repro.bench import parallel
+#: The gate registry, in the order the mechanisms landed.
+GATES: Dict[str, Gate] = {
+    # Batched lookups against the scalar loop on each index family.
+    "batch": Gate(
+        config=dict(n_keys=20_000, query_count=2048,
+                    batch_sizes=(1, 16, 256, 2048), indexes=BATCH_INDEXES,
+                    seed=11, wall_repeats=1),
+        metrics=lambda m: {
+            f"{kind}.{name}": m[kind][name]
+            for kind in BATCH_INDEXES
+            for name in ("scalar_cost_units", "batch_cost_units",
+                         "cost_saving")
+        },
+        contract=tuple(
+            (lambda m, k=kind: m[k]["cost_saving"] >= SAVING_FLOOR,
+             lambda m, k=kind: f"{k}.cost_saving: saving "
+             f"{m[k]['cost_saving']:.3f} below floor {SAVING_FLOOR}")
+            for kind in BATCH_INDEXES
+        ),
+        replay=(
+            (lambda observer, meta: len(observer.events),
+             "no events captured — emission is wired wrong"),
+            (registry("repro_batch_dispatch_ops_total"),
+             "no batch dispatch metrics recorded"),
+        ),
+    ),
+    # Two tables, two shards each, one global bound: the budget arbiter
+    # must strictly dominate the static equal split, having rebalanced.
+    # The driver turns observability on itself unless told not to.
+    "shard": Gate(
+        config=dict(n_big=4000, n_small=300, txn_ops=6000, shards=2,
+                    seed=17),
+        metrics=lambda m: {
+            f"shard.{name}": m[name]
+            for name in ("static_cost_units", "arbiter_cost_units",
+                         "cost_saving")
+        },
+        contract=(
+            (lambda m: m["arbiter_cost_units"] < m["static_cost_units"],
+             lambda m: "shard: arbiter does not dominate static split "
+             f"({m['arbiter_cost_units']:.1f} vs "
+             f"{m['static_cost_units']:.1f} cost units)"),
+            (lambda m: m["cost_saving"] >= SHARD_SAVING_FLOOR,
+             lambda m: f"shard: arbiter saving {m['cost_saving']:.3f} "
+             f"below floor {SHARD_SAVING_FLOOR}"),
+            (lambda m: m["rebalances"],
+             "shard: arbiter never rebalanced in the smoke run"),
+        ),
+        replay=(
+            (lambda observer, meta: meta["rebalance_events"],
+             "no budget_rebalance events captured — the arbiter's "
+             "decisions must be observable"),
+            (lambda observer, meta:
+                meta["rebalance_events"] == meta["rebalances"],
+             lambda m: f"{m['rebalance_events']} budget_rebalance events "
+             f"vs {m['rebalances']} rebalances counted"),
+        ),
+        base_kwargs=dict(capture_events=False),
+    ),
+    # Serial vs parallel scatter/gather over a hash-sharded index: one
+    # shard (single-task short-cut) must charge exactly serial cost, four
+    # shards must put the critical path strictly below the serial sum.
+    "parallel": Gate(
+        config=dict(n_keys=6000, batch_ops=512, scan_ops=64, scan_count=8,
+                    shard_counts=(1, 4), workers=4, seed=19),
+        metrics=lambda m: {
+            f"parallel.s{shards}.{name}": arm[name]
+            for shards, arm in sorted(m["per_shards"].items(),
+                                      key=lambda kv: int(kv[0]))
+            for name in ("serial_lookup_cost", "parallel_lookup_cost",
+                         "serial_scan_cost", "parallel_scan_cost")
+        },
+        contract=(
+            _answers("parallel", "results diverged from serial",
+                     "the executor"),
+            (lambda m: m["per_shards"]["1"]["parallel_lookup_cost"]
+                == m["per_shards"]["1"]["serial_lookup_cost"]
+                and m["per_shards"]["1"]["parallel_scan_cost"]
+                == m["per_shards"]["1"]["serial_scan_cost"],
+             lambda m: "parallel: single-shard scatter not charged "
+             "exactly serial cost "
+             f"({m['per_shards']['1']['parallel_lookup_cost']:.4f} vs "
+             f"{m['per_shards']['1']['serial_lookup_cost']:.4f} lookup "
+             "units)"),
+            (lambda m: m["per_shards"]["4"]["parallel_lookup_cost"]
+                < m["per_shards"]["4"]["serial_lookup_cost"],
+             lambda m: "parallel: critical path not below serial sum on "
+             "4-shard batched lookups "
+             f"({m['per_shards']['4']['parallel_lookup_cost']:.1f} vs "
+             f"{m['per_shards']['4']['serial_lookup_cost']:.1f} cost "
+             "units)"),
+            (lambda m: m["per_shards"]["4"]["critical_path_units"]
+                < m["per_shards"]["4"]["serial_sum_units"],
+             lambda m: "parallel: executor ledger critical path "
+             f"{m['per_shards']['4']['critical_path_units']:.1f} not "
+             "below serial sum "
+             f"{m['per_shards']['4']['serial_sum_units']:.1f} at 4 "
+             "shards"),
+        ),
+        replay=(
+            (lambda observer, meta: meta["results_identical"],
+             "parallel results diverged from serial"),
+            (registry("repro_shard_dispatch_ops_total"),
+             "no shard dispatch metrics recorded"),
+            (events("parallel_gather"),
+             "no parallel_gather events captured"),
+        ),
+    ),
+    # YCSB-C zipfian + IOTTA trace, cache on vs off at one soft bound:
+    # identical answers, a saving floor on both skewed workloads, and
+    # the cache-off arm exact (the wiring costs nothing without a cache).
+    "cache": Gate(
+        config=dict(n_keys=8000, query_count=16_000, iotta_rows=6000,
+                    seed=23),
+        metrics=lambda m: {
+            f"cache.{workload}.{name}": m[f"{workload}_{name}"]
+            for workload in ("zipf", "iotta")
+            for name in ("base_cost_units", "cached_cost_units",
+                         "cost_saving", "hit_rate")
+        },
+        contract=(
+            _answers("cache", "cached results diverged from uncached",
+                     "the cache"),
+        ) + tuple(
+            check
+            for w in ("zipf", "iotta")
+            for check in (
+                (lambda m, w=w: m[f"{w}_cost_saving"] >= CACHE_SAVING_FLOOR,
+                 lambda m, w=w: f"cache: {w} saving "
+                 f"{m[f'{w}_cost_saving']:.3f} below floor "
+                 f"{CACHE_SAVING_FLOOR} at equal total memory"),
+                (lambda m, w=w: m[f"{w}_hit_rate"] > 0.0,
+                 f"cache: {w} arm recorded no hits"),
+            )
+        ),
+        replay=(
+            (registry("repro_cache_events_total"),
+             "no cache events recorded — emission is wired wrong"),
+            (registry("repro_cache_hit_rate"),
+             "cache hit-rate gauge never set"),
+        ),
+    ),
+    # Scalar vs batched vs wave-priced lookups across wave widths on
+    # three index families; W=1 reproduces plain batched counts exactly
+    # (the passthrough that keeps every pre-wave baseline byte-identical).
+    "mlp": Gate(
+        config=dict(n_keys=10_000, query_count=1024, widths=MLP_WIDTHS,
+                    indexes=MLP_INDEXES, seed=13, batch_size=256),
+        metrics=lambda m: {
+            f"mlp.{kind}.{name}": value
+            for kind in MLP_INDEXES
+            for name, value in [
+                ("scalar_cost_units", m[kind]["scalar_cost_units"]),
+                ("batched_cost_units", m[kind]["batched_cost_units"]),
+            ] + [
+                (f"w{width}_cost_units", cost)
+                for width, cost in m[kind]["per_width_cost_units"].items()
+            ]
+        },
+        contract=_mlp_contract() + (
+            (lambda m: m["elastic"]["saving_at_w4_vs_batched"]
+                >= MLP_SAVING_FLOOR,
+             lambda m: "mlp: elastic W=4 saving "
+             f"{m['elastic']['saving_at_w4_vs_batched']:.3f} vs batched "
+             f"pricing below floor {MLP_SAVING_FLOOR}"),
+        ),
+        replay=(
+            (registry("repro_mlp_waves_total"),
+             "no mlp wave metrics recorded — emission is wired wrong"),
+            (events("mlp_wave"), "no mlp_wave events captured"),
+        ),
+    ),
+    # Full vs compact vs learned leaves vs 2-way and 3-way elastic arms
+    # at one soft bound: learned leaves are a genuine third frontier
+    # point, and an explicit two-kind ``leaf_kinds`` build reproduces
+    # the default config exactly (learned-off passthrough).
+    "learned": Gate(
+        config=dict(n_keys=9_000, query_count=2_048, seed=29,
+                    batch_size=256),
+        metrics=lambda m: {
+            f"learned.{arm}.{name}": m["arms"][arm][name]
+            for arm in LEARNED_ARMS
+            for name in ("index_bytes", "sorted_cost_units",
+                         "zipf_cost_units")
+        },
+        contract=(
+            _answers("learned", "result sets diverged across leaf kinds",
+                     "the representation"),
+            (lambda m: m["learned_mem_lt_full"],
+             lambda m: "learned: learned arm not strictly smaller than "
+             f"full arm ({m['arms']['learned']['index_bytes']} vs "
+             f"{m['arms']['full']['index_bytes']} bytes)"),
+            (lambda m: m["learned_cost_lt_compact"],
+             lambda m: "learned: learned arm not strictly cheaper than "
+             "compact on sorted probes "
+             f"({m['arms']['learned']['sorted_cost_per_lookup']:.4f} vs "
+             f"{m['arms']['compact']['sorted_cost_per_lookup']:.4f} "
+             "units/lookup)"),
+            (lambda m: m["elastic3_not_worse"],
+             lambda m: "learned: 3-way elastic arm worse than 2-way at the "
+             "same soft bound (sorted "
+             f"{m['arms']['elastic-3way']['sorted_cost_per_lookup']:.4f}"
+             f" vs {m['arms']['elastic-2way']['sorted_cost_per_lookup']:.4f}"
+             f", zipf {m['arms']['elastic-3way']['zipf_cost_per_lookup']:.4f}"
+             f" vs {m['arms']['elastic-2way']['zipf_cost_per_lookup']:.4f})"),
+            (lambda m: m["learned_off_exact"],
+             "learned: explicit leaf_kinds=('standard', 'compact') build "
+             "did not reproduce the default-config costs exactly "
+             "(learned-off passthrough contract)"),
+        ),
+        replay=(
+            (registry("repro_leaf_retrains_total"),
+             "no leaf retrain metrics recorded — emission is wired wrong"),
+            (events("leaf_retrain"), "no leaf_retrain events captured"),
+            (events("leaf_conversion",
+                    lambda event: event.direction == "to_learned"),
+             "no to_learned leaf_conversion events captured"),
+        ),
+    ),
+    # Divergent vs uniform 3-replica cluster at equal total memory;
+    # ``ReplicaConfig(replicas=1)`` byte-identical to the plain index; a
+    # scripted mid-workload outage replays deterministically, and the
+    # replay sees its failover.
+    "cluster": Gate(
+        config=dict(n_keys=6_000, ops=3_000, seed=41),
+        metrics=lambda m: {
+            f"cluster.{arm}_cost_units": m[f"{arm}_cost_units"]
+            for arm in ("uniform", "divergent", "single", "r1", "failover")
+        },
+        contract=(
+            _answers("cluster", "result sets diverged across arms",
+                     "replica routing"),
+            (lambda m: m["divergent_saving"] >= CLUSTER_SAVING_FLOOR,
+             lambda m: "cluster: divergent saving "
+             f"{m['divergent_saving']:.3f} vs uniform replicas below floor "
+             f"{CLUSTER_SAVING_FLOOR} at equal total memory"),
+            (lambda m: m["r1_exact"],
+             "cluster: replicas=1 arm did not reproduce the plain index "
+             "exactly (single-replica passthrough contract)"),
+            (lambda m: m["failover_deterministic"],
+             "cluster: scripted-outage arm did not replay to identical "
+             "results and cost units (failover determinism contract)"),
+        ),
+        replay=(
+            (registry("repro_replica_routes_total"),
+             "no replica route metrics recorded — emission is wired "
+             "wrong"),
+            (captured("failover_events", "replica_route"),
+             "no replica_route events captured in the failover arm"),
+            (captured("failover_events", "replica_failover"),
+             "no replica_failover events captured — the scripted outage "
+             "was invisible"),
+            (captured("failover_events", "cluster_budget"),
+             "no cluster_budget event captured at build"),
+        ),
+        replay_kwargs=dict(capture_events=True),
+    ),
+    # WAL off vs per-op fsync vs group commit, plus a scripted kill +
+    # recovery differential replayed across two cycles; the WAL-off arm
+    # exact shows the write surface costs nothing when no log is attached.
+    "wal": Gate(
+        config=dict(n_rows=2_000, batch_rows=24, group_size=WAL_GROUP_SIZE,
+                    kill_after_applies=90, seed=43),
+        metrics=lambda m: {
+            f"wal.{arm}_cost_units": m[f"{arm}_cost_units"]
+            for arm in ("off", "perop", "group", "recovery")
+        },
+        contract=(
+            _answers("wal", "digests diverged across arms", "the WAL"),
+            (lambda m: m["overhead_saving"] >= WAL_SAVING_FLOOR,
+             lambda m: "wal: group-commit overhead saving "
+             f"{m['overhead_saving']:.3f} vs per-op fsync below floor "
+             f"{WAL_SAVING_FLOOR} at group size {WAL_GROUP_SIZE}"),
+            (lambda m: m["recovery_match"],
+             "wal: recovered database diverged from the committed-prefix "
+             "reference replay (kill + recover differential)"),
+            (lambda m: m["recovery_deterministic"],
+             "wal: crash/recover cycle did not replay to identical "
+             "digests and reports across runs"),
+            (lambda m: m["records_discarded"],
+             "wal: scripted kill discarded no volatile records — the "
+             "crash landed on a group boundary and proves nothing"),
+        ),
+        replay=(
+            (registry("repro_wal_records_total"),
+             "no wal record metrics recorded — emission is wired wrong"),
+            (captured("crash_events", "wal_append"),
+             "no wal_append events captured in the crash arm"),
+            (captured("crash_events", "group_commit"),
+             "no group_commit events captured"),
+            (captured("crash_events", "recovery_replay"),
+             "no recovery_replay event captured — the recovery was "
+             "invisible"),
+        ),
+        replay_kwargs=dict(capture_events=True),
+    ),
+    # The five-scenario adversarial pack at equal total memory: the
+    # self-tuned arm returns identical answers, never loses to the best
+    # static arm (graded post-hoc against the sweep's luckiest entry),
+    # wins strictly on at least the floor, and acts on every scenario
+    # (a zero-action pass would be dominance by coincidence).
+    "selftune": Gate(
+        config=dict(scale=1),
+        metrics=_selftune_metrics,
+        contract=(
+            _answers("selftune", "query answers diverged across arms",
+                     "tuning"),
+            (lambda m: all(v["dominates"] for v in m["scenarios"].values()),
+             lambda m: "selftune: self-tuned arm lost to the best static "
+             "arm on " + ", ".join(
+                 f"{name} ({v['self_cost_units']:.0f} vs "
+                 f"{v['best_static_units']:.0f} {v['best_static_label']})"
+                 for name, v in m["scenarios"].items()
+                 if not v["dominates"])),
+            (lambda m: m["strict_wins"] >= SELFTUNE_STRICT_WINS_FLOOR,
+             lambda m: f"selftune: only {m['strict_wins']} strict wins vs "
+             f"the best static arm, floor {SELFTUNE_STRICT_WINS_FLOOR}"),
+            (lambda m: all(v["actions_applied"]
+                           for v in m["scenarios"].values()),
+             lambda m: "selftune: advisor fired no action on " + ", ".join(
+                 sorted(name for name, v in m["scenarios"].items()
+                        if v["actions_applied"] == 0))),
+        ),
+        replay=(
+            (registry("repro_tuning_actions_total"),
+             "no repro_tuning_actions_total metrics recorded — emission "
+             "is wired wrong"),
+            (events("tuning_probe"), "no tuning_probe events captured"),
+            (events("tuning_action"),
+             "no tuning_action events captured — the advisor's decisions "
+             "were invisible"),
+        ),
+    ),
+}
 
-    result = parallel.run(**PARALLEL_SMOKE)
-    meta = result.meta
-    metrics = {}
-    for shards, arm in sorted(meta["per_shards"].items(), key=lambda kv:
-                              int(kv[0])):
-        for name in ("serial_lookup_cost", "parallel_lookup_cost",
-                     "serial_scan_cost", "parallel_scan_cost"):
-            metrics[f"parallel.s{shards}.{name}"] = arm[name]
-    return result, metrics, meta
+
+def baseline_path(name: str) -> str:
+    return os.path.join(REPO, f"BENCH_{name}.json")
 
 
-def run_cache_smoke():
-    """The adaptive-cache smoke (observability left disabled)."""
-    from repro.bench import cache
-
-    result = cache.run(**CACHE_SMOKE)
-    meta = result.meta
-    metrics = {}
-    for workload in ("zipf", "iotta"):
-        for name in ("base_cost_units", "cached_cost_units",
-                     "cost_saving", "hit_rate"):
-            metrics[f"cache.{workload}.{name}"] = meta[f"{workload}_{name}"]
-    return result, metrics, meta
+def _text(message: Message, meta: dict) -> str:
+    return message(meta) if callable(message) else message
 
 
-def run_mlp_smoke():
-    """The prefetch-wave smoke (observability left disabled)."""
-    from repro.bench import mlp
-
-    result = mlp.run(**MLP_SMOKE)
-    meta = result.meta
-    metrics = {}
-    for kind in MLP_SMOKE["indexes"]:
-        arm = meta[kind]
-        metrics[f"mlp.{kind}.scalar_cost_units"] = arm["scalar_cost_units"]
-        metrics[f"mlp.{kind}.batched_cost_units"] = arm["batched_cost_units"]
-        for width, cost in arm["per_width_cost_units"].items():
-            metrics[f"mlp.{kind}.w{width}_cost_units"] = cost
-    return result, metrics, meta
+def run_gate(name: str, **kwargs):
+    """Run gate ``name``'s driver at its smoke config; returns the result."""
+    driver = importlib.import_module(f"repro.bench.{name}")
+    return driver.run(**GATES[name].config, **kwargs)
 
 
-def run_learned_smoke():
-    """The leaf-kind frontier smoke (observability left disabled)."""
-    from repro.bench import learned
-
-    result = learned.run(**LEARNED_SMOKE)
-    meta = result.meta
-    metrics = {}
-    for arm in LEARNED_ARMS:
-        stats = meta["arms"][arm]
-        metrics[f"learned.{arm}.index_bytes"] = stats["index_bytes"]
-        metrics[f"learned.{arm}.sorted_cost_units"] = (
-            stats["sorted_cost_units"]
-        )
-        metrics[f"learned.{arm}.zipf_cost_units"] = stats["zipf_cost_units"]
-    return result, metrics, meta
+def check_contract(name: str, meta: dict) -> List[str]:
+    """The messages of gate ``name``'s contract predicates that fail."""
+    return [_text(message, meta) for holds, message in GATES[name].contract
+            if not holds(meta)]
 
 
-def run_cluster_smoke(capture_events: bool = False):
-    """The divergent-cluster smoke (observability left disabled)."""
-    from repro.bench import cluster
-
-    result = cluster.run(capture_events=capture_events, **CLUSTER_SMOKE)
-    meta = result.meta
-    metrics = {
-        "cluster.uniform_cost_units": meta["uniform_cost_units"],
-        "cluster.divergent_cost_units": meta["divergent_cost_units"],
-        "cluster.single_cost_units": meta["single_cost_units"],
-        "cluster.r1_cost_units": meta["r1_cost_units"],
-        "cluster.failover_cost_units": meta["failover_cost_units"],
-    }
-    return result, metrics, meta
-
-
-def run_wal_smoke(capture_events: bool = False):
-    """The durable-write smoke (observability left disabled)."""
-    from repro.bench import wal
-
-    result = wal.run(capture_events=capture_events, **WAL_SMOKE)
-    meta = result.meta
-    metrics = {
-        "wal.off_cost_units": meta["off_cost_units"],
-        "wal.perop_cost_units": meta["perop_cost_units"],
-        "wal.group_cost_units": meta["group_cost_units"],
-        "wal.recovery_cost_units": meta["recovery_cost_units"],
-    }
-    return result, metrics, meta
-
-
-def check_wal(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Durable-write contract + cost-regression checks for the WAL smoke.
-
-    Contract: (a) table/index digests identical across the WAL-off,
-    per-op-fsync, and group-commit arms (durability must change cost
-    accounting, never answers), (b) group commit cutting the durability
-    overhead by at least the acceptance floor vs per-op fsync, (c) the
-    kill + recover differential matching an independent replay of
-    exactly the committed unit-op prefix, replayed deterministically
-    across two crash/recover cycles, and (d) the WAL-off arm matching
-    the committed baseline bit-for-bit — the wiring of the redesigned
-    write surface costs nothing when no log is attached (the seven
-    pre-WAL baselines gate the same property on their own workloads).
-    """
+def check_baseline(metrics: dict, baseline: dict) -> List[str]:
+    """One rule for every stored metric: present, and exact at the
+    baseline's 4-decimal precision; growth past ``TOLERANCE`` is named
+    as a regression, except for higher-is-better metrics."""
     failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "wal: digests diverged across arms — the WAL must change "
-            "cost accounting, never answers"
-        )
-    if meta["overhead_saving"] < WAL_SAVING_FLOOR:
-        failures.append(
-            f"wal: group-commit overhead saving "
-            f"{meta['overhead_saving']:.3f} vs per-op fsync below floor "
-            f"{WAL_SAVING_FLOOR} at group size {WAL_SMOKE['group_size']}"
-        )
-    if not meta["recovery_match"]:
-        failures.append(
-            "wal: recovered database diverged from the committed-prefix "
-            "reference replay (kill + recover differential)"
-        )
-    if not meta["recovery_deterministic"]:
-        failures.append(
-            "wal: crash/recover cycle did not replay to identical "
-            "digests and reports across runs"
-        )
-    if meta["records_discarded"] == 0:
-        failures.append(
-            "wal: scripted kill discarded no volatile records — the "
-            "crash landed on a group boundary and proves nothing"
-        )
     for name, value in metrics.items():
         base = baseline.get(name)
         if base is None:
             failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
+        elif (not name.endswith(HIGHER_IS_BETTER)
+              and value > base * (1 + TOLERANCE)):
             failures.append(
                 f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
                 f"(+{(value / base - 1) * 100:.1f}%, tolerance "
@@ -418,861 +546,32 @@ def check_wal(metrics: dict, meta: dict, baseline: dict) -> list:
     return failures
 
 
-def check_wal_enabled_replay(base_metrics: dict) -> list:
-    """Replay the WAL smoke with observability on: identical costs, and
-    the append/commit/replay activity must be visible as events."""
+def enabled_replay(name: str, base_metrics: dict) -> List[str]:
+    """Rerun gate ``name`` with observability on and an observer
+    attached: every cost metric must equal the base run's, and every
+    replay requirement must be non-zero."""
     from repro import obs
 
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
+    gate = GATES[name]
+    with obs.enabled():
         observer = obs.Observer()
-        _, enabled_metrics, meta = run_wal_smoke(capture_events=True)
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
+        try:
+            meta = run_gate(name, **gate.replay_kwargs).meta
+        finally:
             observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    records = observer.registry.get("repro_wal_records_total")
-    if records is None or records.total() == 0:
-        failures.append(
-            "enabled-replay: no wal record metrics recorded — emission "
-            "is wired wrong"
-        )
-    events = meta["crash_events"]
-    if not events.get("wal_append"):
-        failures.append(
-            "enabled-replay: no wal_append events captured in the "
-            "crash arm"
-        )
-    if not events.get("group_commit"):
-        failures.append(
-            "enabled-replay: no group_commit events captured"
-        )
-    if not events.get("recovery_replay"):
-        failures.append(
-            "enabled-replay: no recovery_replay event captured — the "
-            "recovery was invisible"
-        )
-    if not failures:
-        print(
-            f"wal enabled-replay: cost identical; "
-            f"{events['wal_append']} wal_append, "
-            f"{events['group_commit']} group_commit and "
-            f"{events['recovery_replay']} recovery_replay events captured"
-        )
-    return failures
-
-
-def run_selftune_smoke():
-    """The self-tuning smoke over the five-scenario adversarial pack.
-
-    The advisor flips the global obs switch on for its own observation
-    plane (emission stays cost-model-silent), so the switch is restored
-    afterwards — the other gates' disabled base runs must stay disabled.
-    """
-    from repro import obs
-    from repro.bench import selftune
-
-    was_enabled = obs.is_enabled()
-    try:
-        result = selftune.run(**SELFTUNE_SMOKE)
-    finally:
-        obs.set_enabled(was_enabled)
-    meta = result.meta
-    metrics = {}
-    total_self = 0.0
-    total_best = 0.0
-    for name, verdict in sorted(meta["scenarios"].items()):
-        metrics[f"selftune.{name}.self_cost_units"] = (
-            verdict["self_cost_units"]
-        )
-        metrics[f"selftune.{name}.best_static_units"] = (
-            verdict["best_static_units"]
-        )
-        total_self += verdict["self_cost_units"]
-        total_best += verdict["best_static_units"]
-    metrics["selftune.self_cost_units"] = round(total_self, 2)
-    metrics["selftune.best_static_cost_units"] = round(total_best, 2)
-    return result, metrics, meta
-
-
-def check_selftune(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Dominance contract + cost-regression checks for the advisor smoke.
-
-    Contract: (a) every arm of every scenario returns identical query
-    answers, (b) the self-tuned arm's total weighted cost is at or
-    below the *best* static arm on all five scenarios — graded post-hoc
-    against the sweep's luckiest entry — and strictly below on at least
-    the acceptance floor, (c) the advisor actually acted on every
-    scenario (a zero-action pass would be dominance by coincidence),
-    and (d) the usual regression tolerance plus exact-match
-    reproducibility against the committed baseline (all arms are
-    deterministic, so any drift at all means the economics changed).
-    """
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "selftune: query answers diverged across arms — tuning must "
-            "change cost accounting, never answers"
-        )
-    losses = [
-        f"{name} ({v['self_cost_units']:.0f} vs "
-        f"{v['best_static_units']:.0f} {v['best_static_label']})"
-        for name, v in meta["scenarios"].items()
-        if not v["dominates"]
+    failures = [
+        f"enabled-replay: {metric} = {value!r} with observability "
+        f"enabled vs {base_metrics.get(metric)!r} disabled "
+        f"(instrumentation must not charge cost units)"
+        for metric, value in gate.metrics(meta).items()
+        if value != base_metrics.get(metric)
     ]
-    if losses:
-        failures.append(
-            "selftune: self-tuned arm lost to the best static arm on "
-            + ", ".join(losses)
-        )
-    if meta["strict_wins"] < SELFTUNE_STRICT_WINS_FLOOR:
-        failures.append(
-            f"selftune: only {meta['strict_wins']} strict wins vs the "
-            f"best static arm, floor {SELFTUNE_STRICT_WINS_FLOOR}"
-        )
-    idle = [
-        name for name, v in meta["scenarios"].items()
-        if v["actions_applied"] == 0
-    ]
-    if idle:
-        failures.append(
-            "selftune: advisor fired no action on "
-            + ", ".join(sorted(idle))
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_selftune_enabled_replay(base_metrics: dict) -> list:
-    """Replay the advisor smoke with an observer attached: identical
-    costs, and the probe/action/payback loop must be visible as
-    ``tuning_*`` events and ``repro_tuning_*`` metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, _ = run_selftune_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    actions_metric = observer.registry.get("repro_tuning_actions_total")
-    if actions_metric is None or actions_metric.total() == 0:
-        failures.append(
-            "enabled-replay: no repro_tuning_actions_total metrics "
-            "recorded — emission is wired wrong"
-        )
-    probes = observer.event_log("tuning_probe")
-    if len(probes) == 0:
-        failures.append("enabled-replay: no tuning_probe events captured")
-    actions = observer.event_log("tuning_action")
-    if len(actions) == 0:
-        failures.append(
-            "enabled-replay: no tuning_action events captured — the "
-            "advisor's decisions were invisible"
-        )
+    failures += [f"enabled-replay: {_text(message, meta)}"
+                 for count, message in gate.replay
+                 if not count(observer, meta)]
     if not failures:
-        print(
-            f"selftune enabled-replay: cost identical; "
-            f"{len(probes)} tuning_probe and {len(actions)} "
-            f"tuning_action events captured"
-        )
-    return failures
-
-
-def check_cluster(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Divergent-replication contract + cost-regression checks.
-
-    Contract: (a) identical results on every arm, (b) the divergent
-    3-replica cluster strictly beating three identical replicas at
-    equal total memory by at least the acceptance floor, (c)
-    ``replicas=ReplicaConfig(replicas=1)`` byte-identical to the plain
-    index (cost units, results and index bytes), and (d) the scripted
-    mid-workload outage replaying deterministically across repeats.
-    """
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "cluster: result sets diverged across arms — replica "
-            "routing must change cost accounting, never answers"
-        )
-    if meta["divergent_saving"] < CLUSTER_SAVING_FLOOR:
-        failures.append(
-            f"cluster: divergent saving {meta['divergent_saving']:.3f} "
-            f"vs uniform replicas below floor {CLUSTER_SAVING_FLOOR} "
-            "at equal total memory"
-        )
-    if not meta["r1_exact"]:
-        failures.append(
-            "cluster: replicas=1 arm did not reproduce the plain index "
-            "exactly (single-replica passthrough contract)"
-        )
-    if not meta["failover_deterministic"]:
-        failures.append(
-            "cluster: scripted-outage arm did not replay to identical "
-            "results and cost units (failover determinism contract)"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_cluster_enabled_replay(base_metrics: dict) -> list:
-    """Replay the cluster smoke with observability on: identical costs,
-    and the routing/failover activity must be visible as events."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_cluster_smoke(capture_events=True)
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    routes = observer.registry.get("repro_replica_routes_total")
-    if routes is None or routes.total() == 0:
-        failures.append(
-            "enabled-replay: no replica route metrics recorded — "
-            "emission is wired wrong"
-        )
-    events = meta["failover_events"]
-    if not events.get("replica_route"):
-        failures.append(
-            "enabled-replay: no replica_route events captured in the "
-            "failover arm"
-        )
-    if not events.get("replica_failover"):
-        failures.append(
-            "enabled-replay: no replica_failover events captured — the "
-            "scripted outage was invisible"
-        )
-    if not events.get("cluster_budget"):
-        failures.append(
-            "enabled-replay: no cluster_budget event captured at build"
-        )
-    if not failures:
-        print(
-            f"cluster enabled-replay: cost identical; "
-            f"{events['replica_route']} replica_route and "
-            f"{events['replica_failover']} replica_failover events "
-            f"captured"
-        )
-    return failures
-
-
-def check_learned(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Frontier-contract + cost-regression checks for the learned smoke.
-
-    Contract: (a) result sets identical on every arm, (b) learned
-    leaves strictly smaller than full AND strictly cheaper per
-    sorted-probe lookup than compact (a genuine third frontier point),
-    (c) the 3-way elastic arm never worse than the 2-way arm on either
-    workload at the same soft bound, and (d) an explicit two-kind
-    ``leaf_kinds`` build reproducing the default-config event counts
-    exactly (learned-off passthrough).
-    """
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "learned: result sets diverged across leaf kinds — the "
-            "representation must change cost accounting, never answers"
-        )
-    if not meta["learned_mem_lt_full"]:
-        failures.append(
-            "learned: learned arm not strictly smaller than full arm "
-            f"({meta['arms']['learned']['index_bytes']} vs "
-            f"{meta['arms']['full']['index_bytes']} bytes)"
-        )
-    if not meta["learned_cost_lt_compact"]:
-        failures.append(
-            "learned: learned arm not strictly cheaper than compact on "
-            "sorted probes "
-            f"({meta['arms']['learned']['sorted_cost_per_lookup']:.4f} vs "
-            f"{meta['arms']['compact']['sorted_cost_per_lookup']:.4f} "
-            "units/lookup)"
-        )
-    if not meta["elastic3_not_worse"]:
-        failures.append(
-            "learned: 3-way elastic arm worse than 2-way at the same "
-            "soft bound "
-            f"(sorted {meta['arms']['elastic-3way']['sorted_cost_per_lookup']:.4f}"
-            f" vs {meta['arms']['elastic-2way']['sorted_cost_per_lookup']:.4f},"
-            f" zipf {meta['arms']['elastic-3way']['zipf_cost_per_lookup']:.4f}"
-            f" vs {meta['arms']['elastic-2way']['zipf_cost_per_lookup']:.4f})"
-        )
-    if not meta["learned_off_exact"]:
-        failures.append(
-            "learned: explicit leaf_kinds=('standard', 'compact') build "
-            "did not reproduce the default-config costs exactly "
-            "(learned-off passthrough contract)"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_learned_enabled_replay(base_metrics: dict) -> list:
-    """Replay the learned smoke with observability on: identical costs,
-    and the retrain/conversion activity must be visible as events."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, _ = run_learned_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    retrains = observer.registry.get("repro_leaf_retrains_total")
-    if retrains is None or retrains.total() == 0:
-        failures.append(
-            "enabled-replay: no leaf retrain metrics recorded — emission "
-            "is wired wrong"
-        )
-    events = observer.event_log("leaf_retrain")
-    if len(events) == 0:
-        failures.append("enabled-replay: no leaf_retrain events captured")
-    conversions = [
-        e for e in observer.event_log("leaf_conversion")
-        if e.direction == "to_learned"
-    ]
-    if len(conversions) == 0:
-        failures.append(
-            "enabled-replay: no to_learned leaf_conversion events captured"
-        )
-    if not failures:
-        print(
-            f"learned enabled-replay: cost identical; "
-            f"{len(events)} leaf_retrain and {len(conversions)} "
-            f"to_learned conversion events captured"
-        )
-    return failures
-
-
-def check_mlp(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Wave-pricing contract + cost-regression checks for the MLP smoke.
-
-    Contract: (a) result sets byte-identical to serial pricing on every
-    arm, (b) wave-priced batched descents strictly cheaper than serial
-    (scalar) pricing at every W >= 2, (c) W=1 reproducing today's
-    batched counts exactly (the passthrough that keeps every pre-wave
-    BENCH baseline byte-identical), and (d) the elastic W=4 arm beating
-    the flat key_load-only MLP pricing by >= the acceptance floor.
-    """
-    failures = []
-    for kind in MLP_SMOKE["indexes"]:
-        arm = meta[kind]
-        if not arm["results_identical"]:
-            failures.append(
-                f"mlp: {kind} wave-priced results diverged — wave pricing "
-                "must change cost accounting, never answers"
-            )
-        if not arm["w1_exact"]:
-            failures.append(
-                f"mlp: {kind} W=1 arm did not reproduce plain batched "
-                "event counts exactly (serial-passthrough contract)"
-            )
-        scalar = arm["scalar_cost_units"]
-        for width, cost in arm["per_width_cost_units"].items():
-            if int(width) >= 2 and cost >= scalar:
-                failures.append(
-                    f"mlp: {kind} W={width} wave pricing {cost:.1f} not "
-                    f"strictly below serial pricing {scalar:.1f}"
-                )
-    saving = meta["elastic"]["saving_at_w4_vs_batched"]
-    if saving < MLP_SAVING_FLOOR:
-        failures.append(
-            f"mlp: elastic W=4 saving {saving:.3f} vs batched pricing "
-            f"below floor {MLP_SAVING_FLOOR}"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_mlp_enabled_replay(base_metrics: dict) -> list:
-    """Replay the MLP smoke with observability on: identical costs, and
-    the wave activity must be visible as mlp_wave events and metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, _ = run_mlp_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    waves = observer.registry.get("repro_mlp_waves_total")
-    if waves is None or waves.total() == 0:
-        failures.append(
-            "enabled-replay: no mlp wave metrics recorded — emission is "
-            "wired wrong"
-        )
-    events = observer.event_log("mlp_wave")
-    if len(events) == 0:
-        failures.append("enabled-replay: no mlp_wave events captured")
-    if not failures:
-        print(
-            f"mlp enabled-replay: cost identical; "
-            f"{waves.total():.0f} waves and {len(events)} mlp_wave "
-            f"events captured"
-        )
-    return failures
-
-
-def check_cache(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Cache-contract + cost-regression checks for the cache smoke."""
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "cache: cached results diverged from uncached — the cache "
-            "must change cost accounting, never answers"
-        )
-    for workload in ("zipf", "iotta"):
-        saving = meta[f"{workload}_cost_saving"]
-        if saving < CACHE_SAVING_FLOOR:
-            failures.append(
-                f"cache: {workload} saving {saving:.3f} below floor "
-                f"{CACHE_SAVING_FLOOR} at equal total memory"
-            )
-        if meta[f"{workload}_hit_rate"] <= 0.0:
-            failures.append(f"cache: {workload} arm recorded no hits")
-    for name, value in metrics.items():
-        if name.endswith("cost_saving") or name.endswith("hit_rate"):
-            continue
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif "base_cost" in name and round(value, 4) != base:
-            # The cache-off arm runs the exact pre-cache read path; any
-            # drift at all means the cache wiring leaked into it.
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with no cache "
-                f"attached, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_cache_enabled_replay(base_metrics: dict) -> list:
-    """Replay the cache smoke with observability on: identical costs,
-    and the cache's activity must be visible as events and metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_cache_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    events = observer.registry.get("repro_cache_events_total")
-    if events is None or events.total() == 0:
-        failures.append(
-            "enabled-replay: no cache events recorded — emission is "
-            "wired wrong"
-        )
-    hit_rate = observer.registry.get("repro_cache_hit_rate")
-    if hit_rate is None or hit_rate.total() == 0:
-        failures.append("enabled-replay: cache hit-rate gauge never set")
-    if not failures:
-        print(
-            f"cache enabled-replay: cost identical; "
-            f"{events.total():.0f} cache events captured"
-        )
-    return failures
-
-
-def check_parallel(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Executor-contract + cost-regression checks for the parallel smoke."""
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "parallel: results diverged from serial — the executor must "
-            "change cost accounting, never answers"
-        )
-    one = meta["per_shards"]["1"]
-    if one["parallel_lookup_cost"] != one["serial_lookup_cost"] or \
-            one["parallel_scan_cost"] != one["serial_scan_cost"]:
-        failures.append(
-            "parallel: single-shard scatter not charged exactly serial "
-            f"cost ({one['parallel_lookup_cost']:.4f} vs "
-            f"{one['serial_lookup_cost']:.4f} lookup units)"
-        )
-    four = meta["per_shards"]["4"]
-    if four["parallel_lookup_cost"] >= four["serial_lookup_cost"]:
-        failures.append(
-            "parallel: critical path not below serial sum on 4-shard "
-            f"batched lookups ({four['parallel_lookup_cost']:.1f} vs "
-            f"{four['serial_lookup_cost']:.1f} cost units)"
-        )
-    if four["critical_path_units"] >= four["serial_sum_units"]:
-        failures.append(
-            "parallel: executor ledger critical path "
-            f"{four['critical_path_units']:.1f} not below serial sum "
-            f"{four['serial_sum_units']:.1f} at 4 shards"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_parallel_enabled_replay(base_metrics: dict) -> list:
-    """Replay the parallel smoke with observability on: identical costs,
-    and the dispatch/gather activity must be visible as metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_parallel_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    if not meta["results_identical"]:
-        failures.append(
-            "enabled-replay: parallel results diverged from serial"
-        )
-    dispatch = observer.registry.get("repro_shard_dispatch_ops_total")
-    if dispatch is None or dispatch.total() == 0:
-        failures.append(
-            "enabled-replay: no shard dispatch metrics recorded"
-        )
-    gathers = observer.event_log("parallel_gather")
-    if len(gathers) == 0:
-        failures.append(
-            "enabled-replay: no parallel_gather events captured"
-        )
-    if not failures:
-        print(
-            f"parallel enabled-replay: cost identical; "
-            f"{dispatch.total():.0f} shard dispatch ops and "
-            f"{len(gathers)} parallel_gather events captured"
-        )
-    return failures
-
-
-def check_shard(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Arbiter dominance + cost-regression checks for the sharded smoke."""
-    failures = []
-    if meta["arbiter_cost_units"] >= meta["static_cost_units"]:
-        failures.append(
-            "shard: arbiter does not dominate static split "
-            f"({meta['arbiter_cost_units']:.1f} vs "
-            f"{meta['static_cost_units']:.1f} cost units)"
-        )
-    if meta["cost_saving"] < SHARD_SAVING_FLOOR:
-        failures.append(
-            f"shard: arbiter saving {meta['cost_saving']:.3f} below floor "
-            f"{SHARD_SAVING_FLOOR}"
-        )
-    if meta["rebalances"] == 0:
-        failures.append("shard: arbiter never rebalanced in the smoke run")
-    for name in ("shard.static_cost_units", "shard.arbiter_cost_units"):
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        value = metrics[name]
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            # Same zero-overhead contract as the batch smoke: with
-            # observability disabled the costs must be bit-identical.
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_shard_enabled_replay(base_metrics: dict) -> list:
-    """Replay the sharded smoke with observability on: identical costs,
-    and the rebalance decisions must be visible as events."""
-    from repro import obs
-
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        _, enabled_metrics, meta = run_shard_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    if meta["rebalance_events"] == 0:
-        failures.append(
-            "enabled-replay: no budget_rebalance events captured — the "
-            "arbiter's decisions must be observable"
-        )
-    if meta["rebalance_events"] != meta["rebalances"]:
-        failures.append(
-            f"enabled-replay: {meta['rebalance_events']} budget_rebalance "
-            f"events vs {meta['rebalances']} rebalances counted"
-        )
-    if not failures:
-        print(
-            f"shard enabled-replay: cost identical; "
-            f"{meta['rebalance_events']} budget_rebalance events captured"
-        )
-    return failures
-
-
-def check(metrics: dict, baseline: dict) -> list:
-    failures = []
-    for name, value in metrics.items():
-        if name.endswith("cost_saving"):
-            if value < SAVING_FLOOR:
-                failures.append(
-                    f"{name}: saving {value:.3f} below floor {SAVING_FLOOR}"
-                )
-            continue
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-    return failures
-
-
-def check_zero_overhead(metrics: dict, baseline: dict) -> list:
-    """Obs-disabled cost units must equal the baseline bit-for-bit.
-
-    The baseline stores metrics rounded to 4 decimals, so equality is
-    checked at that precision — any drift at all (not just beyond the
-    regression tolerance) fails, because a drift with observability
-    disabled means the instrumentation has leaked into the hot path.
-    """
-    from repro import obs
-
-    failures = []
-    if obs.is_enabled():
-        return ["observability unexpectedly enabled during the base run"]
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            continue  # reported by check() already
-        if round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_enabled_replay() -> list:
-    """Replay the smoke with observability on: same cost, events flow."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics = run_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    base_run_metrics = check_enabled_replay.base_metrics
-    for name, value in enabled_metrics.items():
-        if value != base_run_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_run_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    if len(observer.events) == 0:
-        failures.append(
-            "enabled-replay: no events captured — emission is wired wrong"
-        )
-    dispatch = observer.registry.get("repro_batch_dispatch_ops_total")
-    if dispatch is None or dispatch.total() == 0:
-        failures.append(
-            "enabled-replay: no batch dispatch metrics recorded"
-        )
-    if not failures:
-        print(
-            f"enabled-replay: cost identical; {len(observer.events)} "
-            f"events captured"
-        )
+        print(f"{name} enabled-replay: cost identical; "
+              f"{len(observer.events)} events captured")
     return failures
 
 
@@ -1317,76 +616,6 @@ def smoke_deprecation_free_db_surface() -> int:
     )
 
 
-def smoke_wallclock() -> int:
-    """One timing-disabled pass over the wall-clock microbenchmarks."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO, "src")
-    return subprocess.call(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            os.path.join(REPO, "benchmarks", "bench_wallclock_micro.py"),
-            "-q",
-            "-p",
-            "no:cacheprovider",
-            "--benchmark-disable",
-            "--override-ini",
-            "testpaths=benchmarks",
-        ],
-        env=env,
-        cwd=REPO,
-    )
-
-
-def _run_batch_gate():
-    result, metrics = run_smoke()
-    return result, metrics, None
-
-
-def _check_batch(metrics, meta, baseline):
-    return check(metrics, baseline) + check_zero_overhead(metrics, baseline)
-
-
-def _replay_batch(metrics, meta):
-    check_enabled_replay.base_metrics = metrics
-    return check_enabled_replay()
-
-
-#: The gate registry, in the order the mechanisms landed.  Each entry:
-#: (baseline path, smoke config, run fn, check fn, enabled-replay fn).
-#: ``run`` returns (result, metrics, meta); ``check`` takes
-#: (metrics, meta, baseline); ``replay`` takes (metrics, meta).
-GATES = {
-    "batch": (BASELINE_PATH, SMOKE, _run_batch_gate,
-              _check_batch, _replay_batch),
-    "shard": (SHARD_BASELINE_PATH, SHARD_SMOKE,
-              run_shard_smoke, check_shard,
-              lambda m, meta: check_shard_enabled_replay(m)),
-    "parallel": (PARALLEL_BASELINE_PATH, PARALLEL_SMOKE,
-                 run_parallel_smoke, check_parallel,
-                 lambda m, meta: check_parallel_enabled_replay(m)),
-    "cache": (CACHE_BASELINE_PATH, CACHE_SMOKE,
-              run_cache_smoke, check_cache,
-              lambda m, meta: check_cache_enabled_replay(m)),
-    "mlp": (MLP_BASELINE_PATH, MLP_SMOKE,
-            run_mlp_smoke, check_mlp,
-            lambda m, meta: check_mlp_enabled_replay(m)),
-    "learned": (LEARNED_BASELINE_PATH, LEARNED_SMOKE,
-                run_learned_smoke, check_learned,
-                lambda m, meta: check_learned_enabled_replay(m)),
-    "cluster": (CLUSTER_BASELINE_PATH, CLUSTER_SMOKE,
-                run_cluster_smoke, check_cluster,
-                lambda m, meta: check_cluster_enabled_replay(m)),
-    "wal": (WAL_BASELINE_PATH, WAL_SMOKE,
-            run_wal_smoke, check_wal,
-            lambda m, meta: check_wal_enabled_replay(m)),
-    "selftune": (SELFTUNE_BASELINE_PATH, SELFTUNE_SMOKE,
-                 run_selftune_smoke, check_selftune,
-                 lambda m, meta: check_selftune_enabled_replay(m)),
-}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -1394,17 +623,6 @@ def main() -> int:
         action="store_true",
         help="rewrite the BENCH baselines (restricted by --only) from "
         "the current run",
-    )
-    parser.add_argument(
-        "--skip-wallclock",
-        action="store_true",
-        help="skip the wall-clock microbenchmark smoke pass",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="enumerate every gated BENCH baseline and exit "
-        "(exit 1 if any is missing)",
     )
     parser.add_argument(
         "--only",
@@ -1418,54 +636,46 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.list:
-        missing = 0
-        for gate, path in ALL_BASELINES:
-            present = os.path.exists(path)
-            status = "ok" if present else "MISSING (run --update)"
-            print(f"{gate:<10} {os.path.basename(path):<20} {status}")
-            missing += not present
-        return 1 if missing else 0
-
     sys.path.insert(0, os.path.join(REPO, "src"))
-    selected = [
-        name for name in GATES
-        if args.only is None or name in args.only
-    ]
+    from repro import obs
 
+    selected = [name for name in GATES
+                if args.only is None or name in args.only]
+    failures = []
     runs = {}
     for name in selected:
-        _, _, run_gate, _, _ = GATES[name]
-        result, metrics, meta = run_gate()
+        result = run_gate(name, **GATES[name].base_kwargs)
         print(result.render())
         print()
-        runs[name] = (metrics, meta)
+        if obs.is_enabled():
+            failures.append(
+                f"{name}: observability unexpectedly enabled during the "
+                "base run"
+            )
+        runs[name] = GATES[name].metrics(result.meta), result.meta
 
     if args.update:
         for name in selected:
-            path, smoke_config, _, _, _ = GATES[name]
-            payload = {
-                "config": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in smoke_config.items()},
-                **{k: round(v, 4) for k, v in runs[name][0].items()},
-            }
-            with open(path, "w") as fh:
+            config = {k: list(v) if isinstance(v, tuple) else v
+                      for k, v in GATES[name].config.items()}
+            payload = {"config": config,
+                       **{k: round(v, 4) for k, v in runs[name][0].items()}}
+            with open(baseline_path(name), "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            print(f"baseline written to {path}")
+            print(f"baseline written to {baseline_path(name)}")
         return 0
 
-    failures = []
     for name in selected:
-        path, _, _, check_gate, replay_gate = GATES[name]
-        if not os.path.exists(path):
-            print(f"no baseline at {path}; run with --update first")
-            return 1
-        with open(path) as fh:
-            baseline = json.load(fh)
         metrics, meta = runs[name]
-        failures.extend(check_gate(metrics, meta, baseline))
-        failures.extend(replay_gate(metrics, meta))
+        failures += check_contract(name, meta)
+        path = baseline_path(name)
+        if os.path.exists(path):
+            with open(path) as fh:
+                failures += check_baseline(metrics, json.load(fh))
+        else:
+            failures.append(f"no baseline at {path}; run with --update first")
+        failures += enabled_replay(name, metrics)
 
     for failure in failures:
         print(f"REGRESSION: {failure}")
@@ -1476,12 +686,6 @@ def main() -> int:
     print("\nDBTable read-surface smoke (-W error::DeprecationWarning):")
     if smoke_deprecation_free_db_surface() != 0:
         failures.append("DBTable read-surface deprecation smoke failed")
-
-    if not args.skip_wallclock:
-        print("\nwall-clock micro smoke pass (timing disabled):")
-        if smoke_wallclock() != 0:
-            failures.append("wall-clock microbenchmark smoke pass failed")
-
     return 1 if failures else 0
 
 
