@@ -277,7 +277,8 @@ class CompactLeaf(LeafNode):
             else:
                 last_left = self.rep.key_at(self.rep.n - 1)
                 boundary = first_diff_bit(last_left, keys[0])
-                assert boundary is not None
+                if boundary is None:
+                    raise ValueError("merge of overlapping key ranges")
                 self.rep.append_run(keys, tids, boundary)
         if self.breathing is not None:
             self.breathing.ensure_room(self.rep.n)

@@ -26,12 +26,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.memory.cost_model import _CACHE_LINE, CostModel, NULL_COST_MODEL
-from repro.blindi.seqtrie import SeqTrieRep, _Descent
+from repro.blindi.seqtrie import ET, SeqTrieRep
 from repro.table.table import Table
-
-#: End-of-tree marker: slot has no trie node (footnote 2 of the paper
-#: uses max-keys + 1; any invalid index works).
-ET = -1
 
 #: Alignment slack a leaf node provides for free (levels 1-3 cost nothing,
 #: matching the paper's observation in section 6.4).
@@ -109,41 +105,6 @@ class SeqTreeRep(SeqTrieRep):
         charge("compare", compares)
         charge("rand_line", rand_lines)
         charge("seq_line", seq_lines)
-
-    # ------------------------------------------------------------------
-    # Search: tree descent bounds the sequential scan
-    # ------------------------------------------------------------------
-    def _descend(self, key: bytes) -> _Descent:
-        d = _Descent(lo=0, hi=len(self.bits) - 1, j=0)
-        tree = self.tree
-        size = len(tree)
-        if not size:
-            return d
-        bits = self.bits
-        slot = 0
-        steps = 0
-        while slot < size:
-            m = tree[slot]
-            if m == ET:
-                break
-            steps += 1
-            b = bits[m]
-            if (key[b >> 3] >> (7 - (b & 7))) & 1:  # get_bit, inlined
-                d.j = m + 1
-                d.lo = m + 1
-                d.right_turn_inds.append(m)
-                slot = 2 * slot + 2
-            else:
-                d.hi = m - 1
-                d.left_turn_inds.append(m)
-                slot = 2 * slot + 1
-        # The tree is a few contiguous bytes: one sequential line, plus a
-        # compare and a branch per level taken.
-        charge = self.cost.charge
-        charge("seq_line", 1)
-        charge("compare", steps)
-        charge("branch", steps)
-        return d
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -19,21 +19,25 @@ predecessor is found by scanning outward from the candidate for the
 first entry with a discriminating bit smaller than ``b_d`` (the boundary
 of the maximal range of keys sharing the searched key's ``b_d``-bit
 prefix; every key in that range lies on the same side of the searched
-key).  :class:`~repro.blindi.seqtree.SeqTreeRep` overrides the descent
-to restrict both scans to a small range.
+key).  :class:`~repro.blindi.seqtree.SeqTreeRep` adds the BlindiTree that
+the search walks first, which restricts both scans to a small range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from repro.keys.bitops import first_diff_bit, get_bit
-from repro.memory.cost_model import CostModel, NULL_COST_MODEL
+from repro.memory.cost_model import _CACHE_LINE, CostModel, NULL_COST_MODEL
 from repro.table.table import Table
 
 _INF = 1 << 30
+
+#: End-of-tree marker of a BlindiTree slot: the slot has no trie node
+#: (footnote 2 of the paper uses max-keys + 1; any invalid index works).
+ET = -1
 
 
 @dataclass(slots=True)
@@ -61,26 +65,44 @@ class SearchResult:
 
 @dataclass(slots=True)
 class _Descent:
-    """Range and ancestor bookkeeping produced by the candidate descent.
+    """Scan range and BlindiTree ancestors of a search, for the boundary
+    scans of a miss.
 
-    Created on every compact-leaf search: ``slots`` keeps it allocation-
-    light on the hot path (see ``bench_wallclock_micro``)."""
+    Built only on a miss, from the range ``[lo, hi]`` the walk left and
+    the turns rebuilt from the slot where the walk stopped."""
 
     lo: int
     hi: int
-    j: int
-    #: bits-array indices of ancestors where the descent went left,
+    #: bits-array indices of ancestors where the walk went left,
     #: outermost first; their array positions lie right of ``hi``.
-    left_turn_inds: List[int] = field(default_factory=list)
-    #: bits-array indices of ancestors where the descent went right,
+    left_turn_inds: List[int]
+    #: bits-array indices of ancestors where the walk went right,
     #: outermost first; their positions lie left of ``lo``.
-    right_turn_inds: List[int] = field(default_factory=list)
+    right_turn_inds: List[int]
+
+    @classmethod
+    def of_walk(cls, lo: int, hi: int, tree: Sequence[int],
+                slot: int) -> "_Descent":
+        """Rebuild the turns of the walk that stopped at ``slot``: its
+        parent is ``(slot - 1) >> 1``, and an odd slot is a left child."""
+        left: List[int] = []
+        right: List[int] = []
+        while slot:
+            parent = (slot - 1) >> 1
+            (left if slot & 1 else right).append(tree[parent])
+            slot = parent
+        left.reverse()
+        right.reverse()
+        return cls(lo, hi, left, right)
 
 
 class SeqTrieRep:
     """Ferguson-style dense blind trie over tuple ids."""
 
     kind = "seqtrie"
+    #: BlindiTree slots (bits indices or ``ET``) that ``search`` walks
+    #: before it scans; a plain SeqTrie has none and scans every entry.
+    tree: Sequence[int] = ()
 
     def __init__(self, table: Table, key_width: int,
                  cost_model: CostModel = NULL_COST_MODEL) -> None:
@@ -133,44 +155,78 @@ class SeqTrieRep:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _descend(self, key: bytes) -> _Descent:
-        """Locate the scan range for ``key``; the base class scans all."""
-        return _Descent(lo=0, hi=len(self.bits) - 1, j=0)
+    def search(self, key: bytes) -> SearchResult:
+        """Predecessor search: position of ``key`` or of its predecessor.
 
-    def _scan(self, key: bytes, lo: int, hi: int, j: int) -> int:
-        """The SeqTrie sequential scan over ``bits[lo..hi]``."""
-        count = hi - lo + 1
-        if count <= 0:
-            return j
-        cost = self.cost
-        cost.touch_bytes_seq(count * self.bit_entry_bytes)
-        cost.charge("compare", count)
-        cost.charge("branch", count)
-        threshold = _INF
+        One pass: the BlindiTree walk narrows ``bits`` to ``[lo, hi]``,
+        the scan picks the candidate ``j`` in it, and each category is
+        charged once, in the order the walk and the scan first charge
+        it (docs/COSTMODEL.md), before the verify load.
+        """
+        tids = self.tids
+        if not tids:
+            return SearchResult(found=False, pos=0, pred=-1)
         bits = self.bits
+        tree = self.tree
+        size = len(tree)
+        lo, hi = 0, len(bits) - 1
+        slot = steps = 0
+        while slot < size:
+            m = tree[slot]
+            if m == ET:
+                break
+            steps += 1
+            b = bits[m]
+            # get_bit(key, b), inlined here and in the scan.
+            if (key[b >> 3] >> (7 - (b & 7))) & 1:
+                lo = m + 1
+                slot = 2 * slot + 2
+            else:
+                hi = m - 1
+                slot = 2 * slot + 1
+        j = lo
+        threshold = _INF
         for i in range(lo, hi + 1):
             b = bits[i]
             if b > threshold:
                 continue
-            # get_bit(key, b), inlined: this loop is the leaf search.
             if (key[b >> 3] >> (7 - (b & 7))) & 1:
                 j = i + 1
                 threshold = _INF
             else:
                 threshold = b
-        return j
-
-    def search(self, key: bytes) -> SearchResult:
-        """Predecessor search: position of ``key`` or of its predecessor."""
-        if not self.tids:
-            return SearchResult(found=False, pos=0, pred=-1)
-        descent = self._descend(key)
-        j = self._scan(key, descent.lo, descent.hi, descent.j)
-        candidate = self.table.load_key(self.tids[j])
-        self.cost.charge("compare", 1)
-        b_d = first_diff_bit(candidate, key)
-        if b_d is None:
+        # Each category once, in the order the phases would first charge
+        # it (docs/COSTMODEL.md): the walk's line of tree and a test per
+        # level, then the scan's bytes (first line random, as
+        # touch_bytes_seq prices them) and a test per entry.
+        count = hi - lo + 1
+        extra = (count * self.bit_entry_bytes - 1) // _CACHE_LINE if count else 0
+        charge = self.cost.charge
+        if not size:
+            if count:
+                charge("rand_line", 1)
+                if extra:
+                    charge("seq_line", extra)
+                charge("compare", count)
+                charge("branch", count)
+        elif steps:
+            charge("seq_line", 1 + extra)
+            charge("compare", steps + count)
+            charge("branch", steps + count)
+            if count:
+                charge("rand_line", 1)
+        else:
+            charge("seq_line", 1 + extra)
+            if count:
+                charge("rand_line", 1)
+                charge("compare", count)
+                charge("branch", count)
+        candidate = self.table.load_key(tids[j])
+        charge("compare", 1)
+        if candidate == key:
             return SearchResult(found=True, pos=j, pred=j)
+        b_d = first_diff_bit(candidate, key)
+        descent = _Descent.of_walk(lo, hi, tree, slot)
         if get_bit(key, b_d):
             # Searched key greater: all keys sharing its b_d-prefix are
             # smaller; predecessor is the last of them.
@@ -260,7 +316,8 @@ class SeqTrieRep:
         if not self.tids:
             self.tids.append(tid)
             return
-        assert result.b_d is not None and result.bits_insert_idx is not None
+        if result.b_d is None or result.bits_insert_idx is None:
+            raise ValueError("insert_new needs the result of a missed search")
         self.tids.insert(pos, tid)
         self.bits.insert(result.bits_insert_idx, result.b_d)
         moved = len(self.tids) - pos
@@ -337,7 +394,8 @@ class SeqTrieRep:
         last_left = self.table.load_key(self.tids[-1])
         first_right = self.table.load_key(right.tids[0])
         boundary = first_diff_bit(last_left, first_right)
-        assert boundary is not None, "merge of overlapping key ranges"
+        if boundary is None:
+            raise ValueError("merge of overlapping key ranges")
         self.bits.append(boundary)
         self.bits.extend(right.bits)
         self.tids.extend(right.tids)

@@ -121,12 +121,12 @@ class SubTrieRep:
     # ------------------------------------------------------------------
     def _candidate(self, key: bytes) -> int:
         """Descend by the searched key's bits; returns the key position
-        the search terminates at."""
+        the search terminates at.  Each level is a compare, a branch and
+        a line, charged once per walk."""
         p, kbase, m = 0, 0, len(self.pre_bits)
+        levels = 0
         while m > 0:
-            self.cost.compares(1)
-            self.cost.branches(1)
-            self.cost.seq_lines(1)
+            levels += 1
             ls = self.lsize[p]
             if get_bit(key, self.pre_bits[p]):
                 kbase += ls
@@ -135,6 +135,7 @@ class SubTrieRep:
             else:
                 p += 1
                 m = ls - 1
+        self._charge_levels(levels)
         return kbase
 
     def search(self, key: bytes) -> SearchResult:
@@ -169,11 +170,10 @@ class SubTrieRep:
         """
         p, kbase, m = 0, 0, len(self.pre_bits)
         left_turns: List[int] = []
+        levels = 0
         while m > 0:
             b = self.pre_bits[p]
-            self.cost.compares(1)
-            self.cost.branches(1)
-            self.cost.seq_lines(1)
+            levels += 1
             if b > b_d:
                 break
             ls = self.lsize[p]
@@ -185,7 +185,15 @@ class SubTrieRep:
                 left_turns.append(p)
                 p += 1
                 m = ls - 1
+        self._charge_levels(levels)
         return p, kbase, m, left_turns
+
+    def _charge_levels(self, levels: int) -> None:
+        """A descent's compares, branches and lines, one per level."""
+        charge = self.cost.charge
+        charge("compare", levels)
+        charge("branch", levels)
+        charge("seq_line", levels)
 
     # ------------------------------------------------------------------
     # Updates
@@ -201,7 +209,8 @@ class SubTrieRep:
         if self.n == 0:
             self.tids.append(tid)
             return
-        assert result.b_d is not None
+        if result.b_d is None:
+            raise ValueError("insert_new needs the result of a missed search")
         p, _, m, left_turns = self._fixup_descend(key, result.b_d)
         # Splice a node with bit b_d above the stopped-at subtree; the
         # new key becomes its other (empty-subtree) child.
@@ -227,9 +236,9 @@ class SubTrieRep:
         p, kbase, m = 0, 0, n_nodes
         parent = -1
         left_turns: List[int] = []
+        levels = 0
         while m > 0:
-            self.cost.branches(1)
-            self.cost.seq_lines(1)
+            levels += 1
             ls = self.lsize[p]
             parent = p
             if pos >= kbase + ls:
@@ -240,6 +249,8 @@ class SubTrieRep:
                 left_turns.append(p)
                 p += 1
                 m = ls - 1
+        self.cost.charge("branch", levels)
+        self.cost.charge("seq_line", levels)
         # ``parent`` is the trie node whose (empty-subtree) child is the
         # removed key; deleting it splices its other subtree into place.
         del self.pre_bits[parent]
@@ -277,7 +288,8 @@ class SubTrieRep:
         last_left = self.table.load_key(self.tids[-1])
         first_right = self.table.load_key(right.tids[0])
         boundary = first_diff_bit(last_left, first_right)
-        assert boundary is not None, "merge of overlapping key ranges"
+        if boundary is None:
+            raise ValueError("merge of overlapping key ranges")
         inorder = self._to_inorder() + [boundary] + right._to_inorder()
         self.tids.extend(right.tids)
         self._rebuild_from_inorder(inorder)

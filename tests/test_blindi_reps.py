@@ -7,14 +7,20 @@ expected discriminating bits from the actual keys).
 """
 
 import random
+from contextlib import nullcontext
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blindi.seqtrie import SeqTrieRep
+from repro.blindi.seqtrie import SearchResult, SeqTrieRep
 from repro.blindi.seqtree import ET, SeqTreeRep
 from repro.blindi.subtrie import SubTrieRep
+from repro.keys.bitops import first_diff_bit, get_bit
 from repro.keys.encoding import encode_u64
+from repro.memory.cost_model import CostModel
+from repro.table.table import Table
 
 from tests.conftest import SortedModel, U64Source
 
@@ -201,6 +207,39 @@ class TestStructural:
         assert rep.n == 6
 
 
+def _arrays(rep):
+    """Copies of every list a representation keeps (tids, bits, tree,
+    preorder arrays)."""
+    return {name: list(v) for name, v in vars(rep).items()
+            if isinstance(v, list)}
+
+
+@pytest.mark.parametrize("rep_cls,kwargs", REPS)
+class TestStateGuards:
+    """Guards that hold under ``python -O``: each raises ValueError
+    before anything is mutated."""
+
+    def test_insert_of_a_found_result_raises(self, rep_cls, kwargs):
+        source = U64Source()
+        rep = build_rep(rep_cls, kwargs, source, [1, 5, 9, 12])
+        key, tid = source.add(5)
+        result = rep.search(key)
+        assert result.found
+        before = _arrays(rep)
+        with pytest.raises(ValueError, match="missed search"):
+            rep.insert_new(result, key, tid)
+        assert _arrays(rep) == before
+
+    def test_merge_of_overlapping_ranges_raises(self, rep_cls, kwargs):
+        source = U64Source()
+        left = build_rep(rep_cls, kwargs, source, [1, 2, 3])
+        right = build_rep(rep_cls, kwargs, source, [3, 4])
+        before = _arrays(left), _arrays(right)
+        with pytest.raises(ValueError, match="overlapping key ranges"):
+            left.merge_from(right)
+        assert (_arrays(left), _arrays(right)) == before
+
+
 @pytest.mark.parametrize("rep_cls,kwargs", REPS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -358,3 +397,152 @@ class TestSubTrieSpecifics:
         rep.search(encode_u64(300))
         # A balanced 512-key trie descends ~9-18 nodes, far below n.
         assert source.cost.counts.get("compare", 0) < 40
+
+
+# ----------------------------------------------------------------------
+# Per-search ledger: the one-pass kernel against a per-phase reference
+# ----------------------------------------------------------------------
+
+
+def _reference_seqtrie_search(rep, key):
+    """SeqTrie/SeqTree search charged phase by phase: the BlindiTree walk
+    charges its line, compares and branches after its loop, the scan
+    prices its bytes through ``touch_bytes_seq`` and then its compares
+    and branches, the verify load is followed by its compare, and a miss
+    runs the rep's boundary scans with the turns recorded on the way
+    down."""
+    if not rep.tids:
+        return SearchResult(found=False, pos=0, pred=-1)
+    cost = rep.cost
+    bits = rep.bits
+    tree = getattr(rep, "tree", ())
+    lo, hi, j = 0, len(bits) - 1, 0
+    left_turns, right_turns = [], []
+    if tree:
+        slot = steps = 0
+        while slot < len(tree) and tree[slot] != ET:
+            m = tree[slot]
+            steps += 1
+            if get_bit(key, bits[m]):
+                j = lo = m + 1
+                right_turns.append(m)
+                slot = 2 * slot + 2
+            else:
+                hi = m - 1
+                left_turns.append(m)
+                slot = 2 * slot + 1
+        cost.charge("seq_line", 1)
+        cost.charge("compare", steps)
+        cost.charge("branch", steps)
+    count = hi - lo + 1
+    if count > 0:
+        cost.touch_bytes_seq(count * rep.bit_entry_bytes)
+        cost.charge("compare", count)
+        cost.charge("branch", count)
+        threshold = None
+        for i in range(lo, hi + 1):
+            if threshold is not None and bits[i] > threshold:
+                continue
+            if get_bit(key, bits[i]):
+                j = i + 1
+                threshold = None
+            else:
+                threshold = bits[i]
+    candidate = rep.table.load_key(rep.tids[j])
+    cost.charge("compare", 1)
+    b_d = first_diff_bit(candidate, key)
+    if b_d is None:
+        return SearchResult(found=True, pos=j, pred=j)
+    descent = SimpleNamespace(lo=lo, hi=hi, left_turn_inds=left_turns,
+                              right_turn_inds=right_turns)
+    if get_bit(key, b_d):
+        pred = rep._boundary_right(descent, j, b_d)
+        return SearchResult(False, pred + 1, pred, b_d, pred, True)
+    pred = rep._boundary_left(descent, j, b_d)
+    return SearchResult(False, pred + 1, pred, b_d, pred + 1, False)
+
+
+def _reference_subtrie_search(rep, key):
+    """SubTrie search charging a compare, a branch and a line per level
+    of the candidate descent and of the fixup descent."""
+    if rep.n == 0:
+        return SearchResult(found=False, pos=0, pred=-1)
+    cost = rep.cost
+
+    def descend(b_d):
+        p, kbase, m = 0, 0, len(rep.pre_bits)
+        while m > 0:
+            cost.charge("compare", 1)
+            cost.charge("branch", 1)
+            cost.charge("seq_line", 1)
+            if b_d is not None and rep.pre_bits[p] > b_d:
+                break
+            ls = rep.lsize[p]
+            if get_bit(key, rep.pre_bits[p]):
+                kbase, p, m = kbase + ls, p + ls, m - ls
+            else:
+                p, m = p + 1, ls - 1
+        return kbase, m
+
+    j, _ = descend(None)
+    candidate = rep.table.load_key(rep.tids[j])
+    cost.charge("compare", 1)
+    b_d = first_diff_bit(candidate, key)
+    if b_d is None:
+        return SearchResult(found=True, pos=j, pred=j)
+    greater = bool(get_bit(key, b_d))
+    kbase, m = descend(b_d)
+    pred = kbase + m if greater else kbase - 1
+    return SearchResult(False, pred + 1, pred, b_d, skey_greater=greater)
+
+
+def _ledger(rep, search, key, tag):
+    """Run one search on a fresh cost model; return its result, its
+    counts in first-charge order and its tag buckets."""
+    cost = CostModel()
+    rep.cost = rep.table.cost_model = cost
+    with cost.attributed_to(tag) if tag else nullcontext():
+        result = search(key)
+    buckets = {name: list(b.items()) for name, b in cost.tagged.items()}
+    return result, list(cost.counts.items()), buckets
+
+
+LEDGER_REPS = [
+    pytest.param(SeqTrieRep, {}, _reference_seqtrie_search, id="seqtrie"),
+    *(
+        pytest.param(SeqTreeRep, {"levels": levels},
+                     _reference_seqtrie_search, id=f"seqtree-l{levels}")
+        for levels in (0, 1, 2, 3, 6)
+    ),
+    pytest.param(SubTrieRep, {}, _reference_subtrie_search, id="subtrie"),
+]
+
+
+@pytest.mark.parametrize("width", [8, 40])
+@pytest.mark.parametrize("rep_cls,kwargs,reference", LEDGER_REPS)
+def test_search_ledger_matches_reference(rep_cls, kwargs, reference, width):
+    """Totals, first-charge order, tag buckets and every SearchResult
+    field equal the per-phase reference for hits, near misses, 0 and
+    the maximum key, with and without the leaf's search tag."""
+    rng = random.Random(f"ledger:{width}")
+    top = (1 << 8 * width) - 1
+    table = Table(key_of_row=lambda v: v.to_bytes(width, "big"),
+                  row_bytes=width + 8, cost_model=CostModel())
+    for n in (1, 2, 3, 9, 64, 65, 300):
+        values = set()
+        while len(values) < n:
+            values.add(rng.getrandbits(8 * width))
+        values = sorted(values)
+        keys = [v.to_bytes(width, "big") for v in values]
+        tids = [table.insert_row(v) for v in values]
+        rep = rep_cls.from_sorted(keys, tids, table, width, CostModel(),
+                                  **kwargs)
+        probes = {0, top}
+        for v in values:
+            probes.update((v - 1, v, v + 1))
+        for probe in sorted(p for p in probes if 0 <= p <= top):
+            key = probe.to_bytes(width, "big")
+            for tag in (None, "compact.search"):
+                assert _ledger(rep, rep.search, key, tag) == _ledger(
+                    rep, partial(reference, rep), key, tag
+                ), (n, probe, tag)

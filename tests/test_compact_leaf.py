@@ -130,6 +130,19 @@ class TestCompactLeafADT:
         assert left.count == 5
         left.rep.check_invariants()
 
+    def test_merge_overlapping_standard_raises(self):
+        source = U64Source()
+        left, _ = make_leaf(source, capacity=16, values=[1, 2, 3])
+        std = StandardLeaf(8, 8, TrackingAllocator(use_size_classes=False),
+                           source.cost)
+        for v in (3, 4):
+            std.upsert(*source.add(v))
+        tids, bits = list(left.rep.tids), list(left.rep.bits)
+        with pytest.raises(ValueError, match="overlapping key ranges"):
+            left.merge_from(std)
+        assert (left.rep.tids, left.rep.bits) == (tids, bits)
+        assert std.count == 2
+
     def test_with_capacity_conversion(self):
         source = U64Source()
         leaf, alloc = make_leaf(source, capacity=8, values=range(8))
