@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.config import CacheConfig
@@ -480,6 +480,41 @@ class IndexCache:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def check_invariants(
+        self, lookup: Optional[Callable[[bytes], Optional[int]]] = None
+    ) -> None:
+        """Raise ``ValueError`` naming the first broken invariant.
+
+        With ``lookup`` (key -> tuple id, resolved without this cache),
+        every row-tier entry must also hold the tuple id it returns.
+        """
+        rows, desc = self._rows, self._desc
+        for holds, invariant in (
+            (len(rows) <= self._row_capacity
+             and len(desc) <= self._desc_capacity,
+             "entries within tier capacities"),
+            (self._desc_keys == sorted(desc),
+             "descent fence keys are the sorted interval starts"),
+            (all(hi is None or lo < hi for lo, (hi, _leaf) in desc.items()),
+             "every descent interval has lo < hi or no hi"),
+            (len(rows) <= self._row_reserved
+             and len(desc) <= self._desc_reserved,
+             "slab reservations cover the entries"),
+            (self._row_reserved % _SLAB_ENTRIES == 0
+             and self._desc_reserved % _SLAB_ENTRIES == 0,
+             "slab reservations are whole slabs"),
+            (self._cache_bytes <= self._budget_bytes,
+             "bytes_used <= budget_bytes"),
+            (lookup is None
+             or all(lookup(key) == tid for key, tid in rows.items()),
+             "row-tier tuple ids match the index"),
+        ):
+            if not holds:
+                raise ValueError(
+                    f"IndexCache {self.name!r} invariant broken: {invariant}"
+                )
+        self._sketch.check_invariants()
+
     def take_window(self) -> Tuple[int, int]:
         """(probes, hits) since the last call; resets the window.
 

@@ -64,6 +64,9 @@ class FrequencySketch:
         self._rows: List[bytearray] = [
             bytearray(self.width) for _ in range(depth)
         ]
+        #: (row, seed) per sketch row.  Aging and clearing rewrite the
+        #: rows in place, so the lanes stay valid for the sketch's life.
+        self._lanes = tuple(zip(self._rows, _ROW_SEEDS))
         self._samples = 0
 
     @property
@@ -71,17 +74,12 @@ class FrequencySketch:
         """Modeled footprint: 4 bits per counter, plus a small header."""
         return 16 + (self.width * self.depth + 1) // 2
 
-    def _indexes(self, key: bytes) -> List[int]:
-        h = int.from_bytes(key, "big")
-        shift = self._shift
-        return [
-            ((h * _ROW_SEEDS[row]) & _MASK64) >> shift
-            for row in range(self.depth)
-        ]
-
     def record(self, key: bytes) -> None:
         """Count one access to ``key``; ages all counters periodically."""
-        for row, idx in zip(self._rows, self._indexes(key)):
+        h = int.from_bytes(key, "big")
+        shift = self._shift
+        for row, seed in self._lanes:
+            idx = ((h * seed) & _MASK64) >> shift
             if row[idx] < _COUNTER_MAX:
                 row[idx] += 1
         self._samples += 1
@@ -90,9 +88,23 @@ class FrequencySketch:
 
     def estimate(self, key: bytes) -> int:
         """Estimated recent access count of ``key`` (min over rows)."""
+        h = int.from_bytes(key, "big")
+        shift = self._shift
         return min(
-            row[idx] for row, idx in zip(self._rows, self._indexes(key))
+            row[((h * seed) & _MASK64) >> shift] for row, seed in self._lanes
         )
+
+    def check_invariants(self) -> None:
+        """Raise ``ValueError`` naming the first broken invariant."""
+        for holds, invariant in (
+            (all(max(row) <= _COUNTER_MAX for row in self._rows),
+             "counters at most 15"),
+            (self._samples < self.sample_size, "samples below sample_size"),
+        ):
+            if not holds:
+                raise ValueError(
+                    f"FrequencySketch invariant broken: {invariant}"
+                )
 
     def _age(self) -> None:
         for row in self._rows:

@@ -9,12 +9,12 @@ index* into *router → replica-set → shard → index*:
   underneath via the existing engine router);
 * **reads** route whole operations to the one replica the
   :class:`~repro.cluster.ClusterRouter` scores cheapest for the
-  operation's query class;
-* **writes** fan out to *all* replicas — including down ones, since an
-  outage models read-serving failure only — through the engine's
-  :class:`~repro.engine.executor.ShardExecutor` machinery (one
-  :class:`~repro.engine.executor.ShardTask` per replica), so replicas
-  never diverge in content, only in configuration;
+  operation's query class; a point read is one router call
+  (:meth:`~repro.cluster.ClusterRouter.route_point`);
+* **writes** go to *all* replicas — including down ones, since an
+  outage models read-serving failure only — by calling each replica's
+  index directly in replica-id order, so replicas never diverge in
+  content, only in configuration;
 * the cluster-global soft bound is apportioned across the elastic
   replicas by profile weight (largest remainder) at build time and
   announced with a ``cluster_budget`` event; the database's
@@ -37,18 +37,11 @@ from repro.cluster.config import (
     ReplicaProfile,
 )
 from repro.cluster.router import ClusterRouter
-from repro.engine.executor import (
-    SerialShardExecutor,
-    ShardExecutor,
-    ShardTask,
-)
+from repro.engine.executor import ShardExecutor
 from repro.engine.router import ShardedIndex, build_sharded_index
 from repro.errors import CacheConfigError, ReplicaConfigError
 from repro.memory.cost_model import CostModel
 from repro.obs import ClusterBudgetEvent
-
-#: Shared default write-fanout backend (stateless, like the engine's).
-_SERIAL = SerialShardExecutor()
 
 
 class Replica:
@@ -107,7 +100,6 @@ class ReplicaSet:
         replicas: Sequence[Replica],
         config: ReplicaConfig,
         cost: CostModel,
-        executor: Optional[ShardExecutor] = None,
         build_params: Optional[Dict] = None,
     ) -> None:
         if not replicas:
@@ -115,71 +107,39 @@ class ReplicaSet:
         self.replicas: List[Replica] = list(replicas)
         self.config = config
         self.cost = cost
-        self.executor: ShardExecutor = (
-            executor if executor is not None else _SERIAL
-        )
         self.router = ClusterRouter(config, self.replicas, cost)
         #: How replicas were built (kind-independent knobs the advisor
         #: reuses when rebuilding one replica under a new profile).
         self.build_params: Dict = build_params or {}
 
     # ------------------------------------------------------------------
-    # Writes: fan out to every replica (up or down)
+    # Writes: every replica (up or down), in replica-id order
     # ------------------------------------------------------------------
-    def _fan_out(self, op: str, ops: int, runs) -> List:
-        tasks = [
-            ShardTask(
-                shard_id=replica.replica_id, ops=ops, read_only=False,
-                run=run,
-            )
-            for replica, run in zip(self.replicas, runs)
-        ]
-        return self.executor.run_tasks(op, tasks, self.cost)
-
     def insert(self, key: bytes, tid: int) -> Optional[int]:
         self.router.tick(1)
-        results = self._fan_out(
-            "insert", 1,
-            [
-                (lambda r=replica: r.index.insert(key, tid))
-                for replica in self.replicas
-            ],
-        )
+        results = [replica.index.insert(key, tid) for replica in self.replicas]
         return results[0]
 
     def remove(self, key: bytes) -> Optional[int]:
         self.router.tick(1)
-        results = self._fan_out(
-            "remove", 1,
-            [
-                (lambda r=replica: r.index.remove(key))
-                for replica in self.replicas
-            ],
-        )
+        results = [replica.index.remove(key) for replica in self.replicas]
         return results[0]
 
     def insert_sorted_batch(
         self, pairs: Sequence[Tuple[bytes, int]]
     ) -> List[Optional[int]]:
         self.router.tick(len(pairs))
-        results = self._fan_out(
-            "insert", len(pairs),
-            [
-                (lambda r=replica: r.index.insert_sorted_batch(pairs))
-                for replica in self.replicas
-            ],
-        )
+        results = [
+            replica.index.insert_sorted_batch(pairs)
+            for replica in self.replicas
+        ]
         return results[0]
 
     # ------------------------------------------------------------------
     # Reads: classify, route to one replica
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
-        self.router.note_access(key)
-        cls = self.router.classify_point(key)
-        self.router.observe(cls, [key])
-        self.router.tick(1, cls)
-        return self.router.replica_for(cls).index.lookup(key)
+        return self.router.route_point(key).index.lookup(key)
 
     def lookup_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
         if not keys:
@@ -395,7 +355,7 @@ def build_replica_set(
             reason="build",
         ))
     return ReplicaSet(
-        replicas, config, cost, executor=None,
+        replicas, config, cost,
         build_params={
             "table": table,
             "key_width": key_width,

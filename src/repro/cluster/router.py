@@ -66,36 +66,32 @@ class ClusterRouter:
         prefix = int.from_bytes(key[:2].ljust(2, b"\x00"), "big")
         return prefix * self.config.heat_buckets // 65536
 
-    def note_access(self, key: bytes) -> None:
-        """Fold one point access into the heat histogram."""
-        self._heat[self.bucket_of(key)] += 1
-        self._heat_total += 1
-
-    def is_hot(self, key: bytes) -> bool:
-        """Whether ``key``'s bucket exceeds the hot share threshold.
+    def _class_of(self, bucket: int) -> str:
+        """``point_hot`` if ``bucket`` exceeds the hot share threshold.
 
         Cold until at least one access per bucket has been seen on
         average — a near-empty histogram says nothing about skew.
         """
         total = self._heat_total
-        if total < self.config.heat_buckets:
-            return False
-        count = self._heat[self.bucket_of(key)]
-        return count * self.config.heat_buckets > (
-            self.config.hot_multiplier * total
-        )
+        buckets = self.config.heat_buckets
+        if total >= buckets and (
+            self._heat[bucket] * buckets > self.config.hot_multiplier * total
+        ):
+            return "point_hot"
+        return "point_cold"
+
+    def is_hot(self, key: bytes) -> bool:
+        """Whether ``key``'s bucket exceeds the hot share threshold."""
+        return self.classify_point(key) == "point_hot"
 
     def classify_point(self, key: bytes) -> str:
-        return "point_hot" if self.is_hot(key) else "point_cold"
+        return self._class_of(self.bucket_of(key))
 
     def observe(self, query_class: str, keys: Sequence[bytes]) -> None:
         """Record ``keys`` as recent probes for ``query_class``."""
         buffer = self._samples[query_class]
-        limit = self.config.probe_keys
-        for key in keys:
-            buffer.append(key)
-        if len(buffer) > limit:
-            del buffer[: len(buffer) - limit]
+        buffer.extend(keys)
+        del buffer[: -self.config.probe_keys]  # keep the last probe_keys
 
     def class_mix(self) -> Dict[str, float]:
         """Observed share of operations per query class."""
@@ -311,6 +307,22 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def route_point(self, key: bytes):
+        """Count, classify, sample and route one point read.
+
+        The access lands in the heat histogram before the key is
+        classified, so a read counts toward its own heat; the key then
+        joins its class's samples, the op clock advances (heartbeat,
+        then scoring) and the class's replica serves the read.
+        """
+        bucket = self.bucket_of(key)
+        self._heat[bucket] += 1
+        self._heat_total += 1
+        cls = self._class_of(bucket)
+        self.observe(cls, (key,))
+        self.tick(1, cls)
+        return self.replica_for(cls)
+
     def replica_for(self, query_class: str):
         """The replica currently serving ``query_class`` reads.
 
@@ -331,6 +343,26 @@ class ClusterRouter:
                 "no replica is up; reads cannot be served"
             )
         return target
+
+    def check_invariants(self) -> None:
+        """Raise ``ValueError`` naming the first broken invariant."""
+        config = self.config
+        for holds, invariant in (
+            (sum(self._heat) == self._heat_total,
+             "heat buckets sum to the heat total"),
+            (all(len(keys) <= config.probe_keys
+                 for keys in self._samples.values()),
+             "sample buffers hold at most probe_keys keys"),
+            (self._ops_since_beat < config.heartbeat_interval_ops,
+             "heartbeat counter below heartbeat_interval_ops"),
+            (self._ops_since_score < config.score_interval_ops,
+             "score counter below score_interval_ops"),
+            (all(0 <= rid < len(self.replicas)
+                 for rid in self._assignment.values()),
+             "every assignment is a replica id"),
+        ):
+            if not holds:
+                raise ValueError(f"ClusterRouter invariant broken: {invariant}")
 
     def assignment(self) -> Dict[str, int]:
         """Current class -> replica-id routing table (copy)."""

@@ -167,12 +167,13 @@ class _Outcome:
         return self.delta.weighted_cost() if self.delta is not None else 0.0
 
 
-class ParallelShardExecutor(ShardExecutor):
+class ParallelShardExecutor(SerialShardExecutor):
     """Modeled-concurrent scatter/gather with critical-path accounting.
 
     Sub-batches run on the calling thread in task order; the overlap
     between them is priced in the ledger, not executed (see the module
-    docstring).
+    docstring).  A scatter with nothing to overlap, or one the modeled
+    pool cannot take, runs the inherited serial loop.
 
     Args:
         workers: Modeled dispatch width — shards overlap in waves of
@@ -232,7 +233,6 @@ class ParallelShardExecutor(ShardExecutor):
         self.faults = faults
         self.strict_saturation = strict_saturation
         self.stats = ExecutorStats()
-        self._serial = SerialShardExecutor()
         self._closed = False
         #: Per-shard dispatch ordinal (FaultPlan addressing).
         self._ordinals: Dict[int, int] = {}
@@ -248,12 +248,10 @@ class ParallelShardExecutor(ShardExecutor):
     def run_tasks(
         self, op: str, tasks: Sequence[ShardTask], cost: CostModel
     ) -> List[Any]:
-        if not tasks:
-            return []
-        if len(tasks) == 1:
+        if len(tasks) <= 1:
             # Nothing to overlap: a single-shard scatter is exactly the
             # serial path (no coordination fee).
-            return self._serial.run_tasks(op, tasks, cost)
+            return super().run_tasks(op, tasks, cost)
         if self.faults is not None and self.faults.take_saturation():
             if self.strict_saturation:
                 raise ExecutorSaturatedError("dispatch pool saturated")
@@ -364,7 +362,7 @@ class ParallelShardExecutor(ShardExecutor):
         if obs.is_enabled():
             obs.emit(ExecutorDegradeEvent(op=op, reason=reason,
                                           scope="batch"))
-        return self._serial.run_tasks(op, tasks, cost)
+        return super().run_tasks(op, tasks, cost)
 
     # ------------------------------------------------------------------
     # Gather-side accounting (deterministic event order)

@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.bench.harness import make_u64_environment
 from repro.cache import CacheConfig, FrequencySketch, IndexCache
+from repro.cache.sketch import _MASK64, _ROW_SEEDS
 from repro.db.database import Database
 from repro.engine.arbiter import BudgetArbiter
 from repro.errors import CacheConfigError, ShardConfigError
@@ -91,6 +92,60 @@ class TestFrequencySketch:
         sketch.record(key)
         sketch.clear()
         assert sketch.estimate(key) == 0
+
+
+class _IndexListSketch(FrequencySketch):
+    """``record`` and ``estimate`` as they were before the lane table: a
+    fresh list of row indexes per key, with the shift derived here from
+    the width.  The reference the lanes must reproduce byte for byte."""
+
+    def _indexes(self, key):
+        h = int.from_bytes(key, "big")
+        shift = 64 - self.width.bit_length() + 1
+        return [
+            ((h * _ROW_SEEDS[row]) & _MASK64) >> shift
+            for row in range(self.depth)
+        ]
+
+    def record(self, key):
+        for row, idx in zip(self._rows, self._indexes(key)):
+            if row[idx] < 15:
+                row[idx] += 1
+        self._samples += 1
+        if self._samples >= self.sample_size:
+            self._age()
+
+    def estimate(self, key):
+        return min(
+            row[idx] for row, idx in zip(self._rows, self._indexes(key))
+        )
+
+
+@pytest.mark.parametrize("width", [2, 64, 1024])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_lanes_match_the_index_lists(width, depth):
+    rng = random.Random(f"lanes:{width}:{depth}")
+    keys = [rng.randbytes(rng.randint(1, 40)) for _ in range(24)]
+    # 40 recordings to the first aging pass, then one every 20.
+    lanes = FrequencySketch(width=width, depth=depth, sample_size=40)
+    lists = _IndexListSketch(width=width, depth=depth, sample_size=40)
+    for _phase in ("fresh", "after clear"):
+        for _ in range(200):
+            key = rng.choice(keys[:4] if rng.random() < 0.5 else keys)
+            lanes.record(key)
+            lists.record(key)
+            assert list(map(bytes, lanes._rows)) == \
+                list(map(bytes, lists._rows))
+            assert lanes._samples == lists._samples
+            probe = rng.choice(keys)
+            assert lanes.estimate(key) == lists.estimate(key)
+            assert lanes.estimate(probe) == lists.estimate(probe)
+        assert [lanes.estimate(k) for k in keys] == \
+            [lists.estimate(k) for k in keys]
+        lanes.clear()
+        lists.clear()
+        assert list(map(bytes, lanes._rows)) == [bytes(lanes.width)] * depth
+        assert [lanes.estimate(k) for k in keys] == [0] * len(keys)
 
 
 # ----------------------------------------------------------------------
@@ -641,3 +696,75 @@ class TestCacheObservability:
         assert budget_events[0].new_budget_bytes > 8192
         gauge = observer.registry.get("repro_cache_budget_bytes")
         assert gauge.value(shard="s0") == cache.budget_bytes
+
+
+# ----------------------------------------------------------------------
+# Invariant checks
+# ----------------------------------------------------------------------
+def filled_cache():
+    """A bound cache with 40 row entries and three descent intervals."""
+    cache, _, _ = make_bound_cache(budget=16 * 1024)
+    for v in range(40):
+        cache.probe_row(encode_u64(v))
+        cache.admit_row(encode_u64(v), v)
+    for lo in (10, 20, 30):
+        cache.admit_leaf(encode_u64(lo), encode_u64(lo + 5), object(), 0)
+    return cache
+
+
+def _set_sketch_counter(cache):
+    cache._sketch._rows[0][0] = 16
+
+
+def _empty_interval(cache):
+    lo = encode_u64(20)
+    cache._desc[lo] = (lo, cache._desc[lo][1])
+
+
+class TestCacheInvariants:
+    @pytest.fixture(scope="class")
+    def composed(self):
+        from tests.test_hot_path_accounting import _cluster_mix
+
+        return _cluster_mix()
+
+    def test_hold_on_a_live_composed_database(self, composed):
+        _, table = composed
+        for name in ("by_id", "by_cust"):
+            secondary = table.indexes[name]
+            tids = {
+                secondary.key_of_row(row): tid
+                for tid, row in table.table.iter_live()
+            }
+            index = secondary.index
+            caches = index.caches() if name == "by_id" else [index.cache]
+            for cache in caches:
+                assert cache._rows
+                cache.check_invariants(tids.get)
+
+    def test_hold_on_a_filled_cache(self):
+        cache = filled_cache()
+        cache.check_invariants({encode_u64(v): v for v in range(40)}.get)
+
+    @pytest.mark.parametrize("corrupt, invariant", [
+        (lambda c: setattr(c, "_row_capacity", len(c._rows) - 1),
+         "capacities"),
+        (lambda c: c._desc_keys.reverse(), "sorted interval starts"),
+        (_empty_interval, "lo < hi"),
+        (lambda c: setattr(c, "_row_reserved", 0), "cover the entries"),
+        (lambda c: setattr(c, "_desc_reserved", c._desc_reserved + 1),
+         "whole slabs"),
+        (lambda c: setattr(c, "_cache_bytes", c.budget_bytes + 1),
+         "budget_bytes"),
+        (_set_sketch_counter, "counters at most 15"),
+        (lambda c: setattr(c._sketch, "_samples", c._sketch.sample_size),
+         "sample_size"),
+        (lambda c: c._rows.__setitem__(encode_u64(7), 8), "tuple ids"),
+    ])
+    def test_corruption_raises(self, corrupt, invariant):
+        cache = filled_cache()
+        lookup = {encode_u64(v): v for v in range(40)}.get
+        cache.check_invariants(lookup)
+        corrupt(cache)
+        with pytest.raises(ValueError, match=invariant):
+            cache.check_invariants(lookup)

@@ -12,6 +12,11 @@ Covers the tier's four contracts:
   profile weight and every replica enrolls with the budget arbiter;
 * **billing** — advisor rebuilds are charged like bulk conversions and
   announced as ``replica_rebuild`` events.
+
+It also checks that the one-call point read
+(:meth:`~repro.cluster.ClusterRouter.route_point`) leaves every router
+field exactly where the five-step read left it, and that the router's
+``check_invariants`` holds on live clusters and catches corruption.
 """
 
 import random
@@ -515,3 +520,173 @@ class TestClusterIntegration:
                      "preset_profile"):
             assert hasattr(api, name), name
             assert name in api.__all__, name
+
+
+# ----------------------------------------------------------------------
+# One router call per point read
+# ----------------------------------------------------------------------
+def five_step_point_read(replica_set, key):
+    """A point read the way ``ReplicaSet.lookup`` made it before
+    ``ClusterRouter.route_point``: count the access, classify the key,
+    sample it, tick the op clock, route.  The heat update, the hot rule,
+    the sample trim and the tick body are written out over the router's
+    fields, so a change to the router's own copies of them cannot move
+    both sides of the comparison.  Returns ``(replica id, tuple id)``."""
+    router = replica_set.router
+    config = router.config
+    bucket = router.bucket_of(key)
+    router._heat[bucket] += 1
+    router._heat_total += 1
+    total = router._heat_total
+    hot = total >= config.heat_buckets and (
+        router._heat[bucket] * config.heat_buckets
+        > config.hot_multiplier * total
+    )
+    cls = "point_hot" if hot else "point_cold"
+    buffer = router._samples[cls]
+    buffer.append(key)
+    if len(buffer) > config.probe_keys:
+        del buffer[: len(buffer) - config.probe_keys]
+    router._class_ops[cls] += 1
+    router._ops_since_beat += 1
+    if router._ops_since_beat >= config.heartbeat_interval_ops:
+        router._ops_since_beat = 0
+        router.heartbeat()
+    router._ops_since_score += 1
+    if router._ops_since_score >= config.score_interval_ops:
+        router._ops_since_score = 0
+        router.score_round()
+    replica = router.replica_for(cls)
+    return replica.replica_id, replica.index.lookup(key)
+
+
+def router_state(router):
+    return (
+        router._heat, router._heat_total, router._samples, router._class_ops,
+        router._ops_since_beat, router._ops_since_score, router._assignment,
+        router._scores,
+    )
+
+
+#: Heat bucket (of 64) holding the hot keys of the outage cluster.
+HOT_BUCKET = 10
+
+
+def build_outage_cluster():
+    """A 3-replica cluster over 16 hot and 400 cold keys, with a
+    scripted outage.  Returns ``(db, replica set, hot, values)``."""
+    rng = random.Random(21)
+    hot = [(HOT_BUCKET << 10 | rng.randrange(1024)) << 48
+           | rng.getrandbits(48) for _ in range(16)]
+    values = sorted(set(hot) | {rng.getrandbits(64) for _ in range(400)})
+    # The load consumes heartbeat 0, then reads beat every 16 ops and
+    # score every 64: replica 0 goes down on beat 8 (read 128, a scoring
+    # step) and comes back on beat 12 (read 192, another); on beats
+    # 19-20 every replica is down.
+    plan = (FaultPlan()
+            .down(replica=0, beats=4, after=8)
+            .down(replica=0, beats=2, after=7)
+            .down(replica=1, beats=2, after=19)
+            .down(replica=2, beats=2, after=19))
+    db, table = make_table()
+    cfg = ReplicaConfig(
+        replicas=3, profiles=divergent_profiles(),
+        total_bound_bytes=120_000, score_interval_ops=64,
+        heartbeat_interval_ops=16, faults=plan,
+    )
+    secondary = table.create_index("by_k", ("k",), kind="elastic",
+                                   replicas=cfg)
+    table.insert_batch([(v, v & 0xFF) for v in values])
+    return db, secondary.index, hot, values
+
+
+class TestRoutePoint:
+    def test_matches_the_five_step_read(self):
+        db, replica_set, hot, values = build_outage_cluster()
+        ref_db, ref_set, _, _ = build_outage_cluster()
+        router, ref_router = replica_set.router, ref_set.router
+        served = []
+        route = router.route_point
+
+        def spy(key):
+            replica = route(key)
+            served.append(replica.replica_id)
+            return replica
+
+        router.route_point = spy
+        rng = random.Random(22)
+        coinciding = refused = 0
+        for _ in range(600):
+            value = rng.choice(hot) if rng.random() < 0.5 else (
+                rng.choice(values) if rng.random() < 0.8
+                else rng.getrandbits(64))
+            key = value.to_bytes(8, "big")
+            up_before = [replica.up for replica in replica_set.replicas]
+            try:
+                tid = replica_set.lookup(key)
+                got = (served.pop(), tid)
+            except RuntimeError as exc:
+                got = ("raised", str(exc))
+            try:
+                want = five_step_point_read(ref_set, key)
+            except RuntimeError as exc:
+                want = ("raised", str(exc))
+            assert got == want
+            assert got[0] == "raised" or replica_set.replicas[got[0]].up
+            assert router_state(router) == router_state(ref_router)
+            assert list(db.cost.counts.items()) == \
+                list(ref_db.cost.counts.items())
+            router.check_invariants()
+            refused += got[0] == "raised"
+            up_after = [replica.up for replica in replica_set.replicas]
+            coinciding += (up_after != up_before
+                           and router._ops_since_score == 0)
+        assert refused  # the all-down window was reached
+        assert coinciding >= 2  # up/down transitions on scoring steps
+        assert router._class_ops["point_hot"] > 0
+        assert router._class_ops["point_cold"] > 0
+
+    def test_samples_keep_the_last_probe_keys(self):
+        _, replica_set, hot, _ = build_outage_cluster()
+        router = replica_set.router
+        keys = [value.to_bytes(8, "big") for value in hot[:9]]
+        for key in keys:
+            router.route_point(key)
+        # Fewer reads than heat buckets: every one of them is cold.
+        assert router._samples == {
+            "point_hot": [], "point_cold": keys[-router.config.probe_keys:],
+            "batch": [], "scan": [],
+        }
+
+
+class TestRouterInvariants:
+    @pytest.fixture(scope="class")
+    def composed(self):
+        from tests.test_hot_path_accounting import _cluster_mix
+
+        return _cluster_mix()
+
+    def test_hold_on_a_live_composed_database(self, composed):
+        _, table = composed
+        table.indexes["by_id"].index.router.check_invariants()
+
+    @pytest.mark.parametrize("corrupt, invariant", [
+        (lambda r: r._heat.__setitem__(0, r._heat[0] + 1), "heat buckets"),
+        (lambda r: r._samples["scan"].extend(
+            [b"k"] * (r.config.probe_keys + 1)), "sample buffers"),
+        (lambda r: setattr(r, "_ops_since_beat",
+                           r.config.heartbeat_interval_ops),
+         "heartbeat counter"),
+        (lambda r: setattr(r, "_ops_since_score",
+                           r.config.score_interval_ops),
+         "score counter"),
+        (lambda r: r._assignment.__setitem__("scan", len(r.replicas)),
+         "assignment"),
+    ])
+    def test_corruption_raises(self, corrupt, invariant):
+        _, replica_set, _, _ = build_outage_cluster()
+        router = replica_set.router
+        router.check_invariants()
+        corrupt(router)
+        with pytest.raises(ValueError, match=invariant):
+            router.check_invariants()

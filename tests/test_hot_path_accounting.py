@@ -15,6 +15,7 @@ The pinned values below were recorded from that code.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -23,7 +24,9 @@ import pytest
 
 from repro import obs
 from repro.cache import CacheConfig
+from repro.cluster import ReplicaConfig, ReplicaProfile, preset_profile
 from repro.db.database import Database, _encode_column
+from repro.engine import FaultPlan
 from repro.memory.cost_model import CostModel
 from repro.table.table import RowSchema, Table
 from repro.tuning.advisor import _SampleView
@@ -559,6 +562,275 @@ class TestWriteAccountingIdentity:
         for index_name in ("by_k", "by_vk"):
             assert _controller_stats(table, index_name) == \
                 PINNED_WRITE[name]["stats"][index_name]
+
+
+CLUSTER_ROWS = 1_200
+CLUSTER_OPS = 3_000
+#: Heat bucket (of the router's 64) holding the hot ids, so the cluster
+#: router classifies their gets as ``point_hot``.
+HOT_BUCKET = 10
+ORDERS = RowSchema("orders", ("id", "cust", "ts"), (8, 8, 8))
+
+
+def _cluster_mix():
+    """Load the composed stack: a WAL, a 3-replica x 2-shard ``by_id``
+    cluster (lattice, compact and cached replicas) with a scripted
+    outage, a cached ``by_cust`` index, the budget arbiter and
+    self-tuning.  Then play a fixed seeded mix of every read shape plus
+    inserts and deletes through the facade.  Returns the database and
+    its table."""
+    rng = random.Random("hot-path:cluster")
+    db = Database(wal=WalConfig(group_size=16, shards=2))
+    table = db.create_table(ORDERS)
+    # Small sketches that age every 256 probes, so the mix reaches
+    # aging as well as admission.
+    sketch = {"sketch_width": 256, "sketch_sample_size": 256}
+    profiles = (
+        preset_profile("lattice"),
+        preset_profile("compact"),
+        # Shrinks from the start, so its row tier sees compact leaves.
+        ReplicaProfile(
+            name="cache",
+            cache=CacheConfig(budget_bytes=16 * 1024, adaptive=False,
+                              **sketch),
+            index_kwargs=(("shrink_trigger_fraction", 0.2),
+                          ("expand_trigger_fraction", 0.1)),
+        ),
+    )
+    id_bound = int(3 * 31.0 * CLUSTER_ROWS * 0.75)
+    cust_bound = int(43.4 * CLUSTER_ROWS * 0.75)
+    table.create_index(
+        "by_id", ("id",), kind="elastic", shards=2, partitioner="hash",
+        replicas=ReplicaConfig(
+            replicas=3, profiles=profiles, total_bound_bytes=id_bound,
+            score_interval_ops=128, heartbeat_interval_ops=32,
+            faults=FaultPlan().down(replica=2, beats=3, after=4),
+        ),
+    )
+    table.create_index(
+        "by_cust", ("cust", "ts"), kind="elastic",
+        size_bound_bytes=cust_bound,
+        cache=CacheConfig(budget_bytes=16 * 1024, **sketch),
+    )
+    db.enable_budget_arbiter(
+        id_bound + cust_bound, interval_ops=200, rebalance_fraction=0.0002,
+    )
+    customers = 60
+    hot = [
+        (HOT_BUCKET << 10 | rng.randrange(1024)) << 48 | rng.getrandbits(48)
+        for _ in range(48)
+    ]
+    ids = set(hot)
+    while len(ids) < CLUSTER_ROWS:
+        ids.add(rng.getrandbits(64))
+    order = sorted(ids, key=lambda _key: rng.random())
+    rows = [(key, rng.randrange(customers), ts)
+            for ts, key in enumerate(order, 1)]
+    live = dict(zip(table.insert_batch(rows), rows))
+    tid_of = {row[0]: tid for tid, row in live.items()}
+    db.enable_self_tuning()
+    db.cost.reset()
+    next_ts = len(rows) + 1
+    for _ in range(CLUSTER_OPS):
+        roll = rng.random()
+        if roll < 0.40:
+            key = rng.choice(hot if rng.random() < 0.7 else list(tid_of))
+            assert table.get("by_id", (key,)) == live[tid_of[key]]
+        elif roll < 0.48:
+            keys = [rng.choice(hot) for _ in range(6)]
+            absent = rng.getrandbits(64)
+            assert table.get_batch("by_id", [(k,) for k in keys + [absent]]) \
+                == [live[tid_of[k]] for k in keys] + [None]
+        elif roll < 0.56:
+            table.scan("by_id", (rng.getrandbits(64),), count=6)
+        elif roll < 0.62:
+            starts = [(rng.getrandbits(64),) for _ in range(3)]
+            table.scan_batch("by_id", starts, count=5)
+        elif roll < 0.64:
+            table.scan("by_cust", (rng.randrange(customers), 0), count=8)
+        elif roll < 0.70:
+            row = live[rng.choice(sorted(live))]
+            assert table.get("by_cust", (row[1], row[2])) == row
+        elif roll < 0.85:
+            row = (rng.getrandbits(64), rng.randrange(customers), next_ts)
+            next_ts += 1
+            tid = table.insert(row)
+            live[tid] = row
+            tid_of[row[0]] = tid
+        else:
+            tid = rng.choice(sorted(live))
+            if live[tid][0] not in hot:
+                row = live.pop(tid)
+                assert table.delete(tid) == row
+                del tid_of[row[0]]
+    return db, table
+
+
+def _sketch_digest(cache):
+    sketch = cache._sketch
+    rows = b"".join(bytes(row) for row in sketch._rows)
+    return hashlib.sha256(rows).hexdigest()[:16], sketch._samples
+
+
+def _cluster_ledger(db, table):
+    """Everything the composed mix pins, keyed by what it covers."""
+    replica_set = table.indexes["by_id"].index
+    router = replica_set.router
+    caches = replica_set.caches() + [table.indexes["by_cust"].index.cache]
+    return {
+        "counts": list(db.cost.counts.items()),
+        "tagged": [
+            (tag, list(bucket.items()))
+            for tag, bucket in db.cost.tagged.items()
+        ],
+        "assignment": router.assignment(),
+        "scores": router.scores(),
+        "class_mix": router.class_mix(),
+        "caches": {cache.name: asdict(cache.stats) for cache in caches},
+        "sketches": {cache.name: _sketch_digest(cache) for cache in caches},
+    }
+
+
+#: Recorded from the five-call router read path, the index-list sketch
+#: and the executor-driven replica write fan-out (same seeds).
+PINNED_CLUSTER = {'counts': [('rand_line', 34749),
+            ('compare', 181204),
+            ('branch', 168090),
+            ('seq_line', 11198),
+            ('log_append', 858),
+            ('alloc', 654),
+            ('copy_line', 16866),
+            ('key_load', 3242),
+            ('key_load_batched', 7276),
+            ('free', 600),
+            ('cache_hit', 3013),
+            ('log_fsync', 106),
+            ('fixed_op_milli', 173500),
+            ('model_eval', 126)],
+ 'tagged': [('compact.search',
+             [('rand_line', 9150),
+              ('seq_line', 11307),
+              ('compare', 113053),
+              ('branch', 109388),
+              ('key_load', 3352),
+              ('key_load_batched', 313)]),
+            ('compact.update',
+             [('copy_line', 14657),
+              ('compare', 13412),
+              ('rand_line', 2820),
+              ('branch', 5259),
+              ('free', 152),
+              ('alloc', 152)]),
+            ('elastic.convert',
+             [('rand_line', 706),
+              ('seq_line', 704),
+              ('copy_line', 930),
+              ('compare', 6656),
+              ('alloc', 496),
+              ('free', 334),
+              ('key_load_batched', 256)]),
+            ('learned.search',
+             [('rand_line', 475),
+              ('seq_line', 950),
+              ('model_eval', 475),
+              ('compare', 2409),
+              ('branch', 2409),
+              ('key_load', 1466),
+              ('key_load_batched', 5)]),
+            ('learned.update',
+             [('copy_line', 952),
+              ('free', 47),
+              ('alloc', 47),
+              ('rand_line', 47)]),
+            ('learned.retrain',
+             [('rand_line', 43),
+              ('key_load_batched', 1598),
+              ('compare', 1598),
+              ('copy_line', 74),
+              ('free', 20),
+              ('alloc', 20)])],
+ 'assignment': {'point_cold': 2, 'batch': 2, 'scan': 0, 'point_hot': 2},
+ 'scores': {('point_cold', 0): 7.575,
+            ('point_cold', 1): 7.335000000000001,
+            ('batch', 0): 4.8425,
+            ('batch', 1): 4.3675,
+            ('scan', 0): 24.7775,
+            ('scan', 1): 24.815,
+            ('point_hot', 0): 4.55,
+            ('point_hot', 1): 4.55,
+            ('point_hot', 2): 0.1,
+            ('point_cold', 2): 6.005,
+            ('batch', 2): 1.6975,
+            ('scan', 2): 29.4125},
+ 'class_mix': {'point_hot': 0.21426655939930275,
+               'point_cold': 0.10673102708500938,
+               'batch': 0.48055779029230355,
+               'scan': 0.1984446232233843},
+ 'caches': {'orders.by_id/r2[0].cache': {'row_hits': 891,
+                                         'row_misses': 287,
+                                         'desc_hits': 73,
+                                         'desc_misses': 79,
+                                         'row_admits': 146,
+                                         'desc_admits': 79,
+                                         'row_rejects': 0,
+                                         'row_evictions': 0,
+                                         'desc_evictions': 0,
+                                         'row_invalidations': 47,
+                                         'desc_invalidations': 71,
+                                         'epoch_clears': 0},
+            'orders.by_id/r2[1].cache': {'row_hits': 1447,
+                                         'row_misses': 300,
+                                         'desc_hits': 64,
+                                         'desc_misses': 86,
+                                         'row_admits': 147,
+                                         'desc_admits': 86,
+                                         'row_rejects': 0,
+                                         'row_evictions': 0,
+                                         'desc_evictions': 0,
+                                         'row_invalidations': 32,
+                                         'desc_invalidations': 76,
+                                         'epoch_clears': 0},
+            'orders.by_cust.cache': {'row_hits': 4,
+                                     'row_misses': 166,
+                                     'desc_hits': 0,
+                                     'desc_misses': 166,
+                                     'row_admits': 46,
+                                     'desc_admits': 16,
+                                     'row_rejects': 20,
+                                     'row_evictions': 8,
+                                     'desc_evictions': 10,
+                                     'row_invalidations': 6,
+                                     'desc_invalidations': 6,
+                                     'epoch_clears': 5}},
+ 'sketches': {'orders.by_id/r2[0].cache': ('51a62cea69d7956f', 154),
+              'orders.by_id/r2[1].cache': ('4258dbf5bcf0afab', 211),
+              'orders.by_cust.cache': ('18b202cfd8e9c28e', 170)}}
+
+
+@pytest.fixture(scope="module")
+def cluster_mix():
+    return _cluster_mix()
+
+
+class TestClusterAccountingIdentity:
+    def test_shape_reaches_the_cluster_paths(self, cluster_mix):
+        db, table = cluster_mix
+        replica_set = table.indexes["by_id"].index
+        assert replica_set.config.faults.exhausted  # the outage fired
+        assert set(replica_set.router.assignment()) == {
+            "point_hot", "point_cold", "batch", "scan"}
+        caches = replica_set.caches() + [table.indexes["by_cust"].index.cache]
+        assert all(cache.stats.row_hits > 0 for cache in caches)
+        assert any(cache.stats.row_rejects > 0 for cache in caches)
+        assert db.cost.counts["log_fsync"] > 0  # group commits ran
+        assert db.advisor.stats.actions_applied > 0
+
+    @pytest.mark.parametrize("part", [
+        "counts", "tagged", "assignment", "scores", "class_mix", "caches",
+        "sketches",
+    ])
+    def test_pinned(self, cluster_mix, part):
+        assert _cluster_ledger(*cluster_mix)[part] == PINNED_CLUSTER[part]
 
 
 def _plain_table():
