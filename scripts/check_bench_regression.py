@@ -17,7 +17,9 @@ wall-clock), checked three ways:
   into the hot path — the zero-overhead guarantee of ``repro.obs``;
 * its **enabled replay** — the same smoke rerun with observability on
   and an ``Observer`` attached, which must reproduce every cost metric
-  and make the gate's activity visible as registry metrics and events.
+  and make the gate's activity visible: state changes as events and
+  registry metrics, per-call activity as the layer ``stats`` fields the
+  driver copies into its ``meta``.
 
 A subprocess smoke also exercises the ``DBTable`` read/write surface
 under ``-W error::DeprecationWarning`` to prove the current spellings
@@ -121,6 +123,22 @@ def captured(log: str, kind: str):
     return lambda observer, meta: meta[log].get(kind, 0)
 
 
+def stat(*path: str):
+    """Replay count: a layer ``stats`` field the driver copied into its
+    ``meta`` at ``path``."""
+    def count(observer, meta):
+        for key in path:
+            meta = meta[key]
+        return meta
+    return count
+
+
+def every(*counts):
+    """Replay count: the smallest of ``counts``, so any zero fails."""
+    return lambda observer, meta: min(count(observer, meta)
+                                      for count in counts)
+
+
 def _answers(gate: str, what: str, changes: str) -> tuple:
     """The contract most gates share: arms differ in cost, not answers."""
     return (lambda m: m["results_identical"],
@@ -188,8 +206,9 @@ GATES: Dict[str, Gate] = {
         replay=(
             (lambda observer, meta: len(observer.events),
              "no events captured — emission is wired wrong"),
-            (registry("repro_batch_dispatch_ops_total"),
-             "no batch dispatch metrics recorded"),
+            (every(*(stat(kind, "dispatched_gets")
+                     for kind in BATCH_INDEXES)),
+             "no batch dispatches counted (BatchExecutor.stats.by_kind)"),
         ),
     ),
     # Two tables, two shards each, one global bound: the budget arbiter
@@ -268,10 +287,12 @@ GATES: Dict[str, Gate] = {
         replay=(
             (lambda observer, meta: meta["results_identical"],
              "parallel results diverged from serial"),
-            (registry("repro_shard_dispatch_ops_total"),
-             "no shard dispatch metrics recorded"),
-            (events("parallel_gather"),
-             "no parallel_gather events captured"),
+            (stat("per_shards", "4", "dispatches"),
+             "no shard dispatches counted at 4 shards "
+             "(ExecutorStats.dispatches)"),
+            (stat("per_shards", "4", "gathers"),
+             "no parallel gathers counted at 4 shards "
+             "(ExecutorStats.batches)"),
         ),
     ),
     # YCSB-C zipfian + IOTTA trace, cache on vs off at one soft bound:
@@ -302,10 +323,11 @@ GATES: Dict[str, Gate] = {
             )
         ),
         replay=(
-            (registry("repro_cache_events_total"),
-             "no cache events recorded — emission is wired wrong"),
-            (registry("repro_cache_hit_rate"),
-             "cache hit-rate gauge never set"),
+            (every(stat("zipf_cache_report", "lookups"),
+                   stat("iotta_cache_report", "lookups")),
+             "no cache lookups counted (CacheStats.lookups)"),
+            (every(stat("zipf_hit_rate"), stat("iotta_hit_rate")),
+             "cache hit rate is zero (CacheStats.hit_rate)"),
         ),
     ),
     # Scalar vs batched vs wave-priced lookups across wave widths on
@@ -333,9 +355,10 @@ GATES: Dict[str, Gate] = {
              f"pricing below floor {MLP_SAVING_FLOOR}"),
         ),
         replay=(
-            (registry("repro_mlp_waves_total"),
-             "no mlp wave metrics recorded — emission is wired wrong"),
-            (events("mlp_wave"), "no mlp_wave events captured"),
+            (every(*(stat(kind, "mlp_waves") for kind in MLP_INDEXES)),
+             "no prefetch waves counted (CostModel.mlp_totals.waves)"),
+            (every(*(stat(kind, "mlp_loads") for kind in MLP_INDEXES)),
+             "no wave-priced loads counted (CostModel.mlp_totals.loads)"),
         ),
     ),
     # Full vs compact vs learned leaves vs 2-way and 3-way elastic arms
@@ -450,12 +473,14 @@ GATES: Dict[str, Gate] = {
              "crash landed on a group boundary and proves nothing"),
         ),
         replay=(
-            (registry("repro_wal_records_total"),
-             "no wal record metrics recorded — emission is wired wrong"),
-            (captured("crash_events", "wal_append"),
-             "no wal_append events captured in the crash arm"),
-            (captured("crash_events", "group_commit"),
-             "no group_commit events captured"),
+            (stat("group_records"),
+             "no records in the group-commit arm's log "
+             "(WriteAheadLog.records)"),
+            (stat("crash_records"),
+             "no records appended in the crash arm "
+             "(WriteAheadLog.records)"),
+            (stat("crash_fsyncs"),
+             "no fsync barriers in the crash arm (WriteAheadLog.fsyncs)"),
             (captured("crash_events", "recovery_replay"),
              "no recovery_replay event captured — the recovery was "
              "invisible"),
@@ -493,7 +518,10 @@ GATES: Dict[str, Gate] = {
             (registry("repro_tuning_actions_total"),
              "no repro_tuning_actions_total metrics recorded — emission "
              "is wired wrong"),
-            (events("tuning_probe"), "no tuning_probe events captured"),
+            (lambda observer, meta: min(v["candidates_scored"]
+                                        for v in meta["scenarios"].values()),
+             "advisor scored no candidate on a scenario "
+             "(TuningStats.candidates_scored)"),
             (events("tuning_action"),
              "no tuning_action events captured — the advisor's decisions "
              "were invisible"),

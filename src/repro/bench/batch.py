@@ -131,6 +131,7 @@ def run(
             "scalar_wall_s": wall_scalar,
             "batch_wall_s": batch_walls[top],
             "wall_speedup": speedup,
+            "dispatched_gets": executor.stats.by_kind.get("get", 0),
         }
         result.add_row(
             f"{kind} @batch={batch_sizes[top]}",

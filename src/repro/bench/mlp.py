@@ -108,6 +108,8 @@ def run(
             "saving_at_w4_vs_scalar": saving_vs_scalar,
             "results_identical": results_identical,
             "w1_exact": w1_exact,
+            "mlp_waves": env.cost.mlp_totals.waves,
+            "mlp_loads": env.cost.mlp_totals.loads,
         }
         result.add_row(
             f"{kind} @W=4",

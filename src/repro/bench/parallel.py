@@ -24,7 +24,7 @@ after which extra shards only deepen the wave count.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.bench.harness import ExperimentResult
 from repro.engine import ParallelShardExecutor, build_sharded_index
@@ -156,6 +156,8 @@ def run(
             "serial_sum_units": stats.serial_sum_units,
             "critical_path_units": stats.critical_path_units,
             "saved_units": saved,
+            "dispatches": stats.dispatches,
+            "gathers": stats.batches,
             "results_identical": identical,
         }
         result.add_row(

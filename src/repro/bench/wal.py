@@ -29,8 +29,9 @@ all running the same batched insert/delete workload:
 
 All three live arms must return byte-identical table/index digests;
 ``capture_events=True`` replays the recovery arm under observability
-and reports the ``wal_append`` / ``group_commit`` /
-``recovery_replay`` event mix.
+and reports its event mix (the ``recovery_replay`` event).  Appends and
+fsync barriers are read from the logs themselves: ``group_records``,
+``crash_records`` and ``crash_fsyncs`` in the result's ``meta``.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ def _run_crash_arm(
         "cost_until_crash": delta.weighted_cost(),
         "durable_records": durable,
         "total_records": len(db.wal.records),
+        "fsyncs": db.wal.fsyncs,
         "report": report,
         "digest": state_digest(new_db),
         "recovered_db": new_db,
@@ -308,6 +310,9 @@ def run(
         "records_replayed": report.records_replayed,
         "records_discarded": report.records_discarded,
         "crash_events": crash_events,
+        "group_records": len(group["db"].wal.records),
+        "crash_records": crash["total_records"],
+        "crash_fsyncs": crash["fsyncs"],
         "total_ops": total_ops,
     }
     result.meta = meta  # type: ignore[attr-defined]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro import obs
 from repro.btree.leaves import (
     LeafFullError,
     LeafNode,
@@ -15,7 +14,6 @@ from repro.btree.leaves import (
 )
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
-from repro.obs import BatchDescentEvent, MlpWaveEvent
 
 INNER_HEADER_BYTES = 24
 POINTER_BYTES = 8
@@ -319,25 +317,6 @@ class BPlusTree:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return order, [keys[i] for i in order]
 
-    @staticmethod
-    def _emit_batch_descent(op: str, batch_size: int, descents: int) -> None:
-        """Publish one :class:`~repro.obs.BatchDescentEvent` if enabled."""
-        if obs.is_enabled():
-            obs.emit(BatchDescentEvent(
-                op=op, batch_size=batch_size, descents=descents,
-            ))
-
-    @staticmethod
-    def _emit_mlp_wave(op: str, wave) -> None:
-        """Publish one :class:`~repro.obs.MlpWaveEvent` if the window
-        actually wave-priced loads (width >= 2 and loads issued)."""
-        if wave.loads and obs.is_enabled():
-            obs.emit(MlpWaveEvent(
-                op=op, width=wave.width, waves=wave.waves,
-                loads=wave.loads, overlapped=wave.overlapped,
-                saved_units=wave.saved_units,
-            ))
-
     # ------------------------------------------------------------------
     # Point operations
     # ------------------------------------------------------------------
@@ -382,7 +361,7 @@ class BPlusTree:
         order, run = self._sorted_run(keys)
         # The batch's subtree descents and leaf accesses are independent
         # loads: under a wave width >= 2 they issue as prefetch waves.
-        with self.cost.mlp_window() as wave:
+        with self.cost.mlp_window():
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
                 hits = leaf.lookup_batch(run[lo:hi])
@@ -394,8 +373,6 @@ class BPlusTree:
                     results[position] = tid
                     if compact and tid is not None:
                         cache.admit_row(run[lo + offset], tid)
-        self._emit_batch_descent("lookup", len(keys), len(groups))
-        self._emit_mlp_wave("lookup", wave)
         return results
 
     @staticmethod
@@ -462,14 +439,12 @@ class BPlusTree:
         path: Path = []
         leaf: Optional[LeafNode] = None
         upper: Optional[bytes] = None
-        descents = 0
         for i in order:
             key, tid = pairs[i]
             if len(key) != self.key_width:
                 raise ValueError(f"key width {len(key)} != {self.key_width}")
             if leaf is None or (upper is not None and key >= upper):
                 path, leaf, upper = self._descend_bounded(key)
-                descents += 1
             try:
                 old = leaf.upsert(key, tid)
             except LeafFullError:
@@ -486,7 +461,6 @@ class BPlusTree:
                 self._count += 1
             else:
                 results[i] = old
-        self._emit_batch_descent("insert", len(pairs), descents)
         return results
 
     def _after_batch_structural_change(self) -> None:
@@ -542,15 +516,13 @@ class BPlusTree:
         # Shared descents plus per-scan iteration key loads wave-price
         # under the window; the leaf-chain pointer chases inside
         # _collect_scan are dependent and stay serially priced.
-        with self.cost.mlp_window() as wave:
+        with self.cost.mlp_window():
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
                 for offset in range(lo, hi):
                     results[order[offset]] = self._collect_scan(
                         leaf, run[offset], count
                     )
-        self._emit_batch_descent("scan", len(start_keys), len(groups))
-        self._emit_mlp_wave("scan", wave)
         return results
 
     def _collect_scan(

@@ -39,11 +39,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.cache.config import CacheConfig
 from repro.cache.sketch import FrequencySketch
 from repro.errors import CacheConfigError
-from repro.obs import CacheEvent
 
 #: Entries reserved per allocator call (amortizes the per-call alloc
 #: cost the tracking allocator charges).
@@ -219,12 +217,8 @@ class IndexCache:
             rows.move_to_end(key)
             self.stats.row_hits += 1
             self._window_hits += 1
-            if obs.is_enabled():
-                obs.emit(CacheEvent(name=self.name, action="hit", tier="row"))
             return tid
         self.stats.row_misses += 1
-        if obs.is_enabled():
-            obs.emit(CacheEvent(name=self.name, action="miss", tier="row"))
         return None
 
     def probe_leaf(self, key: bytes, epoch: int):
@@ -246,14 +240,8 @@ class IndexCache:
                 self._desc.move_to_end(lo)
                 self.stats.desc_hits += 1
                 self._window_hits += 1
-                if obs.is_enabled():
-                    obs.emit(CacheEvent(
-                        name=self.name, action="hit", tier="descent",
-                    ))
                 return leaf
         self.stats.desc_misses += 1
-        if obs.is_enabled():
-            obs.emit(CacheEvent(name=self.name, action="miss", tier="descent"))
         return None
 
     # ------------------------------------------------------------------
@@ -277,18 +265,9 @@ class IndexCache:
                 return
             del rows[victim]
             self.stats.row_evictions += 1
-            if obs.is_enabled():
-                obs.emit(CacheEvent(
-                    name=self.name, action="evict", tier="row",
-                ))
         rows[key] = tid
         self.stats.row_admits += 1
         self._reserve("row")
-        if obs.is_enabled():
-            obs.emit(CacheEvent(
-                name=self.name, action="admit", tier="row",
-                entries=len(rows),
-            ))
 
     def admit_leaf(
         self,
@@ -317,19 +296,10 @@ class IndexCache:
             victim, _ = desc.popitem(last=False)
             del self._desc_keys[bisect_left(self._desc_keys, victim)]
             self.stats.desc_evictions += 1
-            if obs.is_enabled():
-                obs.emit(CacheEvent(
-                    name=self.name, action="evict", tier="descent",
-                ))
         desc[lo_key] = (hi, leaf)
         insort(self._desc_keys, lo_key)
         self.stats.desc_admits += 1
         self._reserve("descent")
-        if obs.is_enabled():
-            obs.emit(CacheEvent(
-                name=self.name, action="admit", tier="descent",
-                entries=len(desc),
-            ))
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -338,10 +308,6 @@ class IndexCache:
         """Drop a hot-row entry before its tuple id changes (write path)."""
         if self._rows.pop(key, None) is not None:
             self.stats.row_invalidations += 1
-            if obs.is_enabled():
-                obs.emit(CacheEvent(
-                    name=self.name, action="invalidate", tier="row",
-                ))
 
     def invalidate_key(self, key: bytes) -> None:
         """Drop every entry that could serve ``key``: the hot-row entry
@@ -363,20 +329,11 @@ class IndexCache:
                 del self._desc[lo]
                 del keys[i]
                 self.stats.desc_invalidations += 1
-                if obs.is_enabled():
-                    obs.emit(CacheEvent(
-                        name=self.name, action="invalidate", tier="descent",
-                    ))
 
     def _clear_descent(self, epoch: int) -> None:
         if self._desc:
             self.stats.desc_invalidations += len(self._desc)
             self.stats.epoch_clears += 1
-            if obs.is_enabled():
-                obs.emit(CacheEvent(
-                    name=self.name, action="invalidate", tier="descent",
-                    entries=len(self._desc),
-                ))
             self._desc.clear()
             self._desc_keys.clear()
         self._desc_epoch = epoch
@@ -385,11 +342,6 @@ class IndexCache:
         """Drop every entry (bulk load / rebuild); keeps reservations."""
         if self._rows:
             self.stats.row_invalidations += len(self._rows)
-            if obs.is_enabled():
-                obs.emit(CacheEvent(
-                    name=self.name, action="invalidate", tier="row",
-                    entries=len(self._rows),
-                ))
             self._rows.clear()
         self._clear_descent(self._desc_epoch)
         self._sketch.clear()

@@ -160,7 +160,7 @@ class ElasticBPlusTree(BPlusTree):
         # Wave-price the shared descent and leaf visits; deferred
         # expansion work below is structural (copies, allocs), not a set
         # of independent loads, so it runs outside the window.
-        with self.cost.mlp_window() as wave:
+        with self.cost.mlp_window():
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
                 leaf.access_count += hi - lo
@@ -174,8 +174,6 @@ class ElasticBPlusTree(BPlusTree):
                     if compact and tid is not None:
                         cache.admit_row(run[lo + offset], tid)
                 visited.append((leaf, hi - lo))
-        self._emit_batch_descent("lookup", len(keys), len(groups))
-        self._emit_mlp_wave("lookup", wave)
         self._run_deferred_expansion(visited)
         self.controller.run_pending()
         return results
@@ -186,7 +184,7 @@ class ElasticBPlusTree(BPlusTree):
             return results
         order, run = self._sorted_run(start_keys)
         visited: List[Tuple[LeafNode, int]] = []
-        with self.cost.mlp_window() as wave:
+        with self.cost.mlp_window():
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
                 leaf.access_count += hi - lo
@@ -195,8 +193,6 @@ class ElasticBPlusTree(BPlusTree):
                         leaf, run[offset], count
                     )
                 visited.append((leaf, hi - lo))
-        self._emit_batch_descent("scan", len(start_keys), len(groups))
-        self._emit_mlp_wave("scan", wave)
         self._run_deferred_expansion(visited)
         self.controller.run_pending()
         return results

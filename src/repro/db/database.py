@@ -16,6 +16,7 @@ from repro.engine import (
     largest_remainder,
     make_executor,
 )
+from repro.db.metrics import layer_metrics
 from repro.db.write import WriteBatch
 from repro.errors import (
     CacheConfigError,
@@ -588,12 +589,18 @@ class Database:
     """A set of tables sharing one cost account and allocator.
 
     Every database owns an :class:`~repro.obs.Observer` subscribed to
-    the global event bus: with observability enabled by the caller
-    (``with repro.obs.enabled():``) elasticity and batch events are
-    folded into its metrics registry and bounded event log, surfaced via
-    :meth:`metrics_snapshot` / :meth:`event_log`.  With it disabled (the
-    default) no events are published, so the observer stays empty and
-    the hot paths are untouched.
+    the process-wide event bus: with observability enabled by the caller
+    (``with repro.obs.enabled():``) state-change events — leaf
+    conversions, pressure transitions, rebalances, routes, recoveries,
+    tuning actions — are folded into its metrics registry and bounded
+    event log, surfaced via :meth:`metrics_snapshot` / :meth:`event_log`.
+    The bus is shared, so those events include every other database's in
+    the process.  With it disabled (the default) no events are
+    published, so the observer stays empty and the hot paths are
+    untouched.  Per-call activity (cache probes, batch dispatches,
+    prefetch waves, WAL appends and barriers) is read from this
+    database's own layer ``stats`` by :meth:`metrics_snapshot`, on or
+    off (see :mod:`repro.db.metrics`).
 
     A :class:`~repro.wal.WalConfig` as ``wal`` attaches the durable
     write pipeline: every :class:`~repro.db.write.WriteBatch` commit
@@ -799,8 +806,10 @@ class Database:
         return self.observer.tracer.trace_op(self.cost, op, target)
 
     def metrics_snapshot(self) -> str:
-        """Prometheus exposition text of the observer's registry."""
-        return self.observer.metrics_snapshot()
+        """Prometheus exposition text: the observer's event-fed
+        families plus the families read from this database's layer
+        stats at call time."""
+        return self.observer.registry.render_prometheus(layer_metrics(self))
 
     def event_log(self, kind: Optional[str] = None) -> List[Event]:
         """Events retained by the observer, oldest first."""

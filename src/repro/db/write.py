@@ -17,15 +17,14 @@ sequences.
 Commit first rejects a delete of a row not live at its turn, before
 anything is logged, applied or charged, so the log never holds a record
 recovery could not replay.  With a log configured, commit then appends
-one logical redo record per row (``log_append`` each), emits the batch's
-:class:`~repro.obs.WalAppendEvent`, and schedules group-commit fsync
-barriers (see :mod:`repro.wal.log`); only then does it mutate volatile
-state, one staged operation at a time, ticking the budget arbiter after
-each — which is also what fixes the historical gap where batched writes
-never drove ``Database._tick``.  A scripted kill firing during the
-append or fsync phase leaves volatile state untouched; one firing
-between applies leaves a prefix applied, which recovery discards
-wholesale and rebuilds from the durable log.
+one logical redo record per row (``log_append`` each) and schedules
+group-commit fsync barriers (see :mod:`repro.wal.log`); only then does
+it mutate volatile state, one staged operation at a time, ticking the
+budget arbiter after each — which is also what fixes the historical gap
+where batched writes never drove ``Database._tick``.  A scripted kill
+firing during the append or fsync phase leaves volatile state
+untouched; one firing between applies leaves a prefix applied, which
+recovery discards wholesale and rebuilds from the durable log.
 
 Usage::
 
@@ -41,9 +40,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import obs
 from repro.errors import WalError
-from repro.obs import WalAppendEvent
 from repro.table.table import TidReplay
 
 if TYPE_CHECKING:
@@ -145,32 +142,18 @@ class WriteBatch:
         db = self._db
         wal = db.wal
         if wal is not None and self._staged:
-            records = []
             for op, dbtable, payload in self._staged:
                 name = dbtable.schema.name
                 row_bytes = dbtable.table.row_bytes
                 if op == "insert":
-                    records.append(
-                        wal.append("insert", name, payload, row_bytes)
-                    )
+                    wal.append("insert", name, payload, row_bytes)
                 elif op == "insert_rows":
                     for row in payload:
-                        records.append(
-                            wal.append("insert", name, row, row_bytes)
-                        )
+                        wal.append("insert", name, row, row_bytes)
                 else:
-                    records.append(wal.append(
+                    wal.append(
                         "delete", name, payload, _DELETE_PAYLOAD_BYTES
-                    ))
-            if records and obs.is_enabled():
-                obs.emit(WalAppendEvent(
-                    records=len(records),
-                    batch_ops=len(self._staged),
-                    nbytes=sum(r.nbytes for r in records),
-                    streams=wal.config.shards,
-                    first_lsn=records[0].lsn,
-                    last_lsn=records[-1].lsn,
-                ))
+                    )
             wal.group_commit()
         tids: List[int] = []
         for op, dbtable, payload in self._staged:

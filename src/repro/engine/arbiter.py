@@ -28,16 +28,12 @@ ordinary transition rules are evaluated against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro import obs
 from repro.errors import InvalidBudgetError, ShardConfigError
 from repro.memory.budget import PressureState
-from repro.obs import (
-    BudgetRebalanceEvent,
-    CacheBudgetEvent,
-    ShardPressureEvent,
-)
+from repro.obs import BudgetRebalanceEvent, CacheBudgetEvent
 
 
 def largest_remainder(total: int, weights: Sequence[float]) -> List[int]:
@@ -241,20 +237,9 @@ class BudgetArbiter:
         old_bounds = [
             c.budget.soft_bound_bytes for c in self._controllers
         ]
-        emit = obs.is_enabled()
-        for name, controller, size, state in zip(
-            self._names, self._controllers, sizes, states
-        ):
-            self.stats.samples_by_state[state.value] = (
-                self.stats.samples_by_state.get(state.value, 0) + 1
-            )
-            if emit:
-                obs.emit(ShardPressureEvent(
-                    shard=name, state=state.value, index_bytes=size,
-                    soft_bound_bytes=controller.budget.soft_bound_bytes,
-                    headroom_bytes=controller.budget.headroom_bytes(size),
-                ))
-
+        samples = self.stats.samples_by_state
+        for state in states:
+            samples[state.value] = samples.get(state.value, 0) + 1
         new_bounds = self._apportion(sizes, states)
         moved = sum(
             abs(new - old) for new, old in zip(new_bounds, old_bounds)
@@ -269,7 +254,7 @@ class BudgetArbiter:
                 controller.set_soft_bound(bound)
         self.stats.rebalances += 1
         self.stats.bytes_moved += moved
-        if emit:
+        if obs.is_enabled():
             obs.emit(BudgetRebalanceEvent(
                 reason=reason,
                 total_bytes=self.total_bytes,

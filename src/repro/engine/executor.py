@@ -44,7 +44,9 @@ twice (nor can a rebate recreate serial pricing for a wave-priced
 load).
 
 Robustness layers (all scriptable via
-:class:`~repro.engine.faults.FaultPlan`, all observable as events):
+:class:`~repro.engine.faults.FaultPlan`; each fault that fires is an
+event, while dispatches, gathers and the critical-path ledger are
+counted on :class:`ExecutorStats`):
 
 * **bounded retry with backoff** — a shard reporting a transient
   conflict (:class:`~repro.errors.ShardConflictError`, the OLC
@@ -77,13 +79,7 @@ from repro.errors import (
     ShardConflictError,
 )
 from repro.memory.cost_model import CostModel
-from repro.obs import (
-    ExecutorDegradeEvent,
-    ParallelGatherEvent,
-    ShardDispatchEvent,
-    ShardHedgeEvent,
-    ShardRetryEvent,
-)
+from repro.obs import ExecutorDegradeEvent, ShardHedgeEvent, ShardRetryEvent
 
 
 @dataclass
@@ -154,7 +150,6 @@ class _Outcome:
     task: ShardTask
     result: Any = None
     delta: Optional[CostModel] = None
-    attempts: int = 1
     retries: List[Tuple[int, float]] = field(default_factory=list)
     degraded: bool = False
     hedged: bool = False
@@ -314,7 +309,6 @@ class ParallelShardExecutor(SerialShardExecutor):
                         faults.drop_conflicts(task.shard_id, ordinal)
                     outcome.degraded = True
                     outcome.result = task.run()
-                    attempt += 1
                     break
                 backoff = self.backoff_units * (2 ** (attempt - 1))
                 if backoff:
@@ -327,7 +321,6 @@ class ParallelShardExecutor(SerialShardExecutor):
             if delay:
                 cost.fixed_ops(delay)
         outcome.delta = delta
-        outcome.attempts = attempt
         return outcome
 
     def _hedge(self, op: str, outcome: _Outcome, cost: CostModel) -> None:
@@ -377,7 +370,7 @@ class ParallelShardExecutor(SerialShardExecutor):
         stats.serial_sum_units += serial_sum
         stats.critical_path_units += critical
         emit = obs.is_enabled()
-        for position, outcome in enumerate(outcomes):
+        for outcome in outcomes:
             stats.retries += len(outcome.retries)
             if outcome.degraded:
                 stats.degraded_shards += 1
@@ -404,21 +397,6 @@ class ParallelShardExecutor(SerialShardExecutor):
                     hedge_units=outcome.hedge_units,
                     winner=outcome.hedge_winner,
                 ))
-            obs.emit(ShardDispatchEvent(
-                op=op, shard=outcome.task.shard_id, ops=outcome.task.ops,
-                wave=position // self.workers, attempts=outcome.attempts,
-                cost_units=outcome.cost_units, hedged=outcome.hedged,
-            ))
-        if emit:
-            obs.emit(ParallelGatherEvent(
-                op=op, shards=len(outcomes),
-                waves=(len(outcomes) + self.workers - 1) // self.workers,
-                workers=self.workers,
-                ops=sum(outcome.task.ops for outcome in outcomes),
-                serial_sum_units=serial_sum,
-                critical_path_units=critical,
-                coordination_units=self.coordination_units * len(outcomes),
-            ))
 
 
 def make_executor(

@@ -34,13 +34,11 @@ import heapq
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.engine.executor import SerialShardExecutor, ShardExecutor, ShardTask
 from repro.engine.partition import Partitioner, make_partitioner
 from repro.engine.shard import IndexShard
 from repro.errors import ShardConfigError
 from repro.memory.cost_model import NULL_COST_MODEL, CostModel
-from repro.obs import ShardRouteEvent
 
 #: Shared default backend: stateless, so one instance serves every
 #: serial-routed index.
@@ -125,18 +123,9 @@ class ShardedIndex:
             groups.setdefault(shard_of(key), []).append(position)
         return groups
 
-    def _emit_routes(self, op: str, groups: Dict[int, List[int]]) -> None:
-        if obs.is_enabled():
-            for shard_id, positions in sorted(groups.items()):
-                obs.emit(ShardRouteEvent(
-                    op=op, shard=shard_id, ops=len(positions),
-                    fanout=len(groups),
-                ))
-
     def lookup_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
         results: List[Optional[int]] = [None] * len(keys)
         groups = self._group_by_shard(keys)
-        self._emit_routes("get", groups)
         tasks = [
             ShardTask(
                 shard_id=shard_id, ops=len(positions), read_only=True,
@@ -156,7 +145,6 @@ class ShardedIndex:
     ) -> List[Optional[int]]:
         results: List[Optional[int]] = [None] * len(pairs)
         groups = self._group_by_shard([key for key, _ in pairs])
-        self._emit_routes("insert", groups)
         tasks = [
             ShardTask(
                 shard_id=shard_id, ops=len(positions), read_only=False,
@@ -188,16 +176,11 @@ class ShardedIndex:
                 for shard in self.shards
             ]
             runs = self.executor.run_tasks("scan", tasks, self.cost)
-            self._emit_routes(
-                "scan",
-                {i: list(range(len(start_keys))) for i in range(len(self.shards))},
-            )
             for position in range(len(start_keys)):
                 merged = heapq.merge(*(run[position] for run in runs))
                 results[position] = list(islice(merged, count))
             return results
         groups = self._group_by_shard(start_keys)
-        self._emit_routes("scan", groups)
         tasks = [
             ShardTask(
                 shard_id=shard_id, ops=len(positions), read_only=True,

@@ -26,9 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.baselines.interface import OrderedIndex
-from repro.obs import BatchDispatchEvent
 
 
 @dataclass
@@ -58,6 +56,16 @@ class BatchStats:
         else:
             self.fallback_batches += 1
         self.by_kind[kind] = self.by_kind.get(kind, 0) + ops
+
+
+def index_caches(index) -> List:
+    """Adaptive caches behind an index: one per shard or replica
+    (``caches()``), the plain index's ``cache``, or none."""
+    caches = getattr(index, "caches", None)
+    if caches is not None:
+        return caches()
+    cache = getattr(index, "cache", None)
+    return [cache] if cache is not None else []
 
 
 def _overrides_protocol_default(index, method_name: str) -> bool:
@@ -109,7 +117,9 @@ class BatchExecutor:
                 "as index.cost"
             )
         self.stats = BatchStats()
-        self._native: Dict[str, bool] = {
+        #: Per op kind: whether the index overrides the protocol's
+        #: default (the ``native`` dispatch path) or inherits it.
+        self.native_by_kind: Dict[str, bool] = {
             "get": _overrides_protocol_default(index, "lookup_batch"),
             "insert": _overrides_protocol_default(index, "insert_sorted_batch"),
             "scan": _overrides_protocol_default(index, "scan_batch"),
@@ -121,24 +131,13 @@ class BatchExecutor:
     @property
     def native(self) -> bool:
         """Whether the index overrides the protocol's batch defaults."""
-        return self._native["get"]
+        return self.native_by_kind["get"]
 
     # ------------------------------------------------------------------
     # Batch operations
     # ------------------------------------------------------------------
     def _record(self, kind: str, ops: int) -> None:
-        native = self._native[kind]
-        self.stats.record(kind, ops, native)
-        if obs.is_enabled():
-            obs.emit(BatchDispatchEvent(op=kind, ops=ops, native=native))
-
-    def _caches(self) -> List:
-        """Adaptive caches behind the index (0, 1, or one per shard)."""
-        caches = getattr(self.index, "caches", None)
-        if caches is not None:
-            return caches()
-        cache = getattr(self.index, "cache", None)
-        return [cache] if cache is not None else []
+        self.stats.record(kind, ops, self.native_by_kind[kind])
 
     @contextmanager
     def _mlp_scope(self) -> Iterator[None]:
@@ -169,7 +168,7 @@ class BatchExecutor:
         ``lookup_batch``); the hits it absorbed are surfaced on
         :attr:`stats` as ``cache_hits``.
         """
-        caches = self._caches()
+        caches = index_caches(self.index)
         hits_before = sum(c.stats.row_hits for c in caches)
         out: List[Optional[int]] = []
         with self._mlp_scope():

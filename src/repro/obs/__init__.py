@@ -6,6 +6,14 @@ sequence numbers, magnitudes from :class:`~repro.memory.cost_model.
 CostModel` units and tracking-allocator bytes, so instrumented runs stay
 bit-for-bit reproducible.
 
+The bus carries the 18 event kinds that mark a state change (a leaf
+conversion, a capacity move, a retrain, a pressure transition, a
+rebalance, a route, a failover, a rebuild, a recovery, a tuning action)
+or a scripted fault.  Per-call activity — cache probes, batch
+dispatches, prefetch waves, log appends and barriers — is counted by
+each layer's own ``stats``; :meth:`repro.db.Database.metrics_snapshot`
+reads those at call time, whether observability is on or off.
+
 Instrumentation is **off by default**.  Emitting sites are written as::
 
     from repro import obs
@@ -34,37 +42,26 @@ from contextlib import contextmanager
 
 from repro.obs import _state
 from repro.obs.events import (
-    BatchDescentEvent,
-    BatchDispatchEvent,
     BreathingResizeEvent,
     BudgetRebalanceEvent,
     CacheBudgetEvent,
-    CacheEvent,
     CapacityChangeEvent,
     ClusterBudgetEvent,
     Event,
     EventBus,
     ExecutorDegradeEvent,
-    GroupCommitEvent,
     LeafConversionEvent,
     LeafRetrainEvent,
-    MlpWaveEvent,
-    ParallelGatherEvent,
     PolicyActionEvent,
     PressureTransitionEvent,
     RecoveryReplayEvent,
     ReplicaFailoverEvent,
     ReplicaRebuildEvent,
     ReplicaRouteEvent,
-    ShardDispatchEvent,
     ShardHedgeEvent,
-    ShardPressureEvent,
     ShardRetryEvent,
-    ShardRouteEvent,
     TuningActionEvent,
     TuningPaybackEvent,
-    TuningProbeEvent,
-    WalAppendEvent,
 )
 from repro.obs.exporters import (
     PressureTimeline,
@@ -84,12 +81,9 @@ from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "BUS",
-    "BatchDescentEvent",
-    "BatchDispatchEvent",
     "BreathingResizeEvent",
     "BudgetRebalanceEvent",
     "CacheBudgetEvent",
-    "CacheEvent",
     "CapacityChangeEvent",
     "ClusterBudgetEvent",
     "Counter",
@@ -98,14 +92,11 @@ __all__ = [
     "EventBus",
     "ExecutorDegradeEvent",
     "Gauge",
-    "GroupCommitEvent",
     "Histogram",
     "LeafConversionEvent",
     "LeafRetrainEvent",
     "MetricsRegistry",
-    "MlpWaveEvent",
     "Observer",
-    "ParallelGatherEvent",
     "PolicyActionEvent",
     "PressureTimeline",
     "PressureTransitionEvent",
@@ -113,17 +104,12 @@ __all__ = [
     "ReplicaFailoverEvent",
     "ReplicaRebuildEvent",
     "ReplicaRouteEvent",
-    "ShardDispatchEvent",
     "ShardHedgeEvent",
-    "ShardPressureEvent",
     "ShardRetryEvent",
-    "ShardRouteEvent",
     "Span",
     "Tracer",
     "TuningActionEvent",
     "TuningPaybackEvent",
-    "TuningProbeEvent",
-    "WalAppendEvent",
     "emit",
     "enabled",
     "event_to_json",

@@ -8,6 +8,13 @@ observable: instrumented components publish a typed event at the moment
 an elasticity action lands, and subscribers (metric registries, event
 logs, pressure-timeline recorders) consume them.
 
+The bus carries only state changes — a structure, bound, budget,
+route, recovery or tuning action changed — and scripted faults.
+Per-call activity (cache probes, batch dispatches, prefetch waves, log
+appends and barriers, arbiter samples, advisor probes) is counted by
+each layer's own ``stats`` and read from there at snapshot time (see
+:mod:`repro.db.metrics`).
+
 Determinism: events carry **no wall-clock timestamps**.  Ordering is a
 monotonically increasing per-bus sequence number assigned at publish
 time, and every quantitative field is either a structural fact (node id,
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional
+from typing import Callable, ClassVar, Dict, List
 
 
 @dataclass
@@ -142,107 +149,12 @@ class PressureTransitionEvent(Event):
 
 
 @dataclass
-class BatchDescentEvent(Event):
-    """One shared-descent batch executed by a B+-tree family index.
-
-    ``descents`` is the number of distinct root-to-leaf descents the
-    batch paid for (leaf groups for lookups/scans, fresh bounded
-    descents for inserts) — the quantity the descent-sharing economy
-    amortizes versus ``batch_size`` scalar descents.
-    """
-
-    kind: ClassVar[str] = "batch_descent"
-    op: str = ""
-    batch_size: int = 0
-    descents: int = 0
-
-
-@dataclass
-class BatchDispatchEvent(Event):
-    """The :class:`~repro.exec.BatchExecutor` dispatched one chunk.
-
-    ``native`` records whether the index overrides the protocol's batch
-    defaults with a shared-descent fast path.
-    """
-
-    kind: ClassVar[str] = "batch_dispatch"
-    op: str = ""
-    ops: int = 0
-    native: bool = False
-
-
-@dataclass
-class MlpWaveEvent(Event):
-    """One prefetch-wave window closed on a batched read path.
-
-    Emitted by the B+-tree family's batched lookups/scans when the
-    window actually priced loads (``loads`` > 0): ``waves`` is the
-    number of wave issues charged for ``loads`` independent loads at
-    width ``width``, ``overlapped`` the loads that rode behind another
-    load's miss latency, and ``saved_units`` the cost units hidden
-    versus serial (dependent-load) pricing.  All figures come from the
-    deterministic cost model, so event streams stay byte-identical
-    across runs.
-    """
-
-    kind: ClassVar[str] = "mlp_wave"
-    op: str = ""
-    width: int = 0
-    waves: int = 0
-    loads: int = 0
-    overlapped: int = 0
-    saved_units: float = 0.0
-
-
-@dataclass
 class PolicyActionEvent(Event):
     """A grow/shrink policy queued deferred work (sweep, bulk compact)."""
 
     kind: ClassVar[str] = "policy_action"
     policy: str = ""
     action: str = ""
-
-
-@dataclass
-class ShardRouteEvent(Event):
-    """The shard router dispatched one batch segment to one shard.
-
-    Emitted per (batch, shard) pair by the engine's scatter/gather
-    paths: ``ops`` is the number of operations from the batch that the
-    partitioner routed to ``shard``.  ``fanout`` is the number of shards
-    the whole batch touched, so the scatter width is visible on every
-    event without cross-referencing.
-    """
-
-    kind: ClassVar[str] = "shard_route"
-    op: str = ""
-    shard: int = 0
-    ops: int = 0
-    fanout: int = 0
-
-
-@dataclass
-class ShardDispatchEvent(Event):
-    """The parallel shard executor completed one shard sub-batch.
-
-    One event per (batch, shard) dispatch, emitted by the coordinator
-    in shard order after the gather (so the stream is deterministic).
-    ``wave`` is the modeled concurrent execution group the shard landed
-    in (waves of ``workers`` shards overlap; wave costs add),
-    ``attempts`` counts conflict retries plus the final success,
-    ``cost_units`` is the shard's effective (winning) sub-batch cost,
-    and ``hedged`` records whether a duplicate dispatch was issued for
-    this shard.
-    """
-
-    kind: ClassVar[str] = "shard_dispatch"
-    op: str = ""
-    shard: int = 0
-    ops: int = 0
-    wave: int = 0
-    attempts: int = 1
-    cost_units: float = 0.0
-    hedged: bool = False
 
 
 @dataclass
@@ -299,28 +211,6 @@ class ExecutorDegradeEvent(Event):
 
 
 @dataclass
-class ParallelGatherEvent(Event):
-    """One scatter/gather batch completed on the parallel backend.
-
-    The critical-path accounting summary: ``serial_sum_units`` is what
-    the batch would have charged executed shard-by-shard,
-    ``critical_path_units`` is what was actually charged (max per
-    concurrent wave, summed over waves, plus the
-    ``coordination_units`` merge fee).
-    """
-
-    kind: ClassVar[str] = "parallel_gather"
-    op: str = ""
-    shards: int = 0
-    waves: int = 0
-    workers: int = 0
-    ops: int = 0
-    serial_sum_units: float = 0.0
-    critical_path_units: float = 0.0
-    coordination_units: float = 0.0
-
-
-@dataclass
 class BudgetRebalanceEvent(Event):
     """The budget arbiter reapportioned the global soft bound.
 
@@ -340,41 +230,6 @@ class BudgetRebalanceEvent(Event):
     old_bounds: List[int] = field(default_factory=list)
     new_bounds: List[int] = field(default_factory=list)
     states: List[str] = field(default_factory=list)
-
-
-@dataclass
-class ShardPressureEvent(Event):
-    """One shard's occupancy/pressure as sampled by the arbiter.
-
-    Emitted per registered shard at every rebalance evaluation (whether
-    or not budget moved), so the per-shard pressure timeline is
-    reconstructible from the event log alone.
-    """
-
-    kind: ClassVar[str] = "shard_pressure"
-    shard: str = ""
-    state: str = ""
-    index_bytes: int = 0
-    soft_bound_bytes: int = 0
-    headroom_bytes: int = 0
-
-
-@dataclass
-class CacheEvent(Event):
-    """One adaptive-cache action (:mod:`repro.cache`).
-
-    ``action`` is ``"hit"``, ``"miss"``, ``"admit"``, ``"evict"`` or
-    ``"invalidate"``; ``tier`` is ``"row"`` (hot-row tuple ids) or
-    ``"descent"`` (fence-interval -> leaf).  ``entries`` carries the
-    tier's entry count for admissions and the number of entries dropped
-    for wholesale invalidations (0 where not meaningful).
-    """
-
-    kind: ClassVar[str] = "cache"
-    name: str = ""
-    action: str = ""
-    tier: str = ""
-    entries: int = 0
 
 
 @dataclass
@@ -471,46 +326,6 @@ class ClusterBudgetEvent(Event):
 
 
 @dataclass
-class WalAppendEvent(Event):
-    """One write batch appended its records to the write-ahead log.
-
-    Emitted per committed :class:`~repro.db.write.WriteBatch` after the
-    append phase: ``records`` log records covering ``batch_ops`` staged
-    operations were serialized (``nbytes`` payload bytes total) across
-    ``streams`` log streams, occupying the contiguous lsn range
-    ``[first_lsn, last_lsn]``.  Appended is not durable — the matching
-    :class:`GroupCommitEvent` stream records when the fsync barriers
-    land.
-    """
-
-    kind: ClassVar[str] = "wal_append"
-    records: int = 0
-    batch_ops: int = 0
-    nbytes: int = 0
-    streams: int = 0
-    first_lsn: int = 0
-    last_lsn: int = 0
-
-
-@dataclass
-class GroupCommitEvent(Event):
-    """One fsync barrier made a group of log records durable.
-
-    Emitted per ``log_fsync`` charged: ``records`` appended records on
-    ``stream`` became durable together under one barrier (group commit
-    — the fsync amortization the cost model prices), advancing the
-    stream's durable watermark to ``durable_lsn``.  ``group_size`` is
-    the configured commit-group width the barrier was scheduled under.
-    """
-
-    kind: ClassVar[str] = "group_commit"
-    stream: int = 0
-    records: int = 0
-    group_size: int = 0
-    durable_lsn: int = 0
-
-
-@dataclass
 class RecoveryReplayEvent(Event):
     """Crash recovery replayed the durable log suffix into a fresh DB.
 
@@ -531,31 +346,6 @@ class RecoveryReplayEvent(Event):
     tables: int = 0
     indexes: int = 0
     cost_units: float = 0.0
-
-
-@dataclass
-class TuningProbeEvent(Event):
-    """The self-tuning advisor what-if-priced one candidate action.
-
-    Emitted per candidate scored at an arbiter tick boundary: the
-    candidate was priced by replaying a sampled recent op window
-    against the deterministic cost model under ``measure()``, the whole
-    probe rebated, and a fixed advisor fee billed (see
-    docs/COSTMODEL.md) — ``cost_units`` is the rebated what-if score
-    (modeled per-op units under the candidate), ``incumbent_units`` the
-    same figure for the incumbent configuration, ``sample_ops`` the
-    replayed window size.  ``action`` names the candidate family
-    (``"park_index"``, ``"swap_preset"``, ``"move_cache"``,
-    ``"reshard"``); ``target`` is ``table.index``.
-    """
-
-    kind: ClassVar[str] = "tuning_probe"
-    action: str = ""
-    target: str = ""
-    candidate: str = ""
-    cost_units: float = 0.0
-    incumbent_units: float = 0.0
-    sample_ops: int = 0
 
 
 @dataclass

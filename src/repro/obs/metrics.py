@@ -13,7 +13,7 @@ with families and label sets emitted in sorted order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Label sets are stored as sorted (key, value) tuples so rendering and
 #: equality are deterministic regardless of observation order.
@@ -215,9 +215,15 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
-    def render_prometheus(self) -> str:
-        """Prometheus exposition text; families in sorted name order."""
+    def render_prometheus(self, *others: "MetricsRegistry") -> str:
+        """Prometheus exposition text; families in sorted name order.
+
+        ``others`` render in the same text, merged by family name.
+        """
+        instruments = dict(self._instruments)
+        for other in others:
+            instruments.update(other._instruments)
         lines: List[str] = []
-        for name in sorted(self._instruments):
-            lines.extend(self._instruments[name].render())
+        for name in sorted(instruments):
+            lines.extend(instruments[name].render())
         return "\n".join(lines) + "\n" if lines else ""

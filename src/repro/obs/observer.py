@@ -5,7 +5,9 @@ One ``Observer`` subscribes to an :class:`~repro.obs.events.EventBus`
 pre-registered :class:`~repro.obs.metrics.MetricsRegistry`, and retains
 the raw events in a bounded deque for JSON-lines export.  A
 :class:`~repro.obs.tracing.Tracer` rides along for cost-attributed
-spans.
+spans.  Its registry holds only the event-fed families; the families
+counted by the layers themselves are read from their ``stats`` by
+:func:`repro.db.metrics.layer_metrics`.
 
 The subscription is a bound method held weakly by the bus, so observers
 created per test or per benchmark do not accumulate on the global bus
@@ -18,37 +20,26 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.obs.events import (
-    BatchDescentEvent,
-    BatchDispatchEvent,
     BreathingResizeEvent,
     BudgetRebalanceEvent,
     CacheBudgetEvent,
-    CacheEvent,
     CapacityChangeEvent,
     ClusterBudgetEvent,
     Event,
     EventBus,
     ExecutorDegradeEvent,
-    GroupCommitEvent,
     LeafConversionEvent,
     LeafRetrainEvent,
-    MlpWaveEvent,
-    ParallelGatherEvent,
     PolicyActionEvent,
     PressureTransitionEvent,
     RecoveryReplayEvent,
     ReplicaFailoverEvent,
     ReplicaRebuildEvent,
     ReplicaRouteEvent,
-    ShardDispatchEvent,
     ShardHedgeEvent,
-    ShardPressureEvent,
     ShardRetryEvent,
-    ShardRouteEvent,
     TuningActionEvent,
     TuningPaybackEvent,
-    TuningProbeEvent,
-    WalAppendEvent,
 )
 from repro.obs.exporters import write_event_log
 from repro.obs.metrics import MetricsRegistry
@@ -106,22 +97,6 @@ class Observer:
             "repro_policy_actions_total",
             "Deferred work queued by grow/shrink policies.",
         )
-        self._batch_dispatch = reg.counter(
-            "repro_batch_dispatch_ops_total",
-            "Operations dispatched by BatchExecutor, by op and path.",
-        )
-        self._batch_batches = reg.counter(
-            "repro_batch_batches_total",
-            "Shared-descent batches executed by op.",
-        )
-        self._batch_descents = reg.counter(
-            "repro_batch_descents_total",
-            "Distinct root-to-leaf descents paid by shared-descent batches.",
-        )
-        self._batch_ops = reg.counter(
-            "repro_batch_batched_ops_total",
-            "Operations carried by shared-descent batches, by op.",
-        )
         self._index_bytes = reg.gauge(
             "repro_index_bytes",
             "Live index bytes as of the most recent elasticity event.",
@@ -129,10 +104,6 @@ class Observer:
         self._conversion_cost = reg.histogram(
             "repro_conversion_cost_units",
             "Weighted cost-model units per conversion/capacity event.",
-        )
-        self._shard_route = reg.counter(
-            "repro_shard_route_ops_total",
-            "Operations routed to engine shards, by op and shard.",
         )
         self._rebalances = reg.counter(
             "repro_budget_rebalances_total",
@@ -142,18 +113,9 @@ class Observer:
             "repro_budget_bytes_moved_total",
             "Soft-bound bytes moved between shards by the arbiter.",
         )
-        self._shard_pressure = reg.counter(
-            "repro_shard_pressure_observations_total",
-            "Arbiter pressure samples per shard, by pressure state.",
-        )
         self._shard_bound = reg.gauge(
             "repro_shard_soft_bound_bytes",
             "Per-shard soft bound as of the most recent rebalance.",
-        )
-        self._shard_dispatch = reg.counter(
-            "repro_shard_dispatch_ops_total",
-            "Operations dispatched by the parallel shard executor, "
-            "by op and shard.",
         )
         self._shard_retries = reg.counter(
             "repro_shard_retries_total",
@@ -167,41 +129,6 @@ class Observer:
         self._executor_degrades = reg.counter(
             "repro_executor_degrades_total",
             "Parallel-executor fallbacks to serial execution, by reason.",
-        )
-        self._parallel_serial_sum = reg.gauge(
-            "repro_parallel_serial_sum_units",
-            "Serial-sum cost of the most recent parallel gather.",
-        )
-        self._parallel_critical_path = reg.gauge(
-            "repro_parallel_critical_path_units",
-            "Critical-path cost charged for the most recent parallel "
-            "gather.",
-        )
-        self._parallel_saved = reg.counter(
-            "repro_parallel_saved_units_total",
-            "Cost units hidden behind parallel critical paths "
-            "(serial sum minus critical path, accumulated).",
-        )
-        self._mlp_waves = reg.counter(
-            "repro_mlp_waves_total",
-            "Prefetch waves issued by batched read paths, by op.",
-        )
-        self._mlp_loads = reg.counter(
-            "repro_mlp_loads_total",
-            "Independent loads wave-priced by batched read paths, by op.",
-        )
-        self._mlp_saved = reg.counter(
-            "repro_mlp_units_saved_total",
-            "Cost units hidden by prefetch waves versus serial pricing, "
-            "by op.",
-        )
-        self._cache_events = reg.counter(
-            "repro_cache_events_total",
-            "Adaptive-cache actions by cache name, action and tier.",
-        )
-        self._cache_hit_rate = reg.gauge(
-            "repro_cache_hit_rate",
-            "Running hit rate (either tier) per cache, from bus events.",
         )
         self._cache_budget = reg.gauge(
             "repro_cache_budget_bytes",
@@ -227,27 +154,6 @@ class Observer:
             "repro_cluster_budget_bytes",
             "Per-replica share of the cluster-global soft bound.",
         )
-        self._wal_records = reg.counter(
-            "repro_wal_records_total",
-            "Write-ahead-log records appended, over all streams.",
-        )
-        self._wal_bytes = reg.counter(
-            "repro_wal_bytes_total",
-            "Write-ahead-log payload bytes appended.",
-        )
-        self._group_commits = reg.counter(
-            "repro_group_commits_total",
-            "Fsync barriers (group commits) by log stream.",
-        )
-        self._group_commit_records = reg.counter(
-            "repro_group_commit_records_total",
-            "Records made durable by group commits, by log stream.",
-        )
-        self._wal_durable_lsn = reg.gauge(
-            "repro_wal_durable_lsn",
-            "Durable lsn watermark per log stream, from the most "
-            "recent group commit.",
-        )
         self._recovery_replayed = reg.counter(
             "repro_recovery_replayed_records_total",
             "Log records re-applied by crash recovery.",
@@ -259,10 +165,6 @@ class Observer:
         self._recovery_cost = reg.histogram(
             "repro_recovery_cost_units",
             "Weighted cost-model units per recovery replay.",
-        )
-        self._tuning_probes = reg.counter(
-            "repro_tuning_probes_total",
-            "Self-tuning what-if candidate probes by action family.",
         )
         self._tuning_actions = reg.counter(
             "repro_tuning_actions_total",
@@ -276,9 +178,6 @@ class Observer:
             "repro_tuning_payback_units",
             "Modeled payback (saving over the window) per fired action.",
         )
-        #: Running (hits, lookups) tallies per cache name feeding the
-        #: hit-rate gauge; lookups = row-tier probes (hit + miss).
-        self._cache_tallies: dict = {}
 
     def _on_event(self, event: Event) -> None:
         if len(self.events) == self.events.maxlen:
@@ -312,57 +211,17 @@ class Observer:
             self._breathing_resizes.inc(reason=event.reason)
         elif isinstance(event, PolicyActionEvent):
             self._policy_actions.inc(policy=event.policy, action=event.action)
-        elif isinstance(event, BatchDispatchEvent):
-            self._batch_dispatch.inc(
-                event.ops,
-                op=event.op,
-                path="native" if event.native else "fallback",
-            )
-        elif isinstance(event, BatchDescentEvent):
-            self._batch_batches.inc(op=event.op)
-            self._batch_descents.inc(event.descents, op=event.op)
-            self._batch_ops.inc(event.batch_size, op=event.op)
-        elif isinstance(event, ShardRouteEvent):
-            self._shard_route.inc(
-                event.ops, op=event.op, shard=str(event.shard)
-            )
         elif isinstance(event, BudgetRebalanceEvent):
             self._rebalances.inc(reason=event.reason)
             self._rebalance_bytes.inc(event.bytes_moved)
             for shard, bound in zip(event.shards, event.new_bounds):
                 self._shard_bound.set(bound, shard=shard)
-        elif isinstance(event, ShardPressureEvent):
-            self._shard_pressure.inc(shard=event.shard, state=event.state)
-        elif isinstance(event, ShardDispatchEvent):
-            self._shard_dispatch.inc(
-                event.ops, op=event.op, shard=str(event.shard)
-            )
         elif isinstance(event, ShardRetryEvent):
             self._shard_retries.inc(op=event.op, shard=str(event.shard))
         elif isinstance(event, ShardHedgeEvent):
             self._shard_hedges.inc(winner=event.winner)
         elif isinstance(event, ExecutorDegradeEvent):
             self._executor_degrades.inc(reason=event.reason)
-        elif isinstance(event, MlpWaveEvent):
-            self._mlp_waves.inc(event.waves, op=event.op)
-            self._mlp_loads.inc(event.loads, op=event.op)
-            if event.saved_units > 0:
-                self._mlp_saved.inc(event.saved_units, op=event.op)
-        elif isinstance(event, CacheEvent):
-            self._cache_events.inc(
-                name=event.name, action=event.action, tier=event.tier
-            )
-            if event.action in ("hit", "miss"):
-                hits, lookups = self._cache_tallies.get(event.name, (0, 0))
-                if event.action == "hit":
-                    hits += 1
-                if event.tier == "row":
-                    lookups += 1
-                self._cache_tallies[event.name] = (hits, lookups)
-                if lookups:
-                    self._cache_hit_rate.set(
-                        hits / lookups, name=event.name
-                    )
         elif isinstance(event, CacheBudgetEvent):
             self._cache_budget.set(
                 event.new_budget_bytes, shard=event.shard
@@ -389,19 +248,6 @@ class Observer:
         elif isinstance(event, ClusterBudgetEvent):
             for replica, bound in zip(event.replicas, event.bounds):
                 self._cluster_budget.set(bound, replica=replica)
-        elif isinstance(event, WalAppendEvent):
-            self._wal_records.inc(event.records)
-            self._wal_bytes.inc(event.nbytes)
-        elif isinstance(event, GroupCommitEvent):
-            self._group_commits.inc(stream=str(event.stream))
-            self._group_commit_records.inc(
-                event.records, stream=str(event.stream)
-            )
-            self._wal_durable_lsn.set(
-                event.durable_lsn, stream=str(event.stream)
-            )
-        elif isinstance(event, TuningProbeEvent):
-            self._tuning_probes.inc(action=event.action)
         elif isinstance(event, TuningActionEvent):
             self._tuning_actions.inc(action=event.action, target=event.target)
             self._tuning_action_cost.observe(
@@ -415,12 +261,6 @@ class Observer:
             self._recovery_replayed.inc(event.records_replayed)
             self._recovery_discarded.inc(event.records_discarded)
             self._recovery_cost.observe(event.cost_units, kind="replay")
-        elif isinstance(event, ParallelGatherEvent):
-            self._parallel_serial_sum.set(event.serial_sum_units)
-            self._parallel_critical_path.set(event.critical_path_units)
-            saved = event.serial_sum_units - event.critical_path_units
-            if saved > 0:
-                self._parallel_saved.inc(saved)
 
     def metrics_snapshot(self) -> str:
         """Prometheus exposition text for every registered instrument."""

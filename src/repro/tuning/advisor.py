@@ -53,11 +53,7 @@ from repro.cluster import ReplicaSet
 from repro.engine import ShardedIndex, build_sharded_index
 from repro.exec import BatchExecutor
 from repro.memory.allocator import TrackingAllocator
-from repro.obs import (
-    TuningActionEvent,
-    TuningPaybackEvent,
-    TuningProbeEvent,
-)
+from repro.obs import TuningActionEvent, TuningPaybackEvent
 from repro.registry import build_index
 from repro.tuning.config import TuningConfig
 from repro.tuning.stats import StatsCollector, WindowStats
@@ -503,12 +499,6 @@ class SelfTuningAdvisor:
         rebuild_estimate = (
             build_delta.weighted_cost() / max(1, len(base_pairs))
         ) * max(items, 1) + sweep_delta.weighted_cost()
-        if obs.is_enabled():
-            obs.emit(TuningProbeEvent(
-                action="park_index", target=label, candidate="parked",
-                cost_units=0.0, incumbent_units=per_write,
-                sample_ops=len(pairs),
-            ))
         if modeled_saving <= rebuild_estimate:
             return None
         return _Candidate(
@@ -656,13 +646,6 @@ class SelfTuningAdvisor:
             if name == current:
                 continue
             cand_units, _ = score(dict(overrides))
-            if obs.is_enabled():
-                obs.emit(TuningProbeEvent(
-                    action="swap_preset", target=label, candidate=name,
-                    cost_units=cand_units,
-                    incumbent_units=incumbent_units,
-                    sample_ops=len(pairs),
-                ))
             if best is None or cand_units < best[0]:
                 best = (cand_units, name, dict(overrides))
         if best is None:
@@ -781,13 +764,6 @@ class SelfTuningAdvisor:
                 continue
             cand_cost = per_probe(budget)
             self._scored_this_tick += 1
-            if obs.is_enabled():
-                obs.emit(TuningProbeEvent(
-                    action="move_cache", target=label,
-                    candidate=str(budget), cost_units=cand_cost,
-                    incumbent_units=incumbent_cost,
-                    sample_ops=len(keys_seq),
-                ))
             if best is None or cand_cost < best[0]:
                 best = (cand_cost, budget)
         if best is None:
@@ -879,13 +855,6 @@ class SelfTuningAdvisor:
         best: Optional[Tuple[float, int, float]] = None
         for m in shard_counts:
             cand_units, cand_build = score(m)
-            if obs.is_enabled():
-                obs.emit(TuningProbeEvent(
-                    action="reshard", target=label, candidate=str(m),
-                    cost_units=cand_units,
-                    incumbent_units=incumbent_units,
-                    sample_ops=len(distinct_points),
-                ))
             if best is None or cand_units < best[0]:
                 best = (cand_units, m, cand_build)
         if best is None:

@@ -34,13 +34,11 @@ durable prefix (see :mod:`repro.wal.recovery`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro import obs
 from repro.engine.faults import FaultPlan
 from repro.errors import WalError
 from repro.memory.cost_model import CostModel
-from repro.obs import GroupCommitEvent
 
 #: Modeled on-media size of a record header (lsn + op/table tag).
 RECORD_HEADER_BYTES = 16
@@ -157,9 +155,11 @@ class WriteAheadLog:
         #: Checkpoint state (see :meth:`install_snapshot`).
         self.snapshot_tables: Optional[Dict[str, TableSnapshot]] = None
         self.snapshot_lsn = -1
-        # Lifetime ordinals for the FaultPlan kill points.
+        #: Fsync barriers charged over the log's life, one per stream
+        #: a barrier covers (also the ``fsync`` kill-point ordinal).
+        self.fsyncs = 0
+        # Lifetime ordinals for the other FaultPlan kill points.
         self._appends = 0
-        self._fsyncs = 0
         self._applies = 0
 
     # ------------------------------------------------------------------
@@ -214,24 +214,15 @@ class WriteAheadLog:
         """One barrier pass over lsns ``[lo, hi)``: per distinct stream,
         charge one ``log_fsync`` and advance its watermark."""
         n = len(self.streams)
-        per_stream: Dict[int, Tuple[int, int]] = {}
+        high_lsn: Dict[int, int] = {}
         for lsn in range(lo, hi):
-            count, _ = per_stream.get(lsn % n, (0, -1))
-            per_stream[lsn % n] = (count + 1, lsn)
+            high_lsn[lsn % n] = lsn
         self._grouped_upto = hi
-        for stream_id in sorted(per_stream):
-            count, high_lsn = per_stream[stream_id]
+        for stream_id in sorted(high_lsn):
             self.cost.log_fsyncs(1)
-            self.streams[stream_id].durable_lsn = high_lsn
-            if obs.is_enabled():
-                obs.emit(GroupCommitEvent(
-                    stream=stream_id,
-                    records=count,
-                    group_size=self.config.group_size,
-                    durable_lsn=high_lsn,
-                ))
-            ordinal = self._fsyncs
-            self._fsyncs += 1
+            self.streams[stream_id].durable_lsn = high_lsn[stream_id]
+            ordinal = self.fsyncs
+            self.fsyncs += 1
             self._kill("fsync", ordinal)
 
     def notify_applied(self) -> None:
@@ -265,8 +256,68 @@ class WriteAheadLog:
 
     @property
     def pending_records(self) -> int:
-        """Appended records not yet covered by a completed barrier."""
-        return self.next_lsn - self._grouped_upto
+        """Appended records outside the durable prefix — what a crash
+        now would discard.  On a live log that is every record no
+        completed barrier covers; a kill between the streams of one
+        barrier also leaves the records of the streams it never
+        reached here."""
+        return self.next_lsn - len(self.durable_prefix())
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ValueError` naming the first broken rule.
+
+        Every record's lsn is its list position and ``next_lsn`` counts
+        them; stream ``s`` holds exactly the records with ``lsn %
+        shards == s``, in lsn order; the barrier watermark lies in
+        ``[0, next_lsn]``; durable plus pending records cover the log;
+        and on a live log each stream's ``durable_lsn`` is its highest
+        lsn below the watermark (-1 if none).  A kill between the
+        streams of one barrier breaks only the last rule, so crashed
+        logs skip it.
+        """
+        records = self.records
+        for position, record in enumerate(records):
+            if record.lsn != position:
+                raise ValueError(
+                    f"wal: records[{position}] has lsn {record.lsn}"
+                )
+        if self.next_lsn != len(records):
+            raise ValueError(
+                f"wal: next_lsn {self.next_lsn} != {len(records)} records"
+            )
+        n = len(self.streams)
+        for stream_id, stream in enumerate(self.streams):
+            lsns = [record.lsn for record in stream.records]
+            if lsns != list(range(stream_id, len(records), n)):
+                raise ValueError(
+                    f"wal: stream {stream_id} does not hold exactly the "
+                    f"lsns congruent to {stream_id} mod {n}, in order"
+                )
+        grouped = self._grouped_upto
+        if not 0 <= grouped <= self.next_lsn:
+            raise ValueError(
+                f"wal: barrier watermark {grouped} outside "
+                f"[0, {self.next_lsn}]"
+            )
+        durable = len(self.durable_prefix())
+        if durable + self.pending_records != len(records):
+            raise ValueError(
+                f"wal: {durable} durable + {self.pending_records} pending "
+                f"records != {len(records)} records"
+            )
+        if self.crashed:
+            return
+        for stream_id, stream in enumerate(self.streams):
+            expected = (
+                stream_id + (grouped - 1 - stream_id) // n * n
+                if grouped > stream_id else -1
+            )
+            if stream.durable_lsn != expected:
+                raise ValueError(
+                    f"wal: stream {stream_id} durable_lsn "
+                    f"{stream.durable_lsn}, expected {expected} (its "
+                    f"highest lsn below the barrier watermark {grouped})"
+                )
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery support

@@ -171,9 +171,9 @@ class TestBudgetArbiter:
                 arbiter.rebalance(reason="test")
             finally:
                 unsubscribe()
-        pressure = [e for e in events if e.kind == "shard_pressure"]
-        assert {e.shard for e in pressure} == {"big", "small"}
-        assert all(e.index_bytes > 0 for e in pressure)
+        # Per-shard pressure samples are counted, not published.
+        assert sum(arbiter.stats.samples_by_state.values()) == 2
+        assert "shard_pressure" not in {e.kind for e in events}
         rebalances = [e for e in events if e.kind == "budget_rebalance"]
         assert len(rebalances) == 1
         event = rebalances[0]

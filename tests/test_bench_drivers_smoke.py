@@ -7,6 +7,7 @@ the results are structurally sane.
 
 import math
 
+from repro import obs
 from repro.bench import (
     ablation,
     fig1,
@@ -48,6 +49,34 @@ def test_fig6_driver():
                       distributions=("zipfian",),
                       indexes=("stx", "elastic75"))
     assert_sane(result, min_series=2)
+
+
+def test_event_dirs_log_only_state_changes(tmp_path):
+    """fig1/fig5/fig6 with ``events_dir``: every file is written, every
+    logged kind is a kept (state-change) kind, ``seq`` strictly rises,
+    and the fig1/fig5 timelines carry their pressure transitions."""
+    from tests.test_obs import KEPT_KINDS
+
+    out = str(tmp_path)
+    fig1.run(days=20, events_dir=out)
+    fig5.run(n_items=3_000, indexes=("elastic",), events_dir=out)
+    fig6.run(load_n=1_500, txn_n=1_500, workloads=("A",),
+             distributions=("uniform",), indexes=("elastic50",),
+             events_dir=out)
+    for name in ("fig1", "fig5", "fig6"):
+        records = obs.read_event_log(tmp_path / f"{name}_events.jsonl")
+        assert records
+        assert {record["kind"] for record in records} <= KEPT_KINDS
+        seqs = [record["seq"] for record in records]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        metrics = (tmp_path / f"{name}_metrics.prom").read_text()
+        assert "repro_leaf_conversions_total" in metrics
+    for name in ("fig1", "fig5"):
+        rows = obs.read_event_log(
+            tmp_path / f"{name}_pressure_timeline.jsonl"
+        )
+        assert any(row["kind"] == "pressure_transition" for row in rows)
+        assert any(row["kind"] == "sample" for row in rows)
 
 
 def test_fig7_driver():

@@ -18,12 +18,12 @@ from repro.bench.harness import make_u64_environment
 from repro.cache import CacheConfig, FrequencySketch, IndexCache
 from repro.cache.sketch import _MASK64, _ROW_SEEDS
 from repro.db.database import Database
+from repro.db.metrics import layer_metrics
 from repro.engine.arbiter import BudgetArbiter
 from repro.errors import CacheConfigError, ShardConfigError
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
-from repro.obs import CacheEvent
 from repro.table.table import RowSchema
 
 from tests.conftest import U64Source
@@ -211,36 +211,23 @@ class TestRowTier:
             for v in range(0, 48, 3):
                 cache.admit_row(encode_u64(v), v)
             cost.reset()
-            events = []
-            with obs.enabled() as bus:
-                unsubscribe = bus.subscribe(events.append)
-                try:
-                    if batched:
-                        got = cache.probe_row_batch(keys)
-                    else:
-                        got = [cache.probe_row(key) for key in keys]
-                finally:
-                    unsubscribe()
+            if batched:
+                got = cache.probe_row_batch(keys)
+            else:
+                got = [cache.probe_row(key) for key in keys]
             sketch = cache._sketch
-            # Event sequence numbers are global; compare the rest.
-            events = [
-                (type(event), {k: v for k, v in asdict(event).items()
-                               if k != "seq"})
-                for event in events
-            ]
             return (
                 got, list(cost.counts.items()), asdict(cache.stats),
                 [bytes(row) for row in sketch._rows], sketch._samples,
-                list(cache._rows.items()), cache.take_window(), events,
+                list(cache._rows.items()), cache.take_window(),
             )
 
         batched, looped = run(batched=True), run(batched=False)
         assert batched == looped
-        got, counts, stats, *_, events = batched
+        got, counts, stats, *_ = batched
         assert None in got and any(tid is not None for tid in got)
         assert counts == [("cache_hit", len(keys))]
         assert stats["row_hits"] + stats["row_misses"] == len(keys)
-        assert [kind for kind, _ in events] == [CacheEvent] * len(keys)
 
     def test_probe_row_batch_of_nothing_charges_nothing(self):
         cache, _, cost = make_bound_cache()
@@ -655,25 +642,28 @@ class TestArbiterCachePolicy:
 # ----------------------------------------------------------------------
 class TestCacheObservability:
     def test_events_and_metrics(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            cache, _, _ = make_bound_cache()
-            key = encode_u64(1)
-            cache.probe_row(key)        # miss
-            cache.admit_row(key, 1)     # admit
-            cache.probe_row(key)        # hit
-            cache.invalidate_row(key)   # invalidate
-        actions = {
-            (e.action, e.tier) for e in observer.events
-            if e.kind == "cache"
-        }
-        assert {("miss", "row"), ("admit", "row"), ("hit", "row"),
-                ("invalidate", "row")} <= actions
-        counter = observer.registry.get("repro_cache_events_total")
-        assert counter.value(
-            name="cache", action="hit", tier="row") == 1
-        gauge = observer.registry.get("repro_cache_hit_rate")
-        assert gauge.value(name="cache") == 0.5
+        db = Database()
+        table = db.create_table(RowSchema("t", ("a",), (8,)))
+        table.create_index("by_a", ("a",), cache=CacheConfig(
+            budget_bytes=8192, sketch_width=64,
+        ))
+        cache = table.indexes["by_a"].index.cache
+        key = encode_u64(1)
+        cache.probe_row(key)        # miss
+        cache.admit_row(key, 1)     # admit
+        cache.probe_row(key)        # hit
+        cache.invalidate_row(key)   # invalidate
+        registry = layer_metrics(db)
+        counter = registry.get("repro_cache_events_total")
+        for action in ("miss", "admit", "hit", "invalidate"):
+            assert counter.value(
+                name="t.by_a.cache", action=action, tier="row") == 1
+        gauge = registry.get("repro_cache_hit_rate")
+        assert gauge.value(name="t.by_a.cache") == cache.stats.hit_rate
+        assert cache.stats.hit_rate == 0.5
+        assert 'repro_cache_hit_rate{name="t.by_a.cache"} 0.5' in (
+            db.metrics_snapshot().splitlines()
+        )
 
     def test_budget_events(self):
         with obs.enabled():

@@ -226,34 +226,6 @@ class TestShardedIndexSurface:
 
 
 class TestShardRouteEvents:
-    def test_batch_routing_emits_shard_route(self):
-        _, sharded = make_table(4, "hash", kind="stx")
-        rows = make_rows(300)
-        with obs.enabled() as bus:
-            events = []
-            unsubscribe = bus.subscribe(events.append)
-            try:
-                sharded.insert_batch(rows)
-                sharded.get_batch(
-                    "by_key", [(r[0], r[1]) for r in rows[:50]]
-                )
-                sharded.scan_batch(
-                    "by_key", [(r[0], r[1]) for r in rows[:8]], count=3
-                )
-            finally:
-                unsubscribe()
-        routes = [e for e in events if e.kind == "shard_route"]
-        by_op = {}
-        for event in routes:
-            by_op.setdefault(event.op, 0)
-            by_op[event.op] += event.ops
-        assert by_op["insert"] == 300
-        assert by_op["get"] == 50
-        # Hash-partitioned scans scatter to every shard.
-        assert by_op["scan"] == 8 * 4
-        assert all(0 <= e.shard < 4 for e in routes)
-        assert all(1 <= e.fanout <= 4 for e in routes)
-
     def test_no_events_when_disabled(self):
         _, sharded = make_table(2, "hash", kind="stx")
         events = []

@@ -376,8 +376,8 @@ class TestFaultMatrix:
             assert retries[0].shard == 1
             assert retries[0].attempt == 1
             assert retries[0].backoff_units == pytest.approx(0.5)
-            dispatches = [e for e in events if e.kind == "shard_dispatch"]
-            assert [d.attempts for d in dispatches] == [1, 2, 1]
+            assert executor.stats.dispatches == 3
+            assert [e.kind for e in events] == ["shard_retry"]
         finally:
             executor.close()
 
@@ -609,24 +609,33 @@ class TestFaultMatrix:
 
     def test_gather_event_and_metrics(self):
         executor = ParallelShardExecutor(workers=4)
-        index, table, cost = make_bare_index(4, "hash", executor)
+        db = Database()
+        table = db.create_table(SCHEMA)
+        table.create_index(
+            "by_key", ("ts", "obj"), kind="stx", shards=4,
+            partitioner="hash", parallel=executor,
+        )
         try:
-            values = load_values(index, table, n=600)
-            probes = [encode_u64(v) for v in values[:200]]
+            rows = make_rows(600)
+            table.insert_batch(rows)
+            stats = executor.stats
+            batches, dispatches = stats.batches, stats.dispatches
+            saved = stats.saved_units
             with obs.enabled():
                 observer = obs.Observer()
-                index.lookup_batch(probes)
-                gathers = observer.event_log("parallel_gather")
-                assert len(gathers) == 1
-                assert gathers[0].shards == 4
-                assert gathers[0].workers == 4
-                assert gathers[0].ops == len(probes)
-                assert gathers[0].critical_path_units < \
-                    gathers[0].serial_sum_units
-                snapshot = observer.metrics_snapshot()
-                assert "repro_shard_dispatch_ops_total" in snapshot
-                assert "repro_parallel_saved_units_total" in snapshot
+                table.get_batch("by_key", [(r[0], r[1]) for r in rows[:200]])
                 observer.close()
+            # One gather over all four shards, counted, not published.
+            assert not observer.events
+            assert (stats.batches, stats.dispatches) == (
+                batches + 1, dispatches + 4
+            )
+            assert stats.saved_units > saved
+            assert stats.critical_path_units < stats.serial_sum_units
+            assert (
+                f"repro_parallel_saved_units_total "
+                f"{stats.saved_units:.10g}"
+            ) in db.metrics_snapshot().splitlines()
         finally:
             executor.close()
 

@@ -86,3 +86,68 @@ def test_wal_gate_end_to_end():
         "wal: recovered database diverged from the committed-prefix "
         "reference replay (kill + recover differential)"
     ]
+
+
+def _requirement(gate, fragment):
+    """The replay count of ``gate`` whose message names ``fragment``."""
+    counts = [count for count, message in gates.GATES[gate].replay
+              if isinstance(message, str) and fragment in message]
+    assert len(counts) == 1, (gate, fragment)
+    return counts[0]
+
+
+_PARALLEL = {"per_shards": {"1": {"dispatches": 0, "gathers": 0},
+                            "4": {"dispatches": 8, "gathers": 2}}}
+_CACHE = {"zipf_cache_report": {"lookups": 9},
+          "iotta_cache_report": {"lookups": 7},
+          "zipf_hit_rate": 0.5, "iotta_hit_rate": 0.25}
+_MLP = {kind: {"mlp_waves": 3, "mlp_loads": 12}
+        for kind in gates.MLP_INDEXES}
+_WAL = {"group_records": 2000, "crash_records": 90, "crash_fsyncs": 1}
+
+#: The replay requirements read from layer stats: the gate, the stats
+#: field its message names, a ``meta`` with that field set, and the key
+#: path of each place the field lives (zeroed one at a time).
+STATS_REQUIREMENTS = [
+    ("batch", "BatchExecutor.stats.by_kind",
+     {kind: {"dispatched_gets": 2048} for kind in gates.BATCH_INDEXES},
+     [(kind, "dispatched_gets") for kind in gates.BATCH_INDEXES]),
+    ("parallel", "ExecutorStats.dispatches", _PARALLEL,
+     [("per_shards", "4", "dispatches")]),
+    ("parallel", "ExecutorStats.batches", _PARALLEL,
+     [("per_shards", "4", "gathers")]),
+    ("cache", "CacheStats.lookups", _CACHE,
+     [("zipf_cache_report", "lookups"), ("iotta_cache_report", "lookups")]),
+    ("cache", "CacheStats.hit_rate", _CACHE,
+     [("zipf_hit_rate",), ("iotta_hit_rate",)]),
+    ("mlp", "mlp_totals.waves", _MLP,
+     [(kind, "mlp_waves") for kind in gates.MLP_INDEXES]),
+    ("mlp", "mlp_totals.loads", _MLP,
+     [(kind, "mlp_loads") for kind in gates.MLP_INDEXES]),
+    ("wal", "group-commit arm", _WAL, [("group_records",)]),
+    ("wal", "appended in the crash arm", _WAL, [("crash_records",)]),
+    ("wal", "WriteAheadLog.fsyncs", _WAL, [("crash_fsyncs",)]),
+    ("selftune", "TuningStats.candidates_scored",
+     {"scenarios": {"cold": {"candidates_scored": 4},
+                    "shift": {"candidates_scored": 11}}},
+     [("scenarios", "cold", "candidates_scored"),
+      ("scenarios", "shift", "candidates_scored")]),
+]
+
+
+@pytest.mark.parametrize(
+    "gate, fragment, meta, paths", STATS_REQUIREMENTS,
+    ids=[f"{gate}-{fragment}" for gate, fragment, *_ in STATS_REQUIREMENTS],
+)
+def test_stats_requirement_fails_when_its_field_is_zero(
+    gate, fragment, meta, paths
+):
+    count = _requirement(gate, fragment)
+    assert count(None, meta)
+    for path in paths:
+        zeroed = json.loads(json.dumps(meta))
+        target = zeroed
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 0
+        assert not count(None, zeroed), path

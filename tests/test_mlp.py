@@ -25,11 +25,12 @@ import pytest
 from repro import obs
 from repro.bench import mlp
 from repro.bench.harness import make_u64_environment
+from repro.db.database import Database
 from repro.engine import ParallelShardExecutor, build_sharded_index
 from repro.exec import BatchExecutor
 from repro.keys.encoding import encode_u64
 from repro.memory.cost_model import CostModel
-from repro.table.table import Table
+from repro.table.table import RowSchema, Table
 from repro.tools import mlp_summary
 
 KINDS = ("elastic", "stx", "seqtree128")
@@ -187,14 +188,29 @@ class TestObsVisibility:
         with obs.enabled():
             observer = obs.Observer()
             executor.get_batch(probes)
-        waves = [e for e in observer.events if e.kind == "mlp_wave"]
-        assert waves
-        assert all(e.width == 4 and e.loads > 0 for e in waves)
-        assert sum(e.waves for e in waves) == executor.stats.mlp_waves
-        snapshot = observer.metrics_snapshot()
-        assert "repro_mlp_waves_total" in snapshot
-        assert "repro_mlp_loads_total" in snapshot
-        assert "repro_mlp_units_saved_total" in snapshot
+            observer.close()
+        totals = env.cost.mlp_totals
+        assert totals.loads > totals.waves > 0
+        assert executor.stats.mlp_waves == totals.waves
+        assert executor.stats.mlp_loads == totals.loads
+        assert executor.stats.mlp_saved_units == totals.saved_units > 0
+        # Waves are counted on the cost model, never published.
+        assert not observer.events
+
+        db = Database()
+        table = db.create_table(RowSchema("t", ("a",), (8,)))
+        table.create_index("by_a", ("a",))
+        table.insert_batch([(v,) for v in range(0, 3000, 3)])
+        with db.cost.using_mlp_width(4):
+            table.get_batch("by_a", [(v,) for v in range(0, 3000, 7)])
+        totals = db.cost.mlp_totals
+        assert totals.waves > 0
+        lines = db.metrics_snapshot().splitlines()
+        assert f"repro_mlp_waves_total {totals.waves}" in lines
+        assert f"repro_mlp_loads_total {totals.loads}" in lines
+        assert (
+            f"repro_mlp_units_saved_total {totals.saved_units:.10g}"
+        ) in lines
 
     def test_no_wave_events_at_width_one(self):
         env, probes = _loaded("stx", n=800)
@@ -202,7 +218,10 @@ class TestObsVisibility:
         with obs.enabled():
             observer = obs.Observer()
             executor.get_batch(probes)
-        assert not [e for e in observer.events if e.kind == "mlp_wave"]
+            observer.close()
+        assert not observer.events
+        assert env.cost.mlp_totals.waves == env.cost.mlp_totals.loads == 0
+        assert executor.stats.mlp_waves == 0
 
 
 class TestDriverAndTools:

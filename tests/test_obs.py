@@ -14,11 +14,14 @@ import random
 import pytest
 
 from repro import obs
+from repro.cache import CacheConfig
 from repro.core.policies import EagerCompactionPolicy
 from repro.db import Database
+from repro.db.metrics import layer_metrics
 from repro.exec import BatchExecutor
 from repro.memory.cost_model import CostModel
 from repro.table.table import RowSchema
+from repro.wal import WalConfig
 
 from tests.conftest import U64Source
 from tests.test_elastic import fill, make_elastic
@@ -174,24 +177,6 @@ class TestEventAccuracy:
                 if e.trigger == "bulk"]
         assert bulk
 
-    def test_batch_descent_events(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            source = U64Source()
-            tree = make_elastic(source, size_bound=10_000_000)
-            pairs = [source.add(v) for v in range(2000)]
-            tree.insert_sorted_batch(pairs)
-            keys = [k for k, _ in pairs[::7]]
-            tree.lookup_batch(keys)
-            tree.scan_batch(keys[:40], 10)
-        descents = observer.event_log("batch_descent")
-        by_op = {e.op: e for e in descents}
-        assert set(by_op) == {"insert", "lookup", "scan"}
-        assert by_op["insert"].batch_size == 2000
-        assert by_op["lookup"].batch_size == len(keys)
-        for event in descents:
-            assert 0 < event.descents <= event.batch_size
-
 
 # ----------------------------------------------------------------------
 # Exporters
@@ -287,8 +272,7 @@ class TestMetrics:
     def test_scalar_and_batched_snapshots_identical(self):
         """Same sorted workload, scalar vs. batched: identical metrics.
 
-        Batch-only families (``repro_batch*``) are excluded — they count
-        executor activity that exists only in the batched run; every
+        A bare observer holds only the event-fed families, so every
         elasticity-driven family must match byte for byte.
         """
 
@@ -309,10 +293,7 @@ class TestMetrics:
                     tree.lookup(key)
             snapshot = observer.metrics_snapshot()
             observer.close()
-            return "\n".join(
-                line for line in snapshot.splitlines()
-                if "repro_batch" not in line
-            )
+            return snapshot
 
         with obs.enabled():
             scalar = run_one(batched=False)
@@ -373,7 +354,36 @@ class TestTracing:
 # ----------------------------------------------------------------------
 # Event bus
 # ----------------------------------------------------------------------
+#: The kinds the bus carries: each marks a state change or a scripted
+#: fault.  Per-call activity is read from layer stats instead.
+KEPT_KINDS = {
+    "leaf_conversion", "capacity_change", "leaf_retrain",
+    "breathing_resize", "pressure_transition", "policy_action",
+    "budget_rebalance", "cache_budget", "replica_route",
+    "replica_failover", "replica_rebuild", "cluster_budget",
+    "shard_retry", "shard_hedge", "executor_degrade", "recovery_replay",
+    "tuning_action", "tuning_payback",
+}
+
+#: Families read from a database's layer stats (the rest are event-fed).
+LAYER_FAMILIES = {
+    "repro_batch_dispatch_ops_total", "repro_cache_events_total",
+    "repro_cache_hit_rate", "repro_parallel_saved_units_total",
+    "repro_mlp_waves_total", "repro_mlp_loads_total",
+    "repro_mlp_units_saved_total",
+    "repro_shard_pressure_observations_total",
+    "repro_tuning_probes_total", "repro_wal_records_total",
+    "repro_wal_bytes_total", "repro_group_commits_total",
+    "repro_group_commit_records_total", "repro_wal_durable_lsn",
+}
+
+
 class TestEventBus:
+    def test_taxonomy_is_the_kept_kinds(self):
+        kinds = [cls.kind for cls in obs.Event.__subclasses__()]
+        assert len(kinds) == len(KEPT_KINDS) == 18
+        assert set(kinds) == KEPT_KINDS
+
     def test_unsubscribe(self):
         bus = obs.EventBus()
         seen = []
@@ -420,6 +430,74 @@ class TestDatabaseObservability:
         assert db.write_event_log(path) == len(db.event_log())
         for line in path.read_text().splitlines():
             json.loads(line)
+
+    def make_layered_db(self):
+        """A WAL-backed database whose one index is cached and elastic."""
+        db = Database(wal=WalConfig(group_size=8))
+        table = db.create_table(RowSchema("t", ("a", "b"), (8, 8)))
+        table.create_index(
+            "by_a", ("a",), kind="elastic", size_bound_bytes=6_000,
+            cache=CacheConfig(budget_bytes=4096, sketch_width=64,
+                              min_budget_bytes=1024),
+        )
+        return db, table
+
+    def drive(self, table):
+        table.insert_batch([(i, i) for i in range(400)])
+        table.get_batch("by_a", [(i,) for i in range(0, 400, 3)])
+        for i in range(0, 400, 7):
+            table.get("by_a", (i,))
+
+    def test_layer_families_belong_to_one_database(self):
+        with obs.enabled():
+            busy, busy_table = self.make_layered_db()
+            quiet, _ = self.make_layered_db()
+            self.drive(busy_table)
+            busy_families = parse_prometheus(busy.metrics_snapshot())
+            quiet_families = parse_prometheus(quiet.metrics_snapshot())
+        for family in ("repro_batch_dispatch_ops_total",
+                       "repro_cache_events_total", "repro_cache_hit_rate",
+                       "repro_wal_records_total",
+                       "repro_group_commits_total"):
+            assert any(float(v) for v in busy_families[family].values())
+            assert not any(float(v) for v in quiet_families[family].values())
+        # Events stay process-wide: the quiet database's observer saw
+        # the busy one's leaf conversions.
+        assert quiet.event_log("leaf_conversion")
+        assert len(quiet.event_log()) == len(busy.event_log())
+
+    def test_layer_families_read_stats_with_obs_off(self):
+        db, table = self.make_layered_db()
+        self.drive(table)
+        assert db.event_log() == []
+        registry = layer_metrics(db)
+        secondary = table.indexes["by_a"]
+        cache = secondary.index.cache
+        dispatch = registry.get("repro_batch_dispatch_ops_total")
+        for kind, ops in secondary.executor.stats.by_kind.items():
+            assert dispatch.value(op=kind, path="native") == ops
+        events = registry.get("repro_cache_events_total")
+        assert events.value(name=cache.name, action="hit", tier="row") == \
+            cache.stats.row_hits > 0
+        assert events.value(name=cache.name, action="miss",
+                            tier="descent") == cache.stats.desc_misses
+        assert registry.get("repro_cache_hit_rate").value(
+            name=cache.name) == cache.stats.hit_rate
+        assert registry.get("repro_wal_records_total").total() == len(
+            db.wal.records)
+        assert registry.get("repro_group_commits_total").total() == \
+            db.wal.fsyncs > 0
+        families = parse_prometheus(db.metrics_snapshot())
+        assert set(families) == set(obs.Observer().registry.names()) | \
+            LAYER_FAMILIES
+
+    def test_bare_observer_renders_only_event_fed_families(self):
+        observer = obs.Observer()
+        names = set(observer.registry.names())
+        observer.close()
+        assert names.isdisjoint(LAYER_FAMILIES)
+        assert len(names) == 26
+        assert "repro_leaf_conversions_total" in names
 
     def test_db_trace_op_spans(self):
         with obs.enabled():

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cluster import ReplicaConfig
 from repro.db.database import Database
+from repro.db.metrics import layer_metrics
 from repro.engine import FaultPlan
 from repro.errors import RecoveryError, WalError
+from repro.memory.cost_model import CostModel
 from repro.table.table import RowSchema, Table
 from repro.tools import wal_summary
 from repro.wal import (
@@ -256,6 +258,66 @@ class TestGroupCommit:
         assert db.wal.crashed
         with pytest.raises(WalError, match="crashed"):
             table.insert((2, 2))
+
+
+class TestInvariants:
+    def test_kill_between_streams_keeps_counts_whole(self):
+        # A group of four spans two streams; the kill lands after stream
+        # 0's barrier, so stream 1's lsns 1 and 3 never reached media.
+        plan = FaultPlan().kill(fsync=0)
+        wal = WriteAheadLog(
+            WalConfig(group_size=4, shards=2, faults=plan), CostModel()
+        )
+        for i in range(4):
+            wal.append("insert", "t", (i, i), 16)
+        with pytest.raises(CrashError):
+            wal.group_commit()
+        info = wal.summary()
+        assert info["records"] == 4
+        assert info["durable_records"] == 1
+        assert info["pending_records"] == 3
+        assert info["durable_records"] + info["pending_records"] == 4
+        wal.check_invariants()  # the live-log watermark rule is skipped
+
+    def test_holds_after_batches_flush_and_recovery(self):
+        db, table = make_db(
+            wal=WalConfig(group_size=8, shards=3),
+            index_kwargs={"kind": "elastic", "size_bound_bytes": 6_000},
+        )
+        db.wal.check_invariants()
+        tids = apply_batches(db, table, make_unit_ops(90), batch_size=7)
+        table.delete(tids[-1])
+        db.wal.check_invariants()
+        assert db.wal.pending_records > 0
+        db.wal.flush()
+        db.wal.check_invariants()
+        assert db.wal.pending_records == 0
+        table.insert_batch([(1000 + i, i) for i in range(5)])
+        recovered, _ = recover_database(db)
+        recovered.wal.check_invariants()
+        recovered.tables["t"].insert((5000, 1))
+        recovered.wal.check_invariants()
+
+    @pytest.mark.parametrize("corrupt, rule", [
+        (lambda wal: setattr(wal.records[3], "lsn", 4), "records\\[3\\]"),
+        (lambda wal: setattr(wal, "next_lsn", wal.next_lsn + 1), "next_lsn"),
+        (lambda wal: wal.streams[1].records.pop(), "stream 1"),
+        (lambda wal: wal.streams[0].records.reverse(), "stream 0"),
+        (lambda wal: setattr(wal, "_grouped_upto", -1), "watermark"),
+        (lambda wal: setattr(wal, "_grouped_upto", wal.next_lsn + 1),
+         "watermark"),
+        (lambda wal: setattr(wal, "_grouped_upto", wal._grouped_upto - 4),
+         "durable_lsn"),
+        (lambda wal: setattr(wal.streams[1], "durable_lsn", 1),
+         "stream 1 durable_lsn"),
+    ])
+    def test_corruption_raises(self, corrupt, rule):
+        db, table = make_db(wal=WalConfig(group_size=8, shards=3))
+        table.insert_batch([(i, i) for i in range(20)])
+        db.wal.check_invariants()
+        corrupt(db.wal)
+        with pytest.raises(ValueError, match=rule):
+            db.wal.check_invariants()
 
 
 #: Kill-and-recover matrix: (index kwargs, wal shards, kill point).
@@ -577,35 +639,38 @@ class TestObservability:
                     apply_batches(db, table, make_unit_ops(60),
                                   batch_size=16)
                 recover_database(db)
-                appends = observer.event_log("wal_append")
-                commits = observer.event_log("group_commit")
                 replays = observer.event_log("recovery_replay")
             finally:
                 observer.close()
-        assert appends and commits and len(replays) == 1
-        assert appends[0].first_lsn == 0
-        assert sum(e.records for e in appends) == appends[-1].last_lsn + 1
-        assert all(e.group_size == 8 for e in commits)
+        # Appends and barriers are the log's own counts, not events.
+        assert {e.kind for e in observer.events} == {"recovery_replay"}
+        wal = db.wal
+        assert [r.lsn for r in wal.records] == list(range(wal.next_lsn))
+        assert wal.fsyncs == wal.next_lsn // 8 > 0
+        assert len(replays) == 1
         replay = replays[0]
         assert replay.records_replayed + replay.records_discarded > 0
         assert replay.tables == 1 and replay.indexes == 1
         assert replay.cost_units > 0
 
     def test_metrics_registered(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            try:
-                db, table = make_db(wal=WalConfig(group_size=4))
-                table.insert_batch([(i, i) for i in range(12)])
-                registry = observer.registry
-                records = registry.get("repro_wal_records_total")
-                commits = registry.get("repro_group_commits_total")
-                durable = registry.get("repro_wal_durable_lsn")
-            finally:
-                observer.close()
-        assert records is not None and records.total() == 12
-        assert commits is not None and commits.total() == 3
-        assert durable is not None and durable.total() == 11  # last lsn
+        db, table = make_db(wal=WalConfig(group_size=4))
+        table.insert_batch([(i, i) for i in range(12)])
+        registry = layer_metrics(db)
+        records = registry.get("repro_wal_records_total")
+        commits = registry.get("repro_group_commits_total")
+        durable = registry.get("repro_wal_durable_lsn")
+        assert records.total() == 12
+        assert registry.get("repro_wal_bytes_total").total() == sum(
+            r.nbytes for r in db.wal.records
+        )
+        assert commits.total() == 3
+        assert registry.get("repro_group_commit_records_total").value(
+            stream="0") == 12
+        assert durable.value(stream="0") == 11  # last lsn
+        assert "repro_wal_records_total 12" in (
+            db.metrics_snapshot().splitlines()
+        )
 
     def test_obs_does_not_change_wal_costs(self):
         def run():
