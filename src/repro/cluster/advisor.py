@@ -10,13 +10,15 @@ the shared cost model, ``replica_rebuild`` event carrying the units).
 
 Candidate profiles are priced on a **scratch sample**: a throwaway
 index built from the router's probe keys, measured and then rebated, so
-candidate evaluation leaves only the advisor fee on the ledger — the
-same pattern the router uses for what-if routing.
+candidate evaluation leaves only the advisor fee on the ledger.  Probes,
+scratch builds and the billed rebuild are the what-if engine's
+(:mod:`repro.engine.whatif`), shared with the router and the
+self-tuning advisor; this class keeps only the decision policy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cluster.config import (
@@ -25,7 +27,13 @@ from repro.cluster.config import (
     ReplicaProfile,
 )
 from repro.cluster.replica_set import Replica, ReplicaSet
-from repro.engine.router import build_sharded_index
+from repro.engine.builder import live_bound
+from repro.engine.whatif import (
+    ProbeRound,
+    billed_rebuild,
+    build_scratch,
+    sample_pairs,
+)
 from repro.errors import ReplicaConfigError
 from repro.obs import ReplicaRebuildEvent
 
@@ -73,11 +81,14 @@ class ReplicaAdvisor:
         """Rebuild one replica under ``profile``; returns billed units.
 
         The replica's current index is drained in key order and bulk-
-        loaded into a fresh index built from ``profile`` under the same
-        apportioned bound — the whole round trip is charged to the
-        shared cost model exactly like a bulk leaf conversion (nothing
-        is rebated).  The router's cached scores for the replica are
-        invalidated so the next round re-probes the new configuration.
+        loaded into a fresh index built from the profile's recipe (over
+        the set's ``create_index``-level recipe) under the bound the
+        replica's controllers hold now — the whole round trip is charged
+        to the shared cost model exactly like a bulk leaf conversion
+        (nothing is rebated; :func:`~repro.engine.whatif.billed_rebuild`).
+        The new structures replace the old ones in the budget arbiter,
+        and the router's cached scores for the replica are invalidated
+        so the next round re-probes the new configuration.
         """
         profile.validate()
         replicas = self.replica_set.replicas
@@ -87,23 +98,18 @@ class ReplicaAdvisor:
                 f"{len(replicas)}-replica cluster"
             )
         replica = replicas[replica_id]
-        bound = replica.bound_bytes
-        if profile.kind in BOUNDED_KINDS and bound is None:
+        recipe = self._recipe(profile, replica)
+        if recipe is None:
             raise ReplicaConfigError(
                 f"profile {profile.name!r} is elastic but replica "
-                f"{replica_id} holds no bound share to reuse"
+                f"{replica_id} holds no bound to reuse"
             )
-        params = self.replica_set.build_params
         old_profile = replica.profile
-        items = len(replica.index)
-        with self.cost.measure() as delta:
-            drained = replica.index.scan(b"", items) if items else []
-            new_index = self._build(profile, bound, replica.name, params)
-            if drained:
-                new_index.insert_sorted_batch(drained)
-        cost_units = delta.weighted_cost()
-        replica.index = new_index
+        replica.index, cost_units, items = billed_rebuild(
+            recipe, replica.index, self.replica_set.arbiter,
+        )
         replica.profile = profile
+        replica.bound_bytes = recipe.size_bound_bytes
         self.router.invalidate(replica_id)
         if obs.is_enabled():
             obs.emit(ReplicaRebuildEvent(
@@ -113,43 +119,17 @@ class ReplicaAdvisor:
             ))
         return cost_units
 
-    def _build(self, profile: ReplicaProfile, bound: Optional[int],
-               label: str, params: Dict):
-        """Build a fresh index for ``profile`` with the set's knobs."""
-        merged = profile.builder_kwargs()
-        if params.get("shards", 1) > 1:
-            return build_sharded_index(
-                profile.kind,
-                table=params["table"],
-                cost=self.cost,
-                key_width=params["key_width"],
-                n_shards=params["shards"],
-                partitioner=params.get("partitioner", "hash"),
-                size_bound_bytes=bound,
-                name=label,
-                executor=params.get("executor"),
-                cache=profile.cache,
-                **merged,
-            )
-        from repro.memory.allocator import TrackingAllocator
-        from repro.registry import build_index
-
-        index = build_index(
-            profile.kind,
-            table=params["table"],
-            allocator=TrackingAllocator(cost_model=self.cost),
-            cost=self.cost,
-            key_width=params["key_width"],
-            size_bound_bytes=bound,
-            **merged,
-        )
-        if profile.cache is not None:
-            from repro.cache import IndexCache
-
-            index.attach_cache(
-                IndexCache(profile.cache, name=f"{label}.cache")
-            )
-        return index
+    def _recipe(self, profile: ReplicaProfile, replica: Replica):
+        """``profile``'s recipe for ``replica``, under the bound the
+        replica's controllers hold now (the bound it was last built
+        under, when nothing in it is elastic); None if an elastic
+        profile would have no bound."""
+        bound = live_bound(replica.index)
+        if bound is None:
+            bound = replica.bound_bytes
+        if profile.kind in BOUNDED_KINDS and bound is None:
+            return None
+        return profile.recipe(self.replica_set.recipe, bound, replica.name)
 
     # ------------------------------------------------------------------
     # Advice (candidates priced on a scratch sample, rebated)
@@ -163,10 +143,11 @@ class ReplicaAdvisor:
 
         The replica with the highest mix-weighted cost contribution is
         the rebuild target.  Each candidate is priced by building a
-        scratch index over the router's sample keys, probing it with the
-        same per-class probes, and rebating the whole evaluation (only
-        the advisor fee is billed).  If the best candidate beats the
-        incumbent's mix-weighted score by more than
+        scratch index over the router's sample keys at the target's
+        bound, probing it with the same per-class probes, and rebating
+        the whole evaluation (one :class:`~repro.engine.whatif.
+        ProbeRound`: only the advisor fee is billed).  If the best
+        candidate beats the incumbent's mix-weighted score by more than
         ``improvement_fraction``, the replica is rebuilt (billed) and
         ``(replica_id, profile_name)`` is returned; otherwise None.
         """
@@ -178,32 +159,29 @@ class ReplicaAdvisor:
         )
         incumbent_units = contributions[target_id]
         mix = self.router.class_mix()
-        sample_pairs = self._sample_pairs()
-        if not sample_pairs or incumbent_units <= 0.0:
+        samples = self.router._samples
+        pairs = sample_pairs(
+            [key for cls in QUERY_CLASSES for key in samples[cls]]
+        )
+        if not pairs or incumbent_units <= 0.0:
             return None
+        target = self.replica_set.replicas[target_id]
+        probes = ProbeRound(
+            self.cost, self.replica_set.config.advisor_fee_units
+        )
         best: Optional[Tuple[float, int, ReplicaProfile]] = None
-        bound = self.replica_set.replicas[target_id].bound_bytes
-        params = self.replica_set.build_params
-        scored = 0
         for position, candidate in enumerate(candidates):
             candidate.validate()
-            if candidate.kind in BOUNDED_KINDS and bound is None:
+            recipe = self._recipe(candidate, target)
+            if recipe is None:
                 continue
-            with self.cost.measure() as delta:
-                scratch = self._build(
-                    candidate, bound, "advisor.scratch", params
-                )
-                scratch.insert_sorted_batch(sample_pairs)
+            with probes.probe():
+                scratch, _ = build_scratch(recipe, pairs)
                 units = self._mix_probe_units(scratch, mix)
-            self.cost.rebate_delta(delta)
-            scored += 1
             key = (units, position)
             if best is None or key < (best[0], best[1]):
                 best = (units, position, candidate)
-        if scored:
-            self.cost.fixed_ops(
-                self.replica_set.config.advisor_fee_units * scored
-            )
+        probes.bill()
         if best is None:
             return None
         units, _, candidate = best
@@ -212,25 +190,12 @@ class ReplicaAdvisor:
         self.rebuild(target_id, candidate)
         return target_id, candidate.name
 
-    def _sample_pairs(self) -> List[Tuple[bytes, int]]:
-        """Distinct sampled keys (all classes) paired with dummy tids."""
-        seen = sorted({
-            key
-            for cls in QUERY_CLASSES
-            for key in self.router._samples[cls]
-        })
-        return [(key, i) for i, key in enumerate(seen)]
-
     def _mix_probe_units(self, index, mix: Dict[str, float]) -> float:
         """Mix-weighted per-op probe cost of ``index`` (not rebated here;
-        the caller measures and rebates around this call)."""
+        the caller's probe rebates around this call)."""
         total = 0.0
         for cls in QUERY_CLASSES:
             share = mix.get(cls, 0.0)
-            keys = self.router._samples[cls]
-            if not share or not keys:
-                continue
-            with self.cost.measure() as delta:
-                probes = self.router._probe(cls, index, keys)
-            total += share * (delta.weighted_cost() / probes)
+            if share and self.router._samples[cls]:
+                total += share * self.router._probe_units(cls, index)
         return total

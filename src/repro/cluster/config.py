@@ -11,10 +11,11 @@ under one cluster-global soft bound apportioned by profile weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.cache import CacheConfig
+from repro.engine.builder import IndexRecipe
 from repro.engine.faults import FaultPlan
 from repro.errors import ReplicaConfigError
 
@@ -62,6 +63,16 @@ class ReplicaProfile:
         if self.leaf_kinds is not None:
             kwargs["leaf_kinds"] = tuple(self.leaf_kinds)
         return kwargs
+
+    def recipe(self, base: IndexRecipe, bound: Optional[int],
+               name: str) -> IndexRecipe:
+        """The recipe of a replica built from this profile over ``base``
+        (the ``create_index``-level recipe): the profile's kind and
+        cache, its keywords over the base ones, and ``bound``."""
+        return replace(
+            base.with_kwargs(self.builder_kwargs()), kind=self.kind,
+            cache=self.cache, size_bound_bytes=bound, name=name,
+        )
 
     def validate(self) -> None:
         if not self.name:

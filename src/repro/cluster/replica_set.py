@@ -37,9 +37,9 @@ from repro.cluster.config import (
     ReplicaProfile,
 )
 from repro.cluster.router import ClusterRouter
-from repro.engine.executor import ShardExecutor
-from repro.engine.router import ShardedIndex, build_sharded_index
-from repro.errors import CacheConfigError, ReplicaConfigError
+from repro.engine.builder import IndexRecipe, build, check, controllers
+from repro.errors import ReplicaConfigError
+from repro.exec.executor import index_caches
 from repro.memory.cost_model import CostModel
 from repro.obs import ClusterBudgetEvent
 
@@ -59,6 +59,8 @@ class Replica:
         self.profile = profile
         self.index = index
         self.name = name or f"replica[{replica_id}]"
+        #: The bound the replica was last built under (its apportioned
+        #: share at first; the arbiter moves the live bound since).
         self.bound_bytes = bound_bytes
         #: Read-serving health; writes ignore it (see module docstring).
         self.up = True
@@ -66,20 +68,6 @@ class Replica:
     @property
     def index_bytes(self) -> int:
         return self.index.index_bytes
-
-    def controllers(self) -> List:
-        """Elasticity controllers under this replica (0, 1, or per shard)."""
-        if isinstance(self.index, ShardedIndex):
-            return self.index.controllers()
-        controller = getattr(self.index, "controller", None)
-        return [controller] if controller is not None else []
-
-    def caches(self) -> List:
-        """Adaptive caches under this replica, if any."""
-        if isinstance(self.index, ShardedIndex):
-            return self.index.caches()
-        cache = getattr(self.index, "cache", None)
-        return [cache] if cache is not None else []
 
     def __len__(self) -> int:
         return len(self.index)
@@ -100,7 +88,7 @@ class ReplicaSet:
         replicas: Sequence[Replica],
         config: ReplicaConfig,
         cost: CostModel,
-        build_params: Optional[Dict] = None,
+        recipe: Optional[IndexRecipe] = None,
     ) -> None:
         if not replicas:
             raise ReplicaConfigError("a replica set needs >= 1 replica")
@@ -108,9 +96,13 @@ class ReplicaSet:
         self.config = config
         self.cost = cost
         self.router = ClusterRouter(config, self.replicas, cost)
-        #: How replicas were built (kind-independent knobs the advisor
-        #: reuses when rebuilding one replica under a new profile).
-        self.build_params: Dict = build_params or {}
+        #: The ``create_index``-level recipe every replica's profile
+        #: recipe builds over (:meth:`ReplicaProfile.recipe
+        #: <repro.cluster.ReplicaProfile.recipe>`), rebuilds included.
+        self.recipe = recipe
+        #: The budget arbiter the replicas are enrolled with (set by the
+        #: database when it enrolls them); rebuilds re-enroll with it.
+        self.arbiter = None
 
     # ------------------------------------------------------------------
     # Writes: every replica (up or down), in replica-id order
@@ -183,18 +175,29 @@ class ReplicaSet:
 
     def controllers(self) -> List:
         """All elasticity controllers across replicas, replica order."""
-        return [
-            controller
-            for replica in self.replicas
-            for controller in replica.controllers()
-        ]
+        return [c for r in self.replicas for c in controllers(r.index)]
 
     def caches(self) -> List:
-        return [
-            cache
-            for replica in self.replicas
-            for cache in replica.caches()
-        ]
+        return [c for r in self.replicas for c in index_caches(r.index)]
+
+    def check_invariants(self) -> None:
+        """Raise ``ValueError`` naming the first broken invariant, then
+        check the router's (:meth:`ClusterRouter.check_invariants
+        <repro.cluster.ClusterRouter.check_invariants>`)."""
+        replicas = self.replicas
+        routed = self.router.replicas
+        for holds, invariant in (
+            (all(r.replica_id == i for i, r in enumerate(replicas)),
+             "replicas[i].replica_id == i"),
+            (len(routed) == len(replicas)
+             and all(a is b for a, b in zip(routed, replicas)),
+             "router.replicas holds the replicas, in order"),
+            (len({len(r.index) for r in replicas}) == 1,
+             "every replica holds the same item count"),
+        ):
+            if not holds:
+                raise ValueError(f"ReplicaSet invariant broken: {invariant}")
+        self.router.check_invariants()
 
     def replica_report(self) -> List[Dict[str, object]]:
         """Per-replica configuration/health/routing snapshot."""
@@ -259,94 +262,53 @@ def apportion_bounds(
     return bounds
 
 
-def build_replica_set(
-    config: ReplicaConfig,
-    *,
-    kind: str,
-    table,
-    cost: CostModel,
-    key_width: int,
-    size_bound_bytes: Optional[int] = None,
-    name: str = "",
-    shards: int = 1,
-    partitioner: str = "hash",
-    executor: Optional[ShardExecutor] = None,
-    cache=None,
-    **index_kwargs,
-) -> ReplicaSet:
+def build_replica_set(config: ReplicaConfig,
+                      recipe: IndexRecipe) -> ReplicaSet:
     """Materialize ``config.replicas`` full copies behind one router.
 
-    Each replica is built from its resolved profile — its own kind,
-    leaf-kind selection, trigger fractions, and optional cache — and,
-    with ``shards > 1``, is itself a
-    :class:`~repro.engine.router.ShardedIndex` over the given
+    ``recipe`` is the ``create_index``-level recipe.  Each replica is
+    built from its resolved profile's recipe over it
+    (:meth:`ReplicaProfile.recipe <repro.cluster.ReplicaProfile.
+    recipe>`) — its own kind, leaf-kind selection, trigger fractions and
+    optional cache — and, with ``recipe.shards > 1``, is itself a
+    :class:`~repro.engine.router.ShardedIndex` over the recipe's
     partitioner (the replica tier stacks *above* the shard tier).  The
-    cluster bound (``config.total_bound_bytes``, falling back to
-    ``size_bound_bytes``) is apportioned across the elastic replicas by
-    profile weight.
+    cluster bound (``config.total_bound_bytes``, falling back to the
+    recipe's ``size_bound_bytes``) is apportioned across the elastic
+    replicas by profile weight.
     """
     config.validate()
-    if config.profiles and cache is not None:
+    if config.profiles and recipe.cache is not None:
         raise ReplicaConfigError(
             "pass caches per profile (ReplicaProfile(cache=...)) when "
             "explicit profiles are given"
         )
-    profiles = config.resolved_profiles(kind, cache, **index_kwargs)
+    profiles = config.resolved_profiles(
+        recipe.kind, recipe.cache, **recipe.kwargs()
+    )
     total = (
         config.total_bound_bytes
         if config.total_bound_bytes is not None
-        else size_bound_bytes
+        else recipe.size_bound_bytes
     )
     bounds = apportion_bounds(profiles, total)
-    replicas: List[Replica] = []
-    for replica_id, (profile, bound) in enumerate(zip(profiles, bounds)):
-        label = (
-            f"{name}/r{replica_id}" if name else f"replica[{replica_id}]"
+    recipes = [
+        profile.recipe(
+            recipe, bound,
+            f"{recipe.name}/r{replica_id}" if recipe.name
+            else f"replica[{replica_id}]",
         )
-        merged = dict(index_kwargs)
-        merged.update(profile.builder_kwargs())
-        if shards > 1:
-            index = build_sharded_index(
-                profile.kind,
-                table=table,
-                cost=cost,
-                key_width=key_width,
-                n_shards=shards,
-                partitioner=partitioner,
-                size_bound_bytes=bound,
-                name=label,
-                executor=executor,
-                cache=profile.cache,
-                **merged,
-            )
-        else:
-            from repro.memory.allocator import TrackingAllocator
-            from repro.registry import build_index
-
-            index = build_index(
-                profile.kind,
-                table=table,
-                allocator=TrackingAllocator(cost_model=cost),
-                cost=cost,
-                key_width=key_width,
-                size_bound_bytes=bound,
-                **merged,
-            )
-            if profile.cache is not None:
-                if not hasattr(index, "attach_cache"):
-                    raise CacheConfigError(
-                        f"index kind {profile.kind!r} does not support "
-                        "adaptive caching"
-                    )
-                from repro.cache import IndexCache
-
-                index.attach_cache(
-                    IndexCache(profile.cache, name=f"{label}.cache")
-                )
-        replicas.append(
-            Replica(replica_id, profile, index, name=label,
-                    bound_bytes=bound)
-        )
+        for replica_id, (profile, bound) in enumerate(zip(profiles, bounds))
+    ]
+    for replica_recipe in recipes:
+        check(replica_recipe)  # every replica, before the first charge
+    replicas = [
+        Replica(replica_id, profile, build(replica_recipe),
+                name=replica_recipe.name,
+                bound_bytes=replica_recipe.size_bound_bytes)
+        for replica_id, (profile, replica_recipe)
+        in enumerate(zip(profiles, recipes))
+    ]
     if obs.is_enabled():
         obs.emit(ClusterBudgetEvent(
             total_bytes=total or 0,
@@ -354,14 +316,4 @@ def build_replica_set(
             bounds=[b or 0 for b in bounds],
             reason="build",
         ))
-    return ReplicaSet(
-        replicas, config, cost,
-        build_params={
-            "table": table,
-            "key_width": key_width,
-            "shards": shards,
-            "partitioner": partitioner,
-            "executor": executor,
-            "name": name,
-        },
-    )
+    return ReplicaSet(replicas, config, recipe.cost, recipe=recipe)

@@ -9,11 +9,10 @@ The :class:`ClusterRouter` is the read-side brain of a
 * per-class **sample buffers** (the most recent ``probe_keys`` observed
   keys) used as what-if probes;
 * a **score table**: every ``score_interval_ops`` operations each query
-  class is probed against every *up* replica under
-  :meth:`~repro.memory.cost_model.CostModel.measure`, the probe's delta
-  is rebated (the ledger stays net-clean), and a fixed
-  ``advisor_fee_units`` charge per scored (class, replica) pair prices
-  the advisory work itself.  Each class then routes to its
+  class is probed against every *up* replica in one what-if round
+  (:class:`~repro.engine.whatif.ProbeRound`): each probe's delta is
+  rebated, and a fixed ``advisor_fee_units`` charge per scored (class,
+  replica) pair prices the advisory work itself.  Each class then routes to its
   cheapest-scoring replica (ties break toward the lowest replica id).
 
 Heartbeats consume the :class:`~repro.engine.FaultPlan` outage script:
@@ -29,6 +28,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.cluster.config import QUERY_CLASSES, ReplicaConfig
+from repro.engine.whatif import ProbeRound
+from repro.exec.executor import index_caches
 from repro.memory.cost_model import CostModel
 from repro.obs import ReplicaFailoverEvent, ReplicaRouteEvent
 
@@ -205,8 +206,10 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # What-if scoring
     # ------------------------------------------------------------------
-    def _probe(self, query_class: str, index, keys: Sequence[bytes]) -> int:
-        """Run ``query_class``'s probe ops against ``index``; count them.
+    def _probe_units(self, query_class: str, index) -> float:
+        """Mean measured units per ``query_class`` probe op against
+        ``index``, over the class's sample keys (the caller's what-if
+        probe rebates them).
 
         ``point_cold`` probes first evict the probe key from the
         candidate's row caches: the sample keys were *just* served (that
@@ -215,54 +218,42 @@ class ClusterRouter:
         defines the class.  Hot and batch probes keep their cached
         paths; residency is exactly the property being priced there.
         """
-        if query_class == "scan":
-            for key in keys:
-                index.scan(key, self.config.scan_probe_count)
-            return len(keys)
-        if query_class == "batch":
-            index.lookup_batch(list(keys))
-            return len(keys)
-        if query_class == "point_cold":
-            for cache in self._caches_of(index):
+        keys = self._samples[query_class]
+        with self.cost.measure() as delta:
+            if query_class == "scan":
                 for key in keys:
-                    cache.invalidate_key(key)
-        for key in keys:
-            index.lookup(key)
-        return len(keys)
-
-    @staticmethod
-    def _caches_of(index) -> List:
-        caches = getattr(index, "caches", None)
-        if callable(caches):
-            return caches()
-        cache = getattr(index, "cache", None)
-        return [cache] if cache is not None else []
+                    index.scan(key, self.config.scan_probe_count)
+            elif query_class == "batch":
+                index.lookup_batch(list(keys))
+            else:
+                if query_class == "point_cold":
+                    for cache in index_caches(index):
+                        for key in keys:
+                            cache.invalidate_key(key)
+                for key in keys:
+                    index.lookup(key)
+        return delta.weighted_cost() / len(keys)
 
     def score_round(self) -> Dict[tuple, float]:
         """Probe every (class, up replica) pair; reassign routes.
 
-        Probe work executes against the shared cost model and is then
-        rebated (:meth:`~repro.memory.cost_model.CostModel.
-        rebate_delta`), leaving only the deterministic advisor fee —
+        Each pair is one probe of a :class:`~repro.engine.whatif.
+        ProbeRound`: its work executes against the shared cost model and
+        is then rebated, leaving only the deterministic advisor fee —
         ``advisor_fee_units`` per scored pair — on the ledger.
         """
         self._scored_once = True
         up = self.up_replicas()
-        scored_pairs = 0
+        probes = ProbeRound(self.cost, self.config.advisor_fee_units)
         for cls in QUERY_CLASSES:
-            keys = self._samples[cls]
-            if not keys:
+            if not self._samples[cls]:
                 continue
             for replica in up:
-                with self.cost.measure() as delta:
-                    probes = self._probe(cls, replica.index, keys)
-                self.cost.rebate_delta(delta)
-                self._scores[(cls, replica.replica_id)] = (
-                    delta.weighted_cost() / probes
-                )
-                scored_pairs += 1
-        if scored_pairs:
-            self.cost.fixed_ops(self.config.advisor_fee_units * scored_pairs)
+                with probes.probe():
+                    self._scores[(cls, replica.replica_id)] = (
+                        self._probe_units(cls, replica.index)
+                    )
+        probes.bill()
         for cls in QUERY_CLASSES:
             if not self._samples[cls]:
                 continue

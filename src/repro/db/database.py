@@ -7,19 +7,13 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cache import CacheConfig, IndexCache
+from repro.cache import CacheConfig
 from repro.cluster import ReplicaConfig, ReplicaSet, build_replica_set
-from repro.engine import (
-    BudgetArbiter,
-    ShardedIndex,
-    build_sharded_index,
-    largest_remainder,
-    make_executor,
-)
+from repro.engine import BudgetArbiter, largest_remainder, make_executor
+from repro.engine.builder import IndexRecipe, build, enroll
 from repro.db.metrics import layer_metrics
 from repro.db.write import WriteBatch
 from repro.errors import (
-    CacheConfigError,
     IndexExistsError,
     InvalidBudgetError,
     ShardConfigError,
@@ -31,7 +25,6 @@ from repro.keys.encoding import encode_f64, encode_i64, encode_str
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
 from repro.obs import Event, Observer
-from repro.registry import build_index
 from repro.table.table import RowSchema, Table
 from repro.wal.log import TableSnapshot, WalConfig, WriteAheadLog
 
@@ -152,9 +145,9 @@ class SecondaryIndex:
         #: Parked by the self-tuning advisor: writes skip the index and
         #: the first read rebuilds it (see :mod:`repro.tuning`).
         self.parked = False
-        #: Creation-time build recipe the advisor rebuilds from (kind,
-        #: bound, shards, partitioner, cache config, index kwargs).
-        self.build_info: Dict = {}
+        #: The :class:`~repro.engine.builder.IndexRecipe` the index was
+        #: built from; the self-tuning advisor rebuilds from it.
+        self.recipe: Optional[IndexRecipe] = None
 
     @property
     def executor(self) -> BatchExecutor:
@@ -271,8 +264,6 @@ class DBTable:
                 if replicas.total_bound_bytes is not None:
                     size_bound_bytes = replicas.total_bound_bytes
                 replicas = None
-        if cache is not None:
-            cache.validate(size_bound_bytes)
         executor = make_executor(parallel)
         if executor is not None and shards == 1:
             raise ShardConfigError(
@@ -286,65 +277,21 @@ class DBTable:
             name, tuple(columns), widths, positions, None, None, types
         )
         view = TableView(self.table, secondary.key_of_row)
-        # Each index (each shard, when sharded) gets its own allocator
-        # so its footprint (and, for elastic indexes, its budget
-        # observations) is isolated; the shared cost model keeps one
-        # performance ledger.
+        recipe = IndexRecipe(
+            kind=kind, table=view, cost=self.db.cost,
+            key_width=secondary.key_width,
+            size_bound_bytes=size_bound_bytes, shards=shards,
+            partitioner=partitioner, executor=executor, cache=cache,
+            index_kwargs=tuple(index_kwargs.items()),
+            name=f"{self.schema.name}.{name}",
+        )
         if replicas is not None:
-            index = build_replica_set(
-                replicas,
-                kind=kind,
-                table=view,
-                cost=self.db.cost,
-                key_width=secondary.key_width,
-                size_bound_bytes=size_bound_bytes,
-                name=f"{self.schema.name}.{name}",
-                shards=shards,
-                partitioner=partitioner,
-                executor=executor,
-                cache=cache,
-                **index_kwargs,
-            )
-        elif shards == 1:
-            index = build_index(
-                kind,
-                table=view,
-                allocator=TrackingAllocator(cost_model=self.db.cost),
-                cost=self.db.cost,
-                key_width=secondary.key_width,
-                size_bound_bytes=size_bound_bytes,
-                **index_kwargs,
-            )
-            if cache is not None:
-                if not hasattr(index, "attach_cache"):
-                    raise CacheConfigError(
-                        f"index kind {kind!r} does not support adaptive "
-                        "caching"
-                    )
-                index.attach_cache(IndexCache(
-                    cache, name=f"{self.schema.name}.{name}.cache",
-                ))
+            index = build_replica_set(replicas, recipe)
         else:
-            index = build_sharded_index(
-                kind,
-                table=view,
-                cost=self.db.cost,
-                key_width=secondary.key_width,
-                n_shards=shards,
-                partitioner=partitioner,
-                size_bound_bytes=size_bound_bytes,
-                name=f"{self.schema.name}.{name}",
-                executor=executor,
-                cache=cache,
-                **index_kwargs,
-            )
+            index = build(recipe)
         secondary.index = index
         secondary.view = view
-        secondary.build_info = dict(
-            kind=kind, size_bound_bytes=size_bound_bytes, shards=shards,
-            partitioner=partitioner, cache=cache,
-            index_kwargs=dict(index_kwargs),
-        )
+        secondary.recipe = recipe
         self.indexes[name] = secondary
         self.db._register_with_arbiter(self.schema.name, name, index)
         self.db._ddl.append((
@@ -758,33 +705,11 @@ class Database:
             # caches) enroll under the database's one arbitrated total,
             # so budget moves across replica boundaries like it moves
             # across shard boundaries.
+            index.arbiter = self.arbiter
             for replica in index.replicas:
-                if isinstance(replica.index, ShardedIndex):
-                    self._register_with_arbiter(
-                        table_name, index_name, replica.index
-                    )
-                    continue
-                controller = getattr(replica.index, "controller", None)
-                if controller is not None:
-                    self.arbiter.register(replica.name, controller)
-                    cache = getattr(replica.index, "cache", None)
-                    if cache is not None:
-                        self.arbiter.register_cache(replica.name, cache)
+                enroll(self.arbiter, replica.name, replica.index)
             return
-        if isinstance(index, ShardedIndex):
-            for shard in index.shards:
-                if shard.controller is not None:
-                    self.arbiter.register(shard.name, shard.controller)
-                    if shard.cache is not None:
-                        self.arbiter.register_cache(shard.name, shard.cache)
-            return
-        controller = getattr(index, "controller", None)
-        if controller is not None:
-            label = f"{table_name}.{index_name}"
-            self.arbiter.register(label, controller)
-            cache = getattr(index, "cache", None)
-            if cache is not None:
-                self.arbiter.register_cache(label, cache)
+        enroll(self.arbiter, f"{table_name}.{index_name}", index)
 
     def _tick(self, ops: int) -> None:
         """Operation-boundary hook: drives periodic arbitration.

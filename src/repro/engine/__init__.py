@@ -27,9 +27,16 @@ A fourth layer decides *how* a scatter executes:
 With one shard, no arbiter, and the serial executor the engine is
 byte-identical to the unsharded index it wraps; the layers add
 behaviour only when asked to.
+
+Two modules serve the tiers above: the **builder**
+(:mod:`repro.engine.builder`) makes every index shape from one frozen
+:class:`~repro.engine.builder.IndexRecipe`, and the **what-if engine**
+(:mod:`repro.engine.whatif`) gives the cluster router and both
+advisors one probe round, one scratch sample and one billed rebuild.
 """
 
 from repro.engine.arbiter import ArbiterStats, BudgetArbiter, largest_remainder
+from repro.engine.builder import IndexRecipe, build_sharded_index
 from repro.engine.executor import (
     ExecutorStats,
     ParallelShardExecutor,
@@ -46,7 +53,7 @@ from repro.engine.partition import (
     RangePartitioner,
     make_partitioner,
 )
-from repro.engine.router import ShardedIndex, build_sharded_index
+from repro.engine.router import ShardedIndex
 from repro.engine.shard import IndexShard
 
 __all__ = [
@@ -55,6 +62,7 @@ __all__ = [
     "ExecutorStats",
     "FaultPlan",
     "HashPartitioner",
+    "IndexRecipe",
     "IndexShard",
     "PARTITIONERS",
     "ParallelShardExecutor",

@@ -35,7 +35,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.executor import SerialShardExecutor, ShardExecutor, ShardTask
-from repro.engine.partition import Partitioner, make_partitioner
+from repro.engine.partition import Partitioner
 from repro.engine.shard import IndexShard
 from repro.errors import ShardConfigError
 from repro.memory.cost_model import NULL_COST_MODEL, CostModel
@@ -252,81 +252,3 @@ class ShardedIndex:
             if shard.cache is not None
         ]
 
-
-def build_sharded_index(
-    kind: str,
-    *,
-    table,
-    cost,
-    key_width: int,
-    n_shards: int,
-    partitioner: str = "hash",
-    size_bound_bytes: Optional[int] = None,
-    name: str = "",
-    executor: Optional[ShardExecutor] = None,
-    cache=None,
-    **index_kwargs,
-) -> ShardedIndex:
-    """Build ``n_shards`` independent ``kind`` indexes behind one router.
-
-    Each shard gets its own tracking allocator (isolated footprint and
-    budget observations) over the shared cost model; an elastic
-    ``size_bound_bytes`` is split equally across shards with
-    largest-remainder rounding — the static apportionment a
-    :class:`~repro.engine.arbiter.BudgetArbiter` later overrides.
-    ``executor`` selects the scatter/gather backend (default serial).
-    A :class:`~repro.cache.CacheConfig` as ``cache`` attaches one
-    adaptive cache per shard, splitting the configured budget across
-    shards the same way the soft bound is split; writes routed to a
-    shard invalidate that shard's cache through the tree write path.
-    """
-    from repro.memory.allocator import TrackingAllocator
-    from repro.registry import build_index
-
-    part = make_partitioner(partitioner, n_shards)
-    if size_bound_bytes is not None:
-        from repro.engine.arbiter import largest_remainder
-
-        bounds = largest_remainder(size_bound_bytes, [1.0] * n_shards)
-    else:
-        bounds = [None] * n_shards
-    cache_budgets = [None] * n_shards
-    if cache is not None:
-        from dataclasses import replace
-
-        from repro.cache import IndexCache
-        from repro.engine.arbiter import largest_remainder
-        from repro.errors import CacheConfigError
-
-        cache.validate()
-        floor = cache.min_budget_bytes
-        per_shard = largest_remainder(
-            max(cache.budget_bytes, n_shards * floor), [1.0] * n_shards
-        )
-        cache_budgets = [max(b, floor) for b in per_shard]
-    shards = []
-    for shard_id in range(n_shards):
-        allocator = TrackingAllocator(cost_model=cost)
-        index = build_index(
-            kind,
-            table=table,
-            allocator=allocator,
-            cost=cost,
-            key_width=key_width,
-            size_bound_bytes=bounds[shard_id],
-            **index_kwargs,
-        )
-        label = f"{name}[{shard_id}]" if name else f"shard[{shard_id}]"
-        if cache is not None:
-            if not hasattr(index, "attach_cache"):
-                raise CacheConfigError(
-                    f"index kind {kind!r} does not support adaptive caching"
-                )
-            shard_config = replace(cache, budget_bytes=cache_budgets[shard_id])
-            if bounds[shard_id] is not None:
-                shard_config.validate(bounds[shard_id])
-            index.attach_cache(
-                IndexCache(shard_config, name=f"{label}.cache")
-            )
-        shards.append(IndexShard(shard_id, index, allocator, name=label))
-    return ShardedIndex(shards, part, executor=executor, cost=cost)

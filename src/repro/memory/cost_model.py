@@ -556,6 +556,15 @@ class CostModel:
                 delta.counts[category] = diff
 
     @contextmanager
+    def what_if(self) -> Iterator["CostModel"]:
+        """A what-if probe: like :meth:`measure`, and the yielded delta
+        is rebated (:meth:`rebate_delta`) on exit, so the block's work
+        is priced but leaves nothing on the ledger."""
+        with self.measure() as delta:
+            yield delta
+        self.rebate_delta(delta)
+
+    @contextmanager
     def attributed_to(self, tag: str) -> Iterator[None]:
         """Attribute charges inside the block to ``tag`` (in addition to
         the global counters).  The innermost attribution wins on nesting.

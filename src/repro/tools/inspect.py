@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.btree.tree import BPlusTree, InnerNode
+from repro.engine.builder import parts
 
 
 def format_size(nbytes: float) -> str:
@@ -92,22 +93,15 @@ def cache_summary(index) -> str:
     the fraction of elastic memory the cache is currently winning from
     the leaves.
     """
-    shards = getattr(index, "shards", None)
-    if shards is None:
-        pairs = [("index", index)]
-    else:
-        pairs = [(shard.name, shard.index) for shard in shards]
     lines = [
         f"{'shard':<12} {'rows':>11} {'descents':>9} {'bytes':>10} "
         f"{'hit rate':>8} {'bound share':>11}"
     ]
-    for name, tree in pairs:
-        cache = getattr(tree, "cache", None)
+    for name, controller, cache in parts("index", index):
         if cache is None:
             lines.append(f"{name:<12} {'(no cache)':>11}")
             continue
         report = cache.report()
-        controller = getattr(tree, "controller", None)
         if controller is not None:
             bound = controller.budget.soft_bound_bytes
             share = f"{report.budget_bytes / bound * 100:.1f}%"

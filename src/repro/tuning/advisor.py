@@ -7,13 +7,13 @@ at every :class:`~repro.engine.arbiter.BudgetArbiter` tick boundary,
 scores candidate reconfigurations by Extend-style what-if costing:
 each candidate is priced by replaying a sampled recent op window
 against the deterministic :class:`~repro.memory.cost_model.CostModel`
-under ``measure()``, the whole probe is rebated, and a fixed
-``advisor_fee_units`` is billed per candidate scored — the same honesty
-discipline as the cluster router.  An action fires only when its
-modeled payback over ``payback_window_ops`` beats its billed
-application cost (applications are priced like bulk conversions: drain
-plus rebuild, measured and never rebated), inside a per-target
-hysteresis window.
+in one what-if round per tick (:class:`~repro.engine.whatif.
+ProbeRound`, shared with the cluster router): every probe is rebated
+and a fixed ``advisor_fee_units`` is billed per candidate scored.  An
+action fires only when its modeled payback over ``payback_window_ops``
+beats its billed application cost (rebuilds are priced like bulk
+conversions: drain plus rebuild, measured and never rebated), inside a
+per-target hysteresis window.
 
 Action families:
 
@@ -44,66 +44,28 @@ the cluster tier has its own advisor.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cache import IndexCache
 from repro.cluster import ReplicaSet
-from repro.engine import ShardedIndex, build_sharded_index
+from repro.engine import ShardedIndex
+from repro.engine.builder import build, live_bound, withdraw
+from repro.engine.whatif import (
+    ProbeRound,
+    billed_rebuild,
+    build_scratch,
+    sample_pairs,
+    scaled_bound,
+)
 from repro.exec import BatchExecutor
-from repro.memory.allocator import TrackingAllocator
 from repro.obs import TuningActionEvent, TuningPaybackEvent
-from repro.registry import build_index
 from repro.tuning.config import TuningConfig
 from repro.tuning.stats import StatsCollector, WindowStats
 
 #: Dummy tuple-id namespace for what-if write probes (far above any real
 #: tid, so scratch updates never collide with the sampled base pairs).
 _WRITE_TID_BASE = 1 << 40
-
-
-class _SampleView:
-    """Scratch table view backing what-if probes.
-
-    Scratch indexes are built over sampled keys paired with dummy tuple
-    ids; compact (blind-trie) and learned leaves resolve those tids
-    through this view, charging the same indirect ``key_load`` units a
-    real table would — so a candidate's what-if price includes the
-    paper's indirection penalty honestly.
-    """
-
-    def __init__(self, cost_model) -> None:
-        self._cost = cost_model
-        self.keys: Dict[int, bytes] = {}
-
-    def register(self, pairs: Sequence[Tuple[bytes, int]]) -> None:
-        for key, tid in pairs:
-            self.keys[tid] = key
-
-    def load_key(self, tid: int) -> bytes:
-        self._cost.key_loads(1)
-        return self.keys[tid]
-
-    def load_key_batched(self, tid: int) -> bytes:
-        self._cost.key_loads_batched(1)
-        return self.keys[tid]
-
-    def load_keys_batched(self, tids: Sequence[int]) -> List[bytes]:
-        """Per-key loads in one charge (a missing id's own included)."""
-        keys = self.keys
-        out: List[bytes] = []
-        loaded = 0
-        try:
-            for tid in tids:
-                loaded += 1
-                out.append(keys[tid])
-        finally:
-            self._cost.key_loads_batched(loaded)
-        return out
-
-    def peek_key(self, tid: int) -> bytes:
-        return self.keys[tid]
 
 
 @dataclass
@@ -160,7 +122,8 @@ class SelfTuningAdvisor:
         self._collectors: Dict[Tuple[str, str], StatsCollector] = {}
         self._last_action_tick: Dict[str, int] = {}
         self._ticks = 0
-        self._scored_this_tick = 0
+        #: The current tick's what-if round (probes, fee).
+        self._round = ProbeRound(self.cost, config.advisor_fee_units)
         self._take_churn()  # churn from before the loop closed
 
     # ------------------------------------------------------------------
@@ -250,14 +213,11 @@ class SelfTuningAdvisor:
                 collector.observe_churn(churn, retrain_cost)
             closed[key] = collector.roll()
             self.stats.windows_rolled += 1
-        self._scored_this_tick = 0
+        self._round = ProbeRound(self.cost, self.config.advisor_fee_units)
         candidates = self._gather_candidates(closed)
         self._take_churn()
-        if self._scored_this_tick:
-            fee = self.config.advisor_fee_units * self._scored_this_tick
-            self.cost.fixed_ops(fee)
-            self.stats.probe_fee_units += fee
-            self.stats.candidates_scored += self._scored_this_tick
+        self.stats.probe_fee_units += self._round.bill()
+        self.stats.candidates_scored += self._round.scored
         if not candidates:
             return None
         best = max(candidates, key=lambda c: (c.net_gain, -c.order))
@@ -265,12 +225,6 @@ class SelfTuningAdvisor:
             return None
         cost_units = best.fire()
         self._take_churn()
-        self._last_action_tick[best.label] = self._ticks
-        self.stats.actions_applied += 1
-        self.stats.actions_by_family[best.family] = (
-            self.stats.actions_by_family.get(best.family, 0) + 1
-        )
-        self.stats.apply_cost_units += cost_units
         self.stats.modeled_saving_units += best.modeled_saving
         if obs.is_enabled():
             obs.emit(TuningPaybackEvent(
@@ -279,11 +233,24 @@ class SelfTuningAdvisor:
                 apply_cost_units=best.apply_cost,
                 payback_window_ops=self.config.payback_window_ops,
             ))
-            obs.emit(TuningActionEvent(
-                action=best.family, target=best.label, detail=best.detail,
-                items=best.items, cost_units=cost_units,
-            ))
+        self._applied(best.family, best.label, best.detail, best.items,
+                      cost_units)
         return best.family
+
+    def _applied(self, family: str, label: str, detail: str, items: int,
+                 cost_units: float) -> None:
+        """Book one applied action (the stats and its action event)."""
+        self._last_action_tick[label] = self._ticks
+        self.stats.actions_applied += 1
+        self.stats.actions_by_family[family] = (
+            self.stats.actions_by_family.get(family, 0) + 1
+        )
+        self.stats.apply_cost_units += cost_units
+        if obs.is_enabled():
+            obs.emit(TuningActionEvent(
+                action=family, target=label, detail=detail, items=items,
+                cost_units=cost_units,
+            ))
 
     def _gather_candidates(self, closed) -> List[_Candidate]:
         cfg = self.config
@@ -342,44 +309,21 @@ class SelfTuningAdvisor:
             candidates.append(candidate)
 
     # ------------------------------------------------------------------
-    # Scratch what-if machinery (measure -> rebate -> fee)
+    # What-if pricing (probe rounds, scratch builds and billed rebuilds
+    # come from repro.engine.whatif)
     # ------------------------------------------------------------------
     @staticmethod
-    def _scratch_pairs(keys: Sequence[bytes]) -> List[Tuple[bytes, int]]:
-        distinct = sorted(set(keys))
-        return [(key, i) for i, key in enumerate(distinct)]
-
-    @staticmethod
-    def _scaled_bound(bound: int, sample_n: int, items: int) -> int:
-        """Shrink the incumbent's bound to the sample's proportional
-        share, so scratch trees feel representative memory pressure."""
-        if items <= 0:
-            return max(4096, bound)
-        return max(1024, bound * sample_n // items)
-
-    def _build_scratch(self, secondary, bound: int,
-                       overrides: Optional[Dict] = None):
-        info = secondary.build_info
-        kwargs = dict(info.get("index_kwargs", {}))
-        if overrides:
-            kwargs.update(overrides)
-        view = _SampleView(self.cost)
-        index = build_index(
-            info.get("kind", "elastic"),
-            table=view,
-            allocator=TrackingAllocator(cost_model=self.cost),
-            cost=self.cost,
-            key_width=secondary.key_width,
-            size_bound_bytes=bound,
-            **kwargs,
-        )
-        return index, view
+    def _scratch_recipe(secondary, bound: int, **changes):
+        """``secondary``'s recipe for a cache-less scratch build at
+        ``bound``."""
+        return replace(secondary.recipe, cache=None, size_bound_bytes=bound,
+                       **changes)
 
     def _mix_units(self, scratch, view, window: WindowStats,
                    avg_count: int,
                    write_probe_keys: Optional[List[bytes]] = None) -> float:
         """Mix-weighted per-op what-if units of ``scratch`` under the
-        window's class shares (caller measures and rebates around this).
+        window's class shares (the caller's probe rebates them).
 
         ``write_probe_keys`` must be keys held out of the scratch build:
         re-inserting keys the scratch already contains prices a write
@@ -461,22 +405,19 @@ class SelfTuningAdvisor:
         sample: List[bytes] = []
         for w in recent:
             sample.extend(w.write_keys)
-        pairs = self._scratch_pairs(sample)
+        pairs = sample_pairs(sample)
         if len(pairs) < 4:
             return None
         base_pairs = pairs[::2]
         extra_pairs = pairs[1::2]
         index = secondary.index
         items = len(index)
-        bound = index.controller.budget.soft_bound_bytes
-        with self.cost.measure() as probe:
+        recipe = self._scratch_recipe(secondary, scaled_bound(
+            index.controller.budget.soft_bound_bytes, len(base_pairs), items,
+        ))
+        with self._round.probe():
             with self.cost.measure() as build_delta:
-                scratch, view = self._build_scratch(
-                    secondary,
-                    self._scaled_bound(bound, len(base_pairs), items),
-                )
-                view.register(pairs)
-                scratch.insert_sorted_batch(base_pairs)
+                scratch, _ = build_scratch(recipe, pairs, load=base_pairs)
             # Maintenance is priced through the same batched executor
             # path the write paths use — scalar pricing would flatter
             # parking by ~2x on batch-loaded tables.
@@ -486,8 +427,6 @@ class SelfTuningAdvisor:
             # price that debt now, at today's item count.
             with self.cost.measure() as sweep_delta:
                 self.cost.copy_bytes(items * row_bytes)
-        self.cost.rebate_delta(probe)
-        self._scored_this_tick += 1
         per_write = write_delta.weighted_cost() / len(extra_pairs)
         windows_per_horizon = (
             cfg.payback_window_ops / self.arbiter.interval_ops
@@ -510,32 +449,29 @@ class SelfTuningAdvisor:
 
     def _apply_park(self, secondary, label: str) -> float:
         index = secondary.index
-        bound = index.controller.budget.soft_bound_bytes
-        info = secondary.build_info
-        info["size_bound_bytes"] = bound
+        # Unpark rebuilds at the bound the index holds now.
+        secondary.recipe = replace(
+            secondary.recipe,
+            size_bound_bytes=index.controller.budget.soft_bound_bytes,
+        )
         with self.cost.measure() as delta:
-            placeholder, _ = self._build_scratch(secondary, bound)
-        cost_units = delta.weighted_cost()
-        if self.arbiter is not None and label in self.arbiter.shard_names:
-            self.arbiter.unregister(label)
+            placeholder = build(replace(secondary.recipe, cache=None))
+        withdraw(self.arbiter, label, index)
         # The placeholder keeps reporting surfaces (index_bytes, len)
         # alive; reads never touch it — the first query unparks first.
         secondary.index = placeholder
         secondary.parked = True
-        return cost_units
+        return delta.weighted_cost()
 
     def unpark(self, dbtable, secondary) -> float:
         """Rebuild a parked index from the live table (billed), before
         the read that triggered it runs.  Read paths call this on the
         first query against a parked index — never tick-gated, because
         a query needs a correct index *now*."""
-        table_name = dbtable.schema.name
-        label = f"{table_name}.{secondary.name}"
-        info = secondary.build_info
-        bound = info.get("size_bound_bytes")
-        kwargs = dict(info.get("index_kwargs", {}))
+        label = f"{dbtable.schema.name}.{secondary.name}"
         store = dbtable.table
-        with self.cost.measure() as delta:
+
+        def sweep() -> List[Tuple[bytes, int]]:
             pairs = [
                 (secondary.key_of_row(row), tid)
                 for tid, row in store.iter_live()
@@ -543,45 +479,14 @@ class SelfTuningAdvisor:
             pairs.sort()
             # The table sweep reads every live row off the heap.
             self.cost.copy_bytes(len(pairs) * store.row_bytes)
-            fresh = build_index(
-                info.get("kind", "elastic"),
-                table=secondary.view,
-                allocator=TrackingAllocator(cost_model=self.cost),
-                cost=self.cost,
-                key_width=secondary.key_width,
-                size_bound_bytes=bound,
-                **kwargs,
-            )
-            if pairs:
-                fresh.insert_sorted_batch(pairs)
-            self._reattach_cache(fresh, info, label)
-        fresh.controller.take_churn()  # the rebuild is not workload churn
-        cost_units = delta.weighted_cost()
-        secondary.index = fresh
-        secondary.parked = False
-        self.db._register_with_arbiter(table_name, secondary.name, fresh)
-        self._last_action_tick[label] = self._ticks
-        self.stats.actions_applied += 1
-        self.stats.actions_by_family["unpark_index"] = (
-            self.stats.actions_by_family.get("unpark_index", 0) + 1
-        )
-        self.stats.apply_cost_units += cost_units
-        if obs.is_enabled():
-            obs.emit(TuningActionEvent(
-                action="unpark_index", target=label, detail="rebuilt",
-                items=len(pairs), cost_units=cost_units,
-            ))
-        return cost_units
+            return pairs
 
-    def _reattach_cache(self, index, info: Dict, label: str,
-                        budget: Optional[int] = None) -> None:
-        cache_config = info.get("cache")
-        if cache_config is None or not hasattr(index, "attach_cache"):
-            return
-        cache = IndexCache(cache_config, name=f"{label}.cache")
-        index.attach_cache(cache)
-        if budget is not None:
-            cache.set_budget(budget)
+        secondary.index, cost_units, items = billed_rebuild(
+            secondary.recipe, secondary.index, self.arbiter, sweep=sweep,
+        )
+        secondary.parked = False
+        self._applied("unpark_index", label, "rebuilt", items, cost_units)
+        return cost_units
 
     # ------------------------------------------------------------------
     # swap_preset
@@ -599,33 +504,30 @@ class SelfTuningAdvisor:
         sample_keys = (
             window.point_keys + window.scan_starts + built_writes
         )
-        pairs = self._scratch_pairs(sample_keys)
+        pairs = sample_pairs(sample_keys)
         if len(pairs) < 8:
             return None
         built = {key for key, _ in pairs}
         holdout = [
             key for key in window.write_keys[1::2] if key not in built
         ] or window.write_keys
-        bound = index.controller.budget.soft_bound_bytes
-        scaled = self._scaled_bound(bound, len(pairs), items)
+        recipe = self._scratch_recipe(secondary, scaled_bound(
+            index.controller.budget.soft_bound_bytes, len(pairs), items,
+        ))
         avg_count = min(max(1, window.avg_scan_count()), len(pairs))
 
-        def score(overrides: Optional[Dict]) -> Tuple[float, object]:
-            with self.cost.measure() as outer:
-                scratch, view = self._build_scratch(
-                    secondary, scaled, overrides
+        def score(overrides: Dict) -> Tuple[float, object]:
+            with self._round.probe():
+                scratch, view = build_scratch(
+                    recipe.with_kwargs(overrides), pairs
                 )
-                view.register(pairs)
-                scratch.insert_sorted_batch(pairs)
                 per_op = self._mix_units(
                     scratch, view, window, avg_count,
                     write_probe_keys=holdout,
                 )
-            self.cost.rebate_delta(outer)
-            self._scored_this_tick += 1
             return per_op, scratch
 
-        incumbent_units, incumbent_scratch = score(None)
+        incumbent_units, incumbent_scratch = score({})
         if incumbent_units <= 0.0:
             return None
         # Observed structural-churn surcharge: a fresh-built scratch has
@@ -635,12 +537,10 @@ class SelfTuningAdvisor:
         # added only when this index's lattice contains learned leaves,
         # since nothing else can retrain (the pooled per-tick churn may
         # include siblings' events otherwise).
-        kinds = secondary.build_info.get("index_kwargs", {}).get(
-            "leaf_kinds", ()
-        )
+        kinds = secondary.recipe.kwargs().get("leaf_kinds", ())
         if "learned" in kinds and window.retrain_cost_units:
             incumbent_units += window.retrain_cost_units / window.total_ops
-        current = secondary.build_info.get("preset")
+        current = secondary.recipe.preset
         best: Optional[Tuple[float, str, Dict]] = None
         for name, overrides in cfg.presets.items():
             if name == current:
@@ -661,10 +561,8 @@ class SelfTuningAdvisor:
         # (same relative pressure, hence a representative converted-leaf
         # fraction), scaled from sample to live items.  Rebated like
         # every probe; the real retarget is billed at fire time.
-        with self.cost.measure() as retarget_delta:
+        with self._round.probe() as retarget_delta:
             incumbent_scratch.controller.retarget_lattice(dict(overrides))
-        self.cost.rebate_delta(retarget_delta)
-        self._scored_this_tick += 1
         apply_estimate = (
             retarget_delta.weighted_cost() / len(pairs)
         ) * items
@@ -685,16 +583,12 @@ class SelfTuningAdvisor:
         # lattice are rebuilt.  The index object survives, so its cache,
         # arbiter registration and tree structure all carry over — the
         # billed cost is just the stray-leaf migrations.
-        index = secondary.index
-        info = secondary.build_info
-        kwargs = dict(info.get("index_kwargs", {}))
-        kwargs.update(overrides)
         with self.cost.measure() as delta:
-            index.controller.retarget_lattice(dict(overrides))
-        cost_units = delta.weighted_cost()
-        info["index_kwargs"] = kwargs
-        info["preset"] = preset
-        return cost_units
+            secondary.index.controller.retarget_lattice(dict(overrides))
+        secondary.recipe = replace(
+            secondary.recipe.with_kwargs(overrides), preset=preset
+        )
+        return delta.weighted_cost()
 
     # ------------------------------------------------------------------
     # move_cache
@@ -737,15 +631,13 @@ class SelfTuningAdvisor:
         # Measured miss cost: real lookups with the cache sidestepped,
         # rebated — the tree is probed, not polluted with admissions.
         distinct = list(dict.fromkeys(keys_seq))
-        with self.cost.measure() as delta:
+        with self._round.probe() as delta:
             index.cache = None
             try:
                 for key in distinct:
                     index.lookup(key)
             finally:
                 index.cache = cache
-        self.cost.rebate_delta(delta)
-        self._scored_this_tick += 1
         miss_units = delta.weighted_cost() / len(distinct)
 
         def per_probe(budget: int) -> float:
@@ -763,7 +655,7 @@ class SelfTuningAdvisor:
             if budget == incumbent_budget or budget >= bound:
                 continue
             cand_cost = per_probe(budget)
-            self._scored_this_tick += 1
+            self._round.count()
             if best is None or cand_cost < best[0]:
                 best = (cand_cost, budget)
         if best is None:
@@ -802,50 +694,35 @@ class SelfTuningAdvisor:
         point_keys = window.point_keys
         if len(point_keys) < 8:
             return None
-        pairs = self._scratch_pairs(point_keys + window.write_keys)
-        bounds = [
-            shard.controller.budget.soft_bound_bytes
-            for shard in index.shards
-            if shard.controller is not None
-        ]
-        if not bounds:
+        pairs = sample_pairs(point_keys + window.write_keys)
+        total_bound = live_bound(index)
+        if total_bound is None:
             return None
-        total_bound = sum(bounds)
-        info = secondary.build_info
         n = index.n_shards
+        # Never below two shards: one shard is a shape create_index
+        # never builds.
         shard_counts = sorted({
             m for m in (n // 2, n * 2)
-            if 1 <= m <= cfg.max_shards and m != n
+            if 2 <= m <= cfg.max_shards and m != n
         })
         if not shard_counts:
             return None
         distinct_points = list(dict.fromkeys(point_keys))
-        scaled = self._scaled_bound(total_bound, len(pairs), items)
-        kwargs = dict(info.get("index_kwargs", {}))
+        # Every scratch fan-out runs on the serial backend, so the
+        # incumbent and the candidates are priced on the same footing.
+        recipe = self._scratch_recipe(
+            secondary, scaled_bound(total_bound, len(pairs), items),
+            executor=None,
+        )
 
         def score(m: int) -> Tuple[float, float]:
-            view = _SampleView(self.cost)
-            with self.cost.measure() as outer:
+            with self._round.probe():
                 with self.cost.measure() as build_delta:
-                    scratch = build_sharded_index(
-                        info.get("kind", "elastic"),
-                        table=view,
-                        cost=self.cost,
-                        key_width=secondary.key_width,
-                        n_shards=m,
-                        partitioner=info.get("partitioner", "hash"),
-                        size_bound_bytes=scaled,
-                        name="tuning.scratch",
-                        executor=None,
-                        cache=None,
-                        **kwargs,
+                    scratch, _ = build_scratch(
+                        replace(recipe, shards=m), pairs
                     )
-                    view.register(pairs)
-                    scratch.insert_sorted_batch(pairs)
                 with self.cost.measure() as probe_delta:
                     scratch.lookup_batch(distinct_points)
-            self.cost.rebate_delta(outer)
-            self._scored_this_tick += 1
             per_op = probe_delta.weighted_cost() / len(distinct_points)
             return per_op, build_delta.weighted_cost()
 
@@ -874,43 +751,19 @@ class SelfTuningAdvisor:
             family="reshard", label=label, detail=str(m),
             modeled_saving=modeled_saving, apply_cost=apply_estimate,
             items=items,
-            fire=lambda: self._apply_reshard(secondary, label, m,
-                                             total_bound),
+            fire=lambda: self._apply_reshard(secondary, m, total_bound),
         )
 
-    def _apply_reshard(self, secondary, label: str, m: int,
-                       total_bound: int) -> float:
-        index = secondary.index
-        items = len(index)
-        info = secondary.build_info
-        kwargs = dict(info.get("index_kwargs", {}))
-        table_name, _, index_name = label.partition(".")
-        with self.cost.measure() as delta:
-            drained = index.scan(b"", items) if items else []
-            fresh = build_sharded_index(
-                info.get("kind", "elastic"),
-                table=secondary.view,
-                cost=self.cost,
-                key_width=secondary.key_width,
-                n_shards=m,
-                partitioner=info.get("partitioner", "hash"),
-                size_bound_bytes=total_bound,
-                name=label,
-                executor=None,
-                cache=info.get("cache"),
-                **kwargs,
-            )
-            if drained:
-                fresh.insert_sorted_batch(drained)
-        cost_units = delta.weighted_cost()
-        if self.arbiter is not None:
-            registered = set(self.arbiter.shard_names)
-            for shard in index.shards:
-                if shard.name in registered:
-                    self.arbiter.unregister(shard.name)
-        secondary.index = fresh
-        info["shards"] = m
-        self.db._register_with_arbiter(table_name, index_name, fresh)
+    def _apply_reshard(self, secondary, m: int, total_bound: int) -> float:
+        # The recipe keeps the index's backend (executor class and
+        # workers) and cache; only the fan-out and the bound move.
+        recipe = replace(
+            secondary.recipe, shards=m, size_bound_bytes=total_bound
+        )
+        secondary.index, cost_units, _ = billed_rebuild(
+            recipe, secondary.index, self.arbiter,
+        )
+        secondary.recipe = recipe
         return cost_units
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.cluster import ReplicaSet
 from repro.errors import RecoveryError
 from repro.memory.cost_model import CostModel
 from repro.obs import RecoveryReplayEvent
@@ -194,7 +195,10 @@ def state_digest(db: Database) -> bytes:
     scan output, hashed in sorted name order.  Two databases with equal
     digests hold byte-identical logical state — same rows under the
     same tuple ids, same index contents.  Computed with cost charging
-    paused, so taking a digest never perturbs the ledger.
+    paused, so taking a digest never perturbs the ledger; a replicated
+    index is read through replica 0's index (every replica holds the
+    same content), so a digest never routes a read either — no router
+    sample, class-mix op or score-clock tick.
     """
     h = hashlib.sha256()
     with db.cost.paused():
@@ -208,11 +212,12 @@ def state_digest(db: Database) -> bytes:
             for index_name in sorted(dbtable.indexes):
                 secondary = dbtable.indexes[index_name]
                 h.update(f"index {index_name}\n".encode())
+                index = secondary.index
+                if isinstance(index, ReplicaSet):
+                    index = index.replicas[0].index
                 count = len(store)
                 items = []
                 if count:
-                    items = secondary.index.scan(
-                        b"\x00" * secondary.key_width, count
-                    )
+                    items = index.scan(b"\x00" * secondary.key_width, count)
                 h.update(repr(list(items)).encode())
     return h.digest()

@@ -11,12 +11,16 @@ Covers the tier's four contracts:
 * **budget** — the cluster-global bound is apportioned exactly by
   profile weight and every replica enrolls with the budget arbiter;
 * **billing** — advisor rebuilds are charged like bulk conversions and
-  announced as ``replica_rebuild`` events.
+  announced as ``replica_rebuild`` events; a rebuild builds from the
+  same recipe ``create_index`` did, under the bound the replica holds
+  now, refuses a bad cache before charging anything, and re-enrolls the
+  new structures with the budget arbiter.
 
 It also checks that the one-call point read
 (:meth:`~repro.cluster.ClusterRouter.route_point`) leaves every router
 field exactly where the five-step read left it, and that the router's
-``check_invariants`` holds on live clusters and catches corruption.
+and the replica set's ``check_invariants`` hold on live clusters and
+catch corruption.
 """
 
 import random
@@ -24,6 +28,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.cache import CacheConfig
 from repro.cluster import (
     QUERY_CLASSES,
     ReplicaAdvisor,
@@ -36,7 +41,7 @@ from repro.cluster import (
 )
 from repro.db.database import Database
 from repro.engine import FaultPlan
-from repro.errors import ReplicaConfigError, ReproError
+from repro.errors import CacheConfigError, ReplicaConfigError, ReproError
 from repro.table.table import RowSchema
 
 SCHEMA = RowSchema("t", ("k", "v"), (8, 8))
@@ -458,6 +463,92 @@ class TestAdvisor:
         fee = replica_set.config.advisor_fee_units
         assert 0 <= charged <= fee * 1 + 1e-9
 
+    def test_rebuild_keeps_the_create_index_keywords(self):
+        _, table = make_table()
+        secondary = table.create_index(
+            "by_k", ("k",), kind="elastic", size_bound_bytes=200_000,
+            replicas=ReplicaConfig(replicas=2, profiles=(
+                ReplicaProfile(name="a"), ReplicaProfile(name="b"))),
+            shrink_trigger_fraction=0.6, expand_trigger_fraction=0.45,
+        )
+        table.insert_batch([(v, 0) for v in load_values(3000)])
+        replica_set = secondary.index
+        ReplicaAdvisor(replica_set).rebuild(1, ReplicaProfile(name="b2"))
+        for replica in replica_set.replicas:
+            config = replica.index.config
+            assert (config.shrink_trigger_fraction,
+                    config.expand_trigger_fraction) == (0.6, 0.45)
+        replica_set.check_invariants()
+
+    def test_uncacheable_profile_is_refused_before_any_charge(self):
+        db, table, replica_set, _ = self.build()
+        hot = ReplicaProfile(name="hot", kind="hot",
+                             cache=CacheConfig(budget_bytes=16 * 1024))
+        with pytest.raises(CacheConfigError):
+            table.create_index(
+                "by_hot", ("k",), kind="elastic", replicas=ReplicaConfig(
+                    replicas=2, total_bound_bytes=120_000,
+                    profiles=(preset_profile("lattice"), hot),
+                ),
+            )
+        before = dict(db.cost.counts)
+        with pytest.raises(CacheConfigError):
+            ReplicaAdvisor(replica_set).rebuild(2, hot)
+        assert dict(db.cost.counts) == before
+        assert replica_set.replicas[2].profile.name == "compact"
+
+    def build_enrolled(self):
+        db, table = make_table()
+        arbiter = db.enable_budget_arbiter(1 << 20)
+        secondary = table.create_index(
+            "by_k", ("k",), kind="elastic", replicas=ReplicaConfig(
+                replicas=3, profiles=divergent_profiles(),
+                total_bound_bytes=120_000,
+            ),
+        )
+        table.insert_batch([(v, v & 0xFF) for v in load_values(400)])
+        return db, arbiter, secondary.index
+
+    @staticmethod
+    def enrolled(arbiter):
+        """What the arbiter holds: name -> id of controller / cache."""
+        return (
+            {n: id(c) for n, c in zip(arbiter.shard_names,
+                                      arbiter.controllers)},
+            {n: id(c) for n, c in arbiter._caches.items()},
+        )
+
+    @staticmethod
+    def live(replica_set):
+        """The replicas' live controllers and caches, by replica name."""
+        return (
+            {r.name: id(r.index.controller) for r in replica_set.replicas},
+            {r.name: id(r.index.cache) for r in replica_set.replicas
+             if r.index.cache is not None},
+        )
+
+    def test_rebuild_re_enrolls_with_the_arbiter(self):
+        _, arbiter, replica_set = self.build_enrolled()
+        advisor = ReplicaAdvisor(replica_set)
+        assert self.enrolled(arbiter) == self.live(replica_set)
+        advisor.rebuild(2, preset_profile("lattice", weight=0.2))
+        assert self.enrolled(arbiter) == self.live(replica_set)
+        # The cache replica loses its cache.
+        advisor.rebuild(1, preset_profile("compact"))
+        assert self.enrolled(arbiter) == self.live(replica_set)
+        assert arbiter._caches == {}
+        replica_set.check_invariants()
+
+    def test_rebuild_keeps_the_live_bound(self):
+        db, _, replica_set = self.build_enrolled()
+        db.rebalance_budget()
+        replica = replica_set.replicas[0]
+        held = replica.index.controller.budget.soft_bound_bytes
+        assert held != replica.bound_bytes  # the arbiter moved it
+        ReplicaAdvisor(replica_set).rebuild(0, preset_profile("compact"))
+        assert replica.index.controller.budget.soft_bound_bytes == held
+        assert replica.bound_bytes == held
+
 
 # ----------------------------------------------------------------------
 # Arbiter enrollment and tooling
@@ -669,6 +760,7 @@ class TestRouterInvariants:
     def test_hold_on_a_live_composed_database(self, composed):
         _, table = composed
         table.indexes["by_id"].index.router.check_invariants()
+        table.indexes["by_id"].index.check_invariants()
 
     @pytest.mark.parametrize("corrupt, invariant", [
         (lambda r: r._heat.__setitem__(0, r._heat[0] + 1), "heat buckets"),
@@ -690,3 +782,21 @@ class TestRouterInvariants:
         corrupt(router)
         with pytest.raises(ValueError, match=invariant):
             router.check_invariants()
+
+
+class TestReplicaSetInvariants:
+    @pytest.mark.parametrize("corrupt, invariant", [
+        (lambda rs: setattr(rs.replicas[1], "replica_id", 2),
+         "replica_id"),
+        (lambda rs: rs.router.replicas.reverse(), "router.replicas"),
+        (lambda rs: rs.replicas[0].index.insert(b"\x00" * 8, 1 << 40),
+         "same item count"),
+        (lambda rs: rs.router._heat.__setitem__(0, rs.router._heat[0] + 1),
+         "ClusterRouter invariant broken: heat buckets"),
+    ])
+    def test_corruption_raises(self, corrupt, invariant):
+        _, replica_set, _, _ = build_outage_cluster()
+        replica_set.check_invariants()
+        corrupt(replica_set)
+        with pytest.raises(ValueError, match=invariant):
+            replica_set.check_invariants()

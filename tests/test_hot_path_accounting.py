@@ -29,7 +29,7 @@ from repro.db.database import Database, _encode_column
 from repro.engine import FaultPlan
 from repro.memory.cost_model import CostModel
 from repro.table.table import RowSchema, Table
-from repro.tuning.advisor import _SampleView
+from repro.engine.whatif import SampleView as _SampleView
 from repro.wal import WalConfig
 
 KV = RowSchema("kv", ("k", "v"), (8, 8))

@@ -5,10 +5,14 @@ validation, the park/unpark roundtrip through the public read/write
 surface, in-place lattice retargeting, what-if payback gating, the
 single shared op-boundary clock, the advisor-off zero-overhead
 identity, and DDL replay of ``enable_self_tuning`` through crash
-recovery, and the churn signal the elasticity controllers count for
-the advisor.  The end-to-end dominance claim (self-tuned beats every
-static arm on the five adversarial scenarios) lives in the
-``BENCH_selftune.json`` regression gate, not here.
+recovery, the churn signal the elasticity controllers count for the
+advisor, the reshard family's rebuild (it keeps the index's backend and
+cache, and never builds one shard), and the what-if probe contract on
+a composed database (a round leaves only its fee; probes and digests
+leave the content and the router's state as they were).  The
+end-to-end dominance claim (self-tuned beats every static arm on the
+five adversarial scenarios) lives in the ``BENCH_selftune.json``
+regression gate, not here.
 """
 
 import random
@@ -20,6 +24,7 @@ from repro.core.config import ElasticConfig
 from repro.btree.stats import collect_stats
 from repro.cache.cache import CacheConfig
 from repro.db.database import Database
+from repro.engine import ParallelShardExecutor
 from repro.errors import TuningConfigError
 from repro.keys.encoding import encode_u64
 from repro.obs import CapacityChangeEvent, LeafConversionEvent, LeafRetrainEvent
@@ -527,3 +532,132 @@ class TestChurnSignal:
         assert idle_db.advisor.stats.churn_events == 0
         history = idle_db.advisor._collectors[("t", "by_k")].history
         assert history and all(w.churn_events == 0 for w in history)
+
+
+# ----------------------------------------------------------------------
+# reshard: the rebuild keeps the index's recipe
+# ----------------------------------------------------------------------
+
+def reshard_run(shards, parallel=False, cache=None):
+    """A range-partitioned elastic index over 4,000 random 63-bit keys
+    under a bound of 1.5x their STX footprint, with only the reshard
+    family armed, read by 40 batches of 64 consecutive keys.  Returns
+    ``(db, table, advisor, answered)``; ``answered`` is whether every
+    batch returned the loaded rows."""
+    rng = random.Random(0)
+    keys = [rng.getrandbits(63) for _ in range(4000)]
+    bound = int(1.5 * 31 * len(keys))
+    db = Database()
+    table = db.create_table(RowSchema("t", ("k", "v"), (8, 8)))
+    table.create_index(
+        "by_k", ("k",), kind="elastic", size_bound_bytes=bound,
+        shards=shards, partitioner="range", parallel=parallel, cache=cache,
+    )
+    db.enable_budget_arbiter(bound, interval_ops=256)
+    rows = [(key, i) for i, key in enumerate(keys)]
+    table.insert_batch(rows)
+    advisor = db.enable_self_tuning(TuningConfig(
+        enable_index_park=False, enable_preset_swap=False,
+        enable_cache_tuning=False, payback_window_ops=65536,
+        max_shards=32,
+    ))
+    ordered = sorted(rows)
+    answered = all(
+        table.get_batch(
+            "by_k", [(key,) for key, _ in ordered[start:start + 64]]
+        ) == ordered[start:start + 64]
+        for start in range(0, 40 * 64, 64)
+    )
+    return db, table, advisor, answered
+
+
+class TestReshard:
+    @pytest.mark.parametrize("cache", [
+        None, CacheConfig(budget_bytes=32 * 1024),
+    ], ids=["plain", "cached"])
+    def test_doubling_keeps_backend_and_cache(self, cache):
+        db, table, advisor, answered = reshard_run(16, parallel=2,
+                                                   cache=cache)
+        index = table.indexes["by_k"].index
+        assert answered
+        assert advisor.stats.actions_by_family == {"reshard": 1}
+        assert index.n_shards == 32
+        assert isinstance(index.executor, ParallelShardExecutor)
+        assert index.executor.workers == 2
+        assert sorted(db.arbiter.shard_names) == sorted(
+            shard.name for shard in index.shards)
+        if cache is not None:
+            assert all(shard.cache is not None for shard in index.shards)
+            assert {n: id(c) for n, c in db.arbiter._caches.items()} == {
+                shard.name: id(shard.cache) for shard in index.shards}
+
+    def test_never_halves_below_two_shards(self):
+        _, table, advisor, answered = reshard_run(2)
+        assert answered
+        assert table.indexes["by_k"].index.n_shards == 2
+        assert "reshard" not in advisor.stats.actions_by_family
+
+
+# ----------------------------------------------------------------------
+# What-if probe contract on a composed database
+# ----------------------------------------------------------------------
+
+def ledger_growth(cost, before):
+    return {
+        category: count - before.get(category, 0)
+        for category, count in cost.counts.items()
+        if count != before.get(category, 0)
+    }
+
+
+def router_state(router):
+    return (
+        {cls: list(keys) for cls, keys in router._samples.items()},
+        router.class_mix(), router._ops_since_score,
+        router._ops_since_beat,
+    )
+
+
+class TestProbeContract:
+    """Replicated and sharded ``by_id``, cached ``by_cust``, WAL, the
+    budget arbiter and self-tuning: the composed mix of
+    ``tests/test_hot_path_accounting.py``."""
+
+    @pytest.fixture(scope="class")
+    def composed(self):
+        from tests.test_hot_path_accounting import _cluster_mix
+
+        return _cluster_mix()
+
+    def test_idle_tick_leaves_only_the_fee(self, composed):
+        db, _ = composed
+        advisor = db.advisor
+        digest = state_digest(db)
+        before = dict(db.cost.counts)
+        scored = advisor.stats.candidates_scored
+        assert advisor.on_interval() is None
+        scored = advisor.stats.candidates_scored - scored
+        assert scored > 0
+        fee = advisor.config.advisor_fee_units
+        assert ledger_growth(db.cost, before) == {
+            "fixed_op_milli": int(1000 * fee * scored)}
+        assert state_digest(db) == digest
+
+    def test_score_round_leaves_only_the_fee(self, composed):
+        db, table = composed
+        router = table.indexes["by_id"].index.router
+        digest = state_digest(db)
+        before = dict(db.cost.counts)
+        pairs = len(router.score_round())
+        assert pairs > 0
+        fee = router.config.advisor_fee_units
+        assert ledger_growth(db.cost, before) == {
+            "fixed_op_milli": int(1000 * fee * pairs)}
+        assert state_digest(db) == digest
+
+    def test_digest_leaves_the_router_alone(self, composed):
+        db, table = composed
+        router = table.indexes["by_id"].index.router
+        state = router_state(router)
+        state_digest(db)
+        assert router_state(router) == state
