@@ -145,13 +145,13 @@ class CompactLeaf(LeafNode):
     def _search(self, key: bytes) -> SearchResult:
         # Every point operation's hot path: the same attribution as
         # ``with cost.attributed_to("compact.search")``, set and restored
-        # by hand to skip the context-manager machinery.
+        # by hand to skip the context-manager machinery.  The node
+        # access joins the kernel's one charge.
         cost = self.cost
         previous = cost._attribution
         cost._attribution = "compact.search"
         try:
-            cost.charge("rand_line", 1)  # node access
-            result = self.rep.search(key)
+            result = self.rep.search(key, node_lines=1)
             self._breathing_search_cost()
         finally:
             cost._attribution = previous
@@ -226,8 +226,7 @@ class CompactLeaf(LeafNode):
             yield self.table.load_key_batched(self.rep.tid_at(pos)), self.rep.tid_at(pos)
 
     def iter_from(self, key: bytes) -> Iterator[Tuple[bytes, int]]:
-        self.cost.rand_lines(1)
-        result = self.rep.search(key)
+        result = self.rep.search(key, node_lines=1)
         start = result.pos if result.found else result.pred + 1
         for pos in range(start, self.rep.n):
             yield self.table.load_key_batched(self.rep.tid_at(pos)), self.rep.tid_at(pos)

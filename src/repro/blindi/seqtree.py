@@ -101,10 +101,8 @@ class SeqTreeRep(SeqTrieRep):
             tree[slot] = best
             if left < size:
                 todo += ((left, lo, best - 1), (left + 1, best + 1, hi))
-        charge = self.cost.charge
-        charge("compare", compares)
-        charge("rand_line", rand_lines)
-        charge("seq_line", seq_lines)
+        self.cost.charge_many("compare", compares, "rand_line", rand_lines,
+                              "seq_line", seq_lines)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -114,18 +112,16 @@ class SeqTreeRep(SeqTrieRep):
         size = len(tree)
         if not size:
             return
-        cost = self.cost
-        charge = cost.charge
-        # 1. Entries at or beyond the insertion point moved one right.
-        charge("compare", size)
-        cost.touch_bytes_seq(size)
+        # 1. Entries at or beyond the insertion point moved one right:
+        #    a compare per slot and the tree's bytes (touch_bytes_seq).
         for slot in range(size):
             m = tree[slot]
             if m != ET and m >= bits_idx:
                 tree[slot] = m + 1
         # 2. Place the new entry: drop into an empty slot, splice above a
         #    subtree whose root bit is larger (rebuild), or fall below.
-        #    A compare and a branch per level, charged once.
+        #    A compare and a branch per level.  Both phases charge once,
+        #    after the walk, in the order they first charge.
         bits = self.bits
         new_bit = bits[bits_idx]
         slot = 0
@@ -147,8 +143,10 @@ class SeqTreeRep(SeqTrieRep):
             else:
                 lo = m + 1
                 slot = 2 * slot + 2
-        charge("compare", steps)
-        charge("branch", steps)
+        self.cost.charge_many("compare", size + steps,
+                              "rand_line", 1,
+                              "seq_line", (size - 1) // _CACHE_LINE,
+                              "branch", steps)
         if splice is not None:
             # The new entry is the range's minimum: it becomes the
             # subtree root (the paper's splice).
@@ -166,7 +164,7 @@ class SeqTreeRep(SeqTrieRep):
             return
         r = removed_bits_idx
         # Locate r in the tree (old coordinates) before shifting: a
-        # compare and a branch per level, charged once.
+        # compare and a branch per level.
         found_slot = None
         slot = 0
         steps = 0
@@ -185,13 +183,12 @@ class SeqTreeRep(SeqTrieRep):
             else:
                 lo = m + 1
                 slot = 2 * slot + 2
-        cost = self.cost
-        charge = cost.charge
-        charge("compare", steps)
-        charge("branch", steps)
-        # Entries beyond the removed one move one left.
-        charge("compare", size)
-        cost.touch_bytes_seq(size)
+        # Entries beyond the removed one move one left: a compare per
+        # slot and the tree's bytes (touch_bytes_seq).  The walk and the
+        # shift charge once, in the order they first charge.
+        self.cost.charge_many("compare", steps + size, "branch", steps,
+                              "rand_line", 1,
+                              "seq_line", (size - 1) // _CACHE_LINE)
         for slot in range(size):
             m = tree[slot]
             if m != ET and m > r:

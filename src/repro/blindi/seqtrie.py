@@ -155,17 +155,23 @@ class SeqTrieRep:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(self, key: bytes) -> SearchResult:
+    def search(self, key: bytes, node_lines: int = 0) -> SearchResult:
         """Predecessor search: position of ``key`` or of its predecessor.
 
         One pass: the BlindiTree walk narrows ``bits`` to ``[lo, hi]``,
         the scan picks the candidate ``j`` in it, and each category is
         charged once, in the order the walk and the scan first charge
         it (docs/COSTMODEL.md), before the verify load.
+
+        ``node_lines`` random lines of node access (the leaf's) join
+        that one charge as its leading ``rand_line``: the same ledger as
+        charging them just before the search.
         """
         tids = self.tids
         if not tids:
-            return SearchResult(found=False, pos=0, pred=-1)
+            if node_lines:
+                self.cost.charge("rand_line", node_lines)
+            return SearchResult(False, 0, -1)
         bits = self.bits
         tree = self.tree
         size = len(tree)
@@ -196,35 +202,35 @@ class SeqTrieRep:
             else:
                 threshold = b
         # Each category once, in the order the phases would first charge
-        # it (docs/COSTMODEL.md): the walk's line of tree and a test per
-        # level, then the scan's bytes (first line random, as
-        # touch_bytes_seq prices them) and a test per entry.
+        # it (docs/COSTMODEL.md): the node access, the walk's line of
+        # tree and a test per level, then the scan's bytes (first line
+        # random, as touch_bytes_seq prices them) and a test per entry.
         count = hi - lo + 1
         extra = (count * self.bit_entry_bytes - 1) // _CACHE_LINE if count else 0
-        charge = self.cost.charge
-        if not size:
+        tests = steps + count
+        cost = self.cost
+        if node_lines:
+            cost.charge_many(
+                "rand_line", node_lines + (1 if count else 0),
+                "seq_line", extra + (1 if size else 0),
+                "compare", tests, "branch", tests,
+            )
+        elif not size:
             if count:
-                charge("rand_line", 1)
-                if extra:
-                    charge("seq_line", extra)
-                charge("compare", count)
-                charge("branch", count)
+                cost.charge_many("rand_line", 1, "seq_line", extra,
+                                 "compare", count, "branch", count)
         elif steps:
-            charge("seq_line", 1 + extra)
-            charge("compare", steps + count)
-            charge("branch", steps + count)
-            if count:
-                charge("rand_line", 1)
+            cost.charge_many("seq_line", 1 + extra, "compare", tests,
+                             "branch", tests,
+                             "rand_line", 1 if count else 0)
         else:
-            charge("seq_line", 1 + extra)
-            if count:
-                charge("rand_line", 1)
-                charge("compare", count)
-                charge("branch", count)
+            cost.charge_many("seq_line", 1 + extra,
+                             "rand_line", 1 if count else 0,
+                             "compare", count, "branch", count)
         candidate = self.table.load_key(tids[j])
-        charge("compare", 1)
+        cost.charge("compare", 1)
         if candidate == key:
-            return SearchResult(found=True, pos=j, pred=j)
+            return SearchResult(True, j, j)
         b_d = first_diff_bit(candidate, key)
         descent = _Descent.of_walk(lo, hi, tree, slot)
         if get_bit(key, b_d):
@@ -289,11 +295,12 @@ class SeqTrieRep:
         return -1
 
     def _charge_fixup(self, scanned: int) -> None:
+        """A boundary scan's bytes (as ``touch_bytes_seq`` prices them),
+        then a compare and a branch per entry, in one charge."""
         if scanned:
-            cost = self.cost
-            cost.touch_bytes_seq(scanned * self.bit_entry_bytes)
-            cost.charge("compare", scanned)
-            cost.charge("branch", scanned)
+            extra = (scanned * self.bit_entry_bytes - 1) // _CACHE_LINE
+            self.cost.charge_many("rand_line", 1, "seq_line", extra,
+                                  "compare", scanned, "branch", scanned)
 
     # ------------------------------------------------------------------
     # Updates

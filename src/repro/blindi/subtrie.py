@@ -119,10 +119,11 @@ class SubTrieRep:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _candidate(self, key: bytes) -> int:
+    def _candidate(self, key: bytes, node_lines: int) -> int:
         """Descend by the searched key's bits; returns the key position
         the search terminates at.  Each level is a compare, a branch and
-        a line, charged once per walk."""
+        a line, charged once per walk, after ``node_lines`` random lines
+        of node access."""
         p, kbase, m = 0, 0, len(self.pre_bits)
         levels = 0
         while m > 0:
@@ -135,18 +136,23 @@ class SubTrieRep:
             else:
                 p += 1
                 m = ls - 1
-        self._charge_levels(levels)
+        self.cost.charge_many("rand_line", node_lines, "compare", levels,
+                              "branch", levels, "seq_line", levels)
         return kbase
 
-    def search(self, key: bytes) -> SearchResult:
+    def search(self, key: bytes, node_lines: int = 0) -> SearchResult:
+        """Predecessor search; ``node_lines`` random lines of node access
+        (the leaf's) lead the candidate descent's charge."""
         if self.n == 0:
-            return SearchResult(found=False, pos=0, pred=-1)
-        j = self._candidate(key)
+            if node_lines:
+                self.cost.charge("rand_line", node_lines)
+            return SearchResult(False, 0, -1)
+        j = self._candidate(key, node_lines)
         candidate = self.table.load_key(self.tids[j])
         self.cost.compares(1)
         b_d = first_diff_bit(candidate, key)
         if b_d is None:
-            return SearchResult(found=True, pos=j, pred=j)
+            return SearchResult(True, j, j)
         skey_greater = bool(get_bit(key, b_d))
         _, kbase, m, _ = self._fixup_descend(key, b_d)
         # All keys of the stopped-at subtree share the searched key's
@@ -185,15 +191,10 @@ class SubTrieRep:
                 left_turns.append(p)
                 p += 1
                 m = ls - 1
-        self._charge_levels(levels)
+        # A compare, a branch and a line per level, charged once.
+        self.cost.charge_many("compare", levels, "branch", levels,
+                              "seq_line", levels)
         return p, kbase, m, left_turns
-
-    def _charge_levels(self, levels: int) -> None:
-        """A descent's compares, branches and lines, one per level."""
-        charge = self.cost.charge
-        charge("compare", levels)
-        charge("branch", levels)
-        charge("seq_line", levels)
 
     # ------------------------------------------------------------------
     # Updates
@@ -249,8 +250,7 @@ class SubTrieRep:
                 left_turns.append(p)
                 p += 1
                 m = ls - 1
-        self.cost.charge("branch", levels)
-        self.cost.charge("seq_line", levels)
+        self.cost.charge_many("branch", levels, "seq_line", levels)
         # ``parent`` is the trie node whose (empty-subtree) child is the
         # removed key; deleting it splices its other subtree into place.
         del self.pre_bits[parent]

@@ -276,19 +276,19 @@ class StandardLeaf(LeafNode):
     # -- internal search ---------------------------------------------------
     def _search_cost(self) -> None:
         n = len(self.keys)
-        charge = self.cost.charge
         if not n:
-            charge("rand_line", 1)
+            self.cost.charge("rand_line", 1)
             return
         # Binary search touches up to log2(lines) distinct lines of the
         # key area; charge one extra random line for keys beyond one
         # cache line, which matches a 16-slot STX leaf closely.  Both
         # lines go in one charge: rand_line is this search's first
         # category either way.
-        charge("rand_line", 2 if n * self.key_width > _CACHE_LINE else 1)
         probes = n.bit_length()
-        charge("compare", probes)
-        charge("branch", probes)
+        self.cost.charge_many(
+            "rand_line", 2 if n * self.key_width > _CACHE_LINE else 1,
+            "compare", probes, "branch", probes,
+        )
 
     def _position(self, key: bytes) -> int:
         self._search_cost()
@@ -317,8 +317,8 @@ class StandardLeaf(LeafNode):
             "rand_line", 2 if n * self.key_width > _CACHE_LINE else 1
         )
         probes = max(1, n.bit_length()) if n else 1
-        cost.charge("compare", probes * len(keys))
-        cost.charge("branch", probes * len(keys))
+        events = probes * len(keys)
+        cost.charge_many("compare", events, "branch", events)
         out: List[Optional[int]] = []
         hits = 0
         tids = self.tids

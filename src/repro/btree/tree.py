@@ -194,10 +194,9 @@ class BPlusTree:
         if trace is not None:
             trace.append(node.node_id)
         if path:
-            charge = self.cost.charge
-            charge("rand_line", len(path))
-            charge("compare", probes)
-            charge("branch", probes)
+            self.cost.charge_many(
+                "rand_line", len(path), "compare", probes, "branch", probes
+            )
         return path, node
 
     # The fenced variants below descend through this private alias, so
@@ -306,8 +305,7 @@ class BPlusTree:
         # this is plain serial rand_line charging.
         cost = self.cost
         cost.wave_loads("rand_line", inner_visits)
-        cost.charge("compare", probe_events)
-        cost.charge("branch", probe_events)
+        cost.charge_many("compare", probe_events, "branch", probe_events)
         groups.sort(key=lambda g: g[1])
         return groups
 

@@ -37,7 +37,13 @@ from repro.cluster.config import (
     ReplicaProfile,
 )
 from repro.cluster.router import ClusterRouter
-from repro.engine.builder import IndexRecipe, build, check, controllers
+from repro.engine.builder import (
+    IndexRecipe,
+    build,
+    check,
+    controllers,
+    live_bound,
+)
 from repro.errors import ReplicaConfigError
 from repro.exec.executor import index_caches
 from repro.memory.cost_model import CostModel
@@ -216,7 +222,9 @@ class ReplicaSet:
                 "up": replica.up,
                 "items": len(replica),
                 "index_bytes": replica.index_bytes,
-                "bound_bytes": replica.bound_bytes or 0,
+                # The bound its controllers hold now, as the arbiter
+                # last set it; 0 for an unbounded kind.
+                "bound_bytes": live_bound(replica.index) or 0,
                 "weight": replica.profile.weight,
                 "classes": classes,
                 "scores": {

@@ -45,10 +45,6 @@ class IndexShard:
         return getattr(self.index, "controller", None)
 
     @property
-    def is_elastic(self) -> bool:
-        return self.controller is not None
-
-    @property
     def pressure_state(self) -> Optional[PressureState]:
         controller = self.controller
         return controller.state if controller is not None else None
@@ -64,16 +60,6 @@ class IndexShard:
     def cache(self):
         """The shard index's adaptive cache, or None if not attached."""
         return getattr(self.index, "cache", None)
-
-    @property
-    def cache_bytes(self) -> int:
-        """Bytes held by the shard's adaptive cache."""
-        return self.allocator.bytes_in("cache")
-
-    @property
-    def cache_hit_rate(self) -> float:
-        cache = self.cache
-        return cache.hit_rate if cache is not None else 0.0
 
     @property
     def compact_bytes(self) -> int:

@@ -128,8 +128,11 @@ class TrackingAllocator:
         """Raise ``AssertionError`` if live bytes remain (leak detector)."""
         if category is not None:
             live = self.live_bytes.get(category, 0)
-            assert live == 0, f"{live} bytes leaked in category {category!r}"
-        else:
-            assert self.total_bytes == 0, (
+            if live != 0:
+                raise AssertionError(
+                    f"{live} bytes leaked in category {category!r}"
+                )
+        elif self.total_bytes != 0:
+            raise AssertionError(
                 f"{self.total_bytes} bytes leaked: {self.breakdown()}"
             )

@@ -189,7 +189,7 @@ class _WaveWindow:
         self.depth = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class CostModel:
     """Accumulates weighted memory-hierarchy events.
 
@@ -223,14 +223,65 @@ class CostModel:
     def charge(self, category: str, count: int = 1) -> None:
         """Record ``count`` events of ``category``."""
         # Hot path: millions of calls per benchmark.  One early-exit test,
-        # local dict binding, no attribute re-lookups.
+        # local dict binding, no attribute re-lookups; the tag's bucket
+        # is looked up, and built only on the tag's first charge.
         if not (count and self.enabled):
             return
         counts = self.counts
         counts[category] = counts.get(category, 0) + count
-        if self._attribution:
-            bucket = self.tagged.setdefault(self._attribution, {})
+        tag = self._attribution
+        if tag:
+            bucket = self.tagged.get(tag)
+            if bucket is None:
+                bucket = self.tagged[tag] = {}
             bucket[category] = bucket.get(category, 0) + count
+
+    def charge_many(
+        self,
+        c1: str,
+        n1: int,
+        c2: Optional[str] = None,
+        n2: int = 0,
+        c3: Optional[str] = None,
+        n3: int = 0,
+        c4: Optional[str] = None,
+        n4: int = 0,
+    ) -> None:
+        """Record up to four categories in one call: exactly the ledger
+        effect of ``charge(c1, n1)``, ``charge(c2, n2)``, ... in argument
+        order — the same totals, the same key order in :attr:`counts`
+        and in the tag's bucket, the same :meth:`measure` deltas.  Zero
+        counts are skipped, as :meth:`charge` skips them.
+
+        For a hot path that charges several categories back to back,
+        with no call into another layer and no tag change between them
+        (docs/COSTMODEL.md, "Charging on hot paths")."""
+        if not self.enabled:
+            return
+        counts = self.counts
+        get = counts.get
+        if n1:
+            counts[c1] = get(c1, 0) + n1
+        if n2:
+            counts[c2] = get(c2, 0) + n2
+        if n3:
+            counts[c3] = get(c3, 0) + n3
+        if n4:
+            counts[c4] = get(c4, 0) + n4
+        tag = self._attribution
+        if tag and (n1 or n2 or n3 or n4):
+            bucket = self.tagged.get(tag)
+            if bucket is None:
+                bucket = self.tagged[tag] = {}
+            get = bucket.get
+            if n1:
+                bucket[c1] = get(c1, 0) + n1
+            if n2:
+                bucket[c2] = get(c2, 0) + n2
+            if n3:
+                bucket[c3] = get(c3, 0) + n3
+            if n4:
+                bucket[c4] = get(c4, 0) + n4
 
     def rand_lines(self, n: int = 1) -> None:
         """Charge ``n`` randomly-addressed cache line touches."""
@@ -343,9 +394,7 @@ class CostModel:
         if nbytes <= 0:
             return
         lines = (nbytes + _CACHE_LINE - 1) // _CACHE_LINE
-        self.charge("rand_line", 1)
-        if lines > 1:
-            self.charge("seq_line", lines - 1)
+        self.charge_many("rand_line", 1, "seq_line", lines - 1)
 
     def cache_hits(self, n: int = 1) -> None:
         """Charge ``n`` software-cache probes (``repro.cache``)."""
@@ -432,7 +481,8 @@ class CostModel:
             yield
         finally:
             self._mlp_depth -= 1
-            assert self._mlp_depth >= 0, "mlp_batch depth underflow"
+            if self._mlp_depth < 0:
+                raise AssertionError("mlp_batch depth underflow")
 
     @contextmanager
     def mlp_window(self, width: Optional[int] = None) -> Iterator[WaveStats]:
@@ -466,7 +516,8 @@ class CostModel:
                 yield window.stats
             finally:
                 window.depth -= 1
-                assert window.depth >= 1, "mlp_window depth underflow"
+                if window.depth < 1:
+                    raise AssertionError("mlp_window depth underflow")
             return
         window = _WaveWindow(effective)
         self._wave = window
@@ -474,7 +525,8 @@ class CostModel:
             yield window.stats
         finally:
             window.depth -= 1
-            assert window.depth == 0, "mlp_window depth underflow"
+            if window.depth != 0:
+                raise AssertionError("mlp_window depth underflow")
             self._wave = None
             self._flush_window(window)
             self.mlp_totals.fold(window.stats)
@@ -549,11 +601,12 @@ class CostModel:
         before = self.snapshot()
         delta = CostModel(weights=self.weights)
         yield delta
-        after = self.snapshot()
-        for category in after:
-            diff = after[category] - before.get(category, 0)
+        base = before.get
+        out = delta.counts
+        for category, count in self.counts.items():
+            diff = count - base(category, 0)
             if diff:
-                delta.counts[category] = diff
+                out[category] = diff
 
     @contextmanager
     def what_if(self) -> Iterator["CostModel"]:

@@ -121,9 +121,10 @@ def cluster_summary(index) -> str:
 
     Accepts a :class:`~repro.cluster.ReplicaSet` (one row per replica)
     or any plain/sharded index (one row, for symmetric tooling).  Shows
-    each replica's profile and kind, item/byte footprint, apportioned
-    share of the cluster bound, health, and the query classes the
-    router currently sends it.
+    each replica's profile and kind, item/byte footprint, share of the
+    cluster bound its controllers hold now (the arbiter may have moved
+    it since the build), health, and the query classes the router
+    currently sends it.
     """
     report = getattr(index, "replica_report", None)
     if report is None:

@@ -410,7 +410,8 @@ def _reference_seqtrie_search(rep, key):
     prices its bytes through ``touch_bytes_seq`` and then its compares
     and branches, the verify load is followed by its compare, and a miss
     runs the rep's boundary scans with the turns recorded on the way
-    down."""
+    down, each scan charging its bytes (``touch_bytes_seq``), then its
+    compares, then its branches."""
     if not rep.tids:
         return SearchResult(found=False, pos=0, pred=-1)
     cost = rep.cost
@@ -455,10 +456,19 @@ def _reference_seqtrie_search(rep, key):
         return SearchResult(found=True, pos=j, pred=j)
     descent = SimpleNamespace(lo=lo, hi=hi, left_turn_inds=left_turns,
                               right_turn_inds=right_turns)
+
+    def charge_fixup(scanned):
+        if scanned:
+            cost.touch_bytes_seq(scanned * rep.bit_entry_bytes)
+            cost.charge("compare", scanned)
+            cost.charge("branch", scanned)
+
+    scans = SimpleNamespace(bits=bits, tids=rep.tids,
+                            _charge_fixup=charge_fixup)
     if get_bit(key, b_d):
-        pred = rep._boundary_right(descent, j, b_d)
+        pred = SeqTrieRep._boundary_right(scans, descent, j, b_d)
         return SearchResult(False, pred + 1, pred, b_d, pred, True)
-    pred = rep._boundary_left(descent, j, b_d)
+    pred = SeqTrieRep._boundary_left(scans, descent, j, b_d)
     return SearchResult(False, pred + 1, pred, b_d, pred + 1, False)
 
 
@@ -545,4 +555,38 @@ def test_search_ledger_matches_reference(rep_cls, kwargs, reference, width):
             for tag in (None, "compact.search"):
                 assert _ledger(rep, rep.search, key, tag) == _ledger(
                     rep, partial(reference, rep), key, tag
+                ), (n, probe, tag)
+
+
+def _node_access_then_search(rep, key):
+    """The leaf's node access charged on its own, then the search."""
+    rep.cost.charge("rand_line", 1)
+    return rep.search(key)
+
+
+@pytest.mark.parametrize("rep_cls,kwargs", REPS)
+def test_node_lines_join_the_search_charge(rep_cls, kwargs):
+    """``search(key, node_lines=1)`` leaves the totals, first-charge
+    order, tag buckets and result of a ``rand_line`` charged just before
+    ``search(key)``: on an empty rep, a 1-key rep and larger ones, for
+    hits and misses, with and without the leaf's search tag."""
+    rng = random.Random("node-lines")
+    table = Table(key_of_row=lambda v: v.to_bytes(8, "big"), row_bytes=16,
+                  cost_model=CostModel())
+    for n in (0, 1, 2, 9, 65, 300):
+        values = sorted(rng.sample(range(1, 1 << 40), n))
+        keys = [v.to_bytes(8, "big") for v in values]
+        tids = [table.insert_row(v) for v in values]
+        rep = rep_cls.from_sorted(keys, tids, table, 8, CostModel(),
+                                  **kwargs)
+        probes = {0, 1 << 41}
+        for v in values:
+            probes.update((v - 1, v, v + 1))
+        for probe in sorted(probes):
+            key = probe.to_bytes(8, "big")
+            for tag in (None, "compact.search"):
+                joined = _ledger(rep, partial(rep.search, node_lines=1),
+                                 key, tag)
+                assert joined == _ledger(
+                    rep, partial(_node_access_then_search, rep), key, tag
                 ), (n, probe, tag)

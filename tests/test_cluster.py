@@ -549,6 +549,23 @@ class TestAdvisor:
         assert replica.index.controller.budget.soft_bound_bytes == held
         assert replica.bound_bytes == held
 
+    def test_report_shows_the_live_bound(self):
+        from repro.tools.inspect import cluster_summary
+
+        db, _, replica_set = self.build_enrolled()
+        db.rebalance_budget()
+        held = [r.index.controller.budget.soft_bound_bytes
+                for r in replica_set.replicas]
+        assert held != [r.bound_bytes for r in replica_set.replicas]
+        report = replica_set.replica_report()
+        assert [row["bound_bytes"] for row in report] == held
+        text = cluster_summary(replica_set)
+        for bound in held:
+            assert f"{bound / sum(held) * 100:.1f}%" in text
+        # An unbounded kind holds no bound.
+        ReplicaAdvisor(replica_set).rebuild(2, preset_profile("baseline"))
+        assert replica_set.replica_report()[2]["bound_bytes"] == 0
+
 
 # ----------------------------------------------------------------------
 # Arbiter enrollment and tooling

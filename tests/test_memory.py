@@ -77,6 +77,21 @@ class TestTrackingAllocator:
         alloc.free(10, "a")
         assert alloc.breakdown() == {}
 
+    # The leak checks raise even under ``python -O``.
+    def test_leak_in_category_raises(self):
+        alloc = TrackingAllocator(use_size_classes=False)
+        alloc.allocate(10, "a")
+        alloc.assert_balanced("b")
+        with pytest.raises(AssertionError,
+                           match="10 bytes leaked in category 'a'"):
+            alloc.assert_balanced("a")
+
+    def test_total_leak_raises(self):
+        alloc = TrackingAllocator(use_size_classes=False)
+        alloc.allocate(10, "a")
+        with pytest.raises(AssertionError, match="10 bytes leaked"):
+            alloc.assert_balanced()
+
 
 class TestCostModel:
     def test_counters(self):
@@ -157,6 +172,109 @@ class TestCostModel:
             cost.rand_lines(1)
         cost.reset()
         assert cost.tagged == {} and cost.counts == {}
+
+
+_CATEGORIES = st.sampled_from(["rand_line", "seq_line", "compare", "branch"])
+_COUNTS = st.integers(min_value=-2, max_value=3)
+_CHARGE = st.tuples(st.just("charge"), _CATEGORIES, _COUNTS)
+_MANY = st.tuples(
+    st.just("many"),
+    st.lists(st.tuples(_CATEGORIES, _COUNTS), min_size=1, max_size=4),
+)
+#: A charging program: single and grouped charges, nested under
+#: ``attributed_to``, a hand-set ``_attribution``, ``paused()`` and
+#: ``measure()`` (whose delta may then be rebated).
+_PROGRAM = st.recursive(
+    st.lists(st.one_of(_CHARGE, _MANY), max_size=4),
+    lambda inner: st.lists(
+        st.one_of(
+            _CHARGE,
+            _MANY,
+            st.tuples(st.sampled_from(["attributed", "hand"]),
+                      st.sampled_from(["a", "b", "c"]), inner),
+            st.tuples(st.just("paused"), inner),
+            st.tuples(st.just("measure"), st.booleans(), inner),
+        ),
+        max_size=5,
+    ),
+    max_leaves=24,
+)
+
+
+def _play(cost, program, grouped, deltas):
+    """Run ``program`` on ``cost``: a group is one ``charge_many`` call
+    when ``grouped``, back-to-back ``charge`` calls otherwise."""
+    for op in program:
+        kind = op[0]
+        if kind == "charge":
+            cost.charge(op[1], op[2])
+        elif kind == "many":
+            if grouped:
+                cost.charge_many(*(x for pair in op[1] for x in pair))
+            else:
+                for category, count in op[1]:
+                    cost.charge(category, count)
+        elif kind == "attributed":
+            with cost.attributed_to(op[1]):
+                _play(cost, op[2], grouped, deltas)
+        elif kind == "hand":
+            previous = cost._attribution
+            cost._attribution = op[1]
+            try:
+                _play(cost, op[2], grouped, deltas)
+            finally:
+                cost._attribution = previous
+        elif kind == "paused":
+            with cost.paused():
+                _play(cost, op[1], grouped, deltas)
+        else:
+            with cost.measure() as delta:
+                _play(cost, op[2], grouped, deltas)
+            deltas.append(list(delta.counts.items()))
+            if op[1]:
+                cost.rebate_delta(delta)
+
+
+class TestChargeMany:
+    def test_argument_order_and_zero_counts(self):
+        cost = CostModel()
+        with cost.attributed_to("t"):
+            cost.charge_many("seq_line", 2, "rand_line", 0,
+                             "compare", 3, "rand_line", 1)
+            cost.charge_many("branch", 0)
+        assert list(cost.counts.items()) == [
+            ("seq_line", 2), ("compare", 3), ("rand_line", 1)
+        ]
+        assert list(cost.tagged.items()) == [
+            ("t", {"seq_line": 2, "compare": 3, "rand_line": 1})
+        ]
+        # A group of zero counts builds no bucket, as charge(c, 0) does.
+        with cost.attributed_to("u"):
+            cost.charge_many("compare", 0, "branch", 0)
+        assert "u" not in cost.tagged
+
+    def test_disabled_model_charges_nothing(self):
+        cost = CostModel(enabled=False)
+        cost.charge_many("rand_line", 1, "compare", 2)
+        assert cost.counts == {} and cost.tagged == {}
+
+    @given(_PROGRAM)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_single_charges(self, program):
+        """``charge_many`` leaves the ledger of the ``charge`` calls it
+        stands for: totals and key order in ``counts``, every bucket's
+        order and totals, and every ``measure()`` delta."""
+        ledgers = []
+        for grouped in (True, False):
+            cost, deltas = CostModel(), []
+            _play(cost, program, grouped, deltas)
+            ledgers.append((
+                list(cost.counts.items()),
+                [(tag, list(bucket.items()))
+                 for tag, bucket in cost.tagged.items()],
+                deltas,
+            ))
+        assert ledgers[0] == ledgers[1]
 
 
 class TestMemoryBudget:
@@ -410,13 +528,27 @@ class TestPrefetchWaves:
         cost.key_loads(1)  # back to the dependent rate after unwind
         assert cost.counts["key_load"] == 1
 
+    # The depth guards raise even under ``python -O``.
     def test_mlp_batch_underflow_is_guarded(self):
         cost = CostModel()
         cm = cost.mlp_batch()
         cm.__enter__()
         cost._mlp_depth = 0  # simulate corrupted bookkeeping
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="mlp_batch depth underflow"):
             cm.__exit__(None, None, None)
+
+    def test_nested_mlp_window_underflow_is_guarded(self):
+        cost = CostModel()
+        with pytest.raises(AssertionError, match="mlp_window depth underflow"):
+            with cost.mlp_window(2):
+                with cost.mlp_window(2):
+                    cost._wave.depth = 1  # corrupted bookkeeping
+
+    def test_outer_mlp_window_depth_is_guarded(self):
+        cost = CostModel()
+        with pytest.raises(AssertionError, match="mlp_window depth underflow"):
+            with cost.mlp_window(2):
+                cost._wave.depth = 2  # an inner window that never closed
 
 
 class TestRebateResidues:
