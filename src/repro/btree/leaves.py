@@ -274,32 +274,42 @@ class StandardLeaf(LeafNode):
         return LEAF_HEADER_BYTES + self._capacity * (self.key_width + TID_BYTES)
 
     # -- internal search ---------------------------------------------------
-    def _search_cost(self) -> None:
-        n = len(self.keys)
-        if not n:
-            self.cost.charge("rand_line", 1)
-            return
+    def _search_cost(
+        self, n: int, extra: Optional[str] = None, count: int = 0
+    ) -> None:
+        """Charge a binary search over ``n`` keys, plus ``count`` of
+        ``extra`` — the point operation's tid-slot access or shift — in
+        the same call."""
         # Binary search touches up to log2(lines) distinct lines of the
         # key area; charge one extra random line for keys beyond one
-        # cache line, which matches a 16-slot STX leaf closely.  Both
-        # lines go in one charge: rand_line is this search's first
-        # category either way.
+        # cache line, which matches a 16-slot STX leaf closely.  An
+        # empty leaf costs its one line and no probes.
         probes = n.bit_length()
         self.cost.charge_many(
             "rand_line", 2 if n * self.key_width > _CACHE_LINE else 1,
-            "compare", probes, "branch", probes,
+            "compare", probes, "branch", probes, extra, count,
         )
 
+    def _copy_lines(self, moved: int) -> int:
+        """Cache lines :meth:`CostModel.copy_bytes` charges for shifting
+        ``moved`` slots."""
+        nbytes = moved * (self.key_width + TID_BYTES)
+        return (nbytes + _CACHE_LINE - 1) // _CACHE_LINE
+
     def _position(self, key: bytes) -> int:
-        self._search_cost()
+        self._search_cost(len(self.keys))
         return bisect.bisect_left(self.keys, key)
 
     # -- point operations ----------------------------------------------------
+    # Each charges its search and what follows it in one call.
     def lookup(self, key: bytes) -> Optional[int]:
-        pos = self._position(key)
-        if pos < len(self.keys) and self.keys[pos] == key:
-            self.cost.seq_lines(1)  # tid slot access
+        keys = self.keys
+        n = len(keys)
+        pos = bisect.bisect_left(keys, key)
+        if pos < n and keys[pos] == key:
+            self._search_cost(n, "seq_line", 1)  # tid slot access
             return self.tids[pos]
+        self._search_cost(n)
         return None
 
     def lookup_batch(self, keys: List[bytes]) -> List[Optional[int]]:
@@ -334,29 +344,33 @@ class StandardLeaf(LeafNode):
         return out
 
     def upsert(self, key: bytes, tid: int) -> Optional[int]:
-        pos = self._position(key)
-        if pos < len(self.keys) and self.keys[pos] == key:
+        keys = self.keys
+        n = len(keys)
+        pos = bisect.bisect_left(keys, key)
+        if pos < n and keys[pos] == key:
+            self._search_cost(n, "seq_line", 1)
             old = self.tids[pos]
             self.tids[pos] = tid
-            self.cost.seq_lines(1)
             return old
-        if self.is_full:
+        if n >= self._capacity:
+            self._search_cost(n)
             raise LeafFullError()
-        self.keys.insert(pos, key)
+        self._search_cost(n, "copy_line", self._copy_lines(n - pos))
+        keys.insert(pos, key)
         self.tids.insert(pos, tid)
-        moved = len(self.keys) - pos - 1
-        self.cost.copy_bytes(moved * (self.key_width + TID_BYTES))
         return None
 
     def remove(self, key: bytes) -> Optional[int]:
-        pos = self._position(key)
-        if pos >= len(self.keys) or self.keys[pos] != key:
+        keys = self.keys
+        n = len(keys)
+        pos = bisect.bisect_left(keys, key)
+        if pos >= n or keys[pos] != key:
+            self._search_cost(n)
             return None
+        self._search_cost(n, "copy_line", self._copy_lines(n - pos - 1))
         tid = self.tids[pos]
-        del self.keys[pos]
+        del keys[pos]
         del self.tids[pos]
-        moved = len(self.keys) - pos
-        self.cost.copy_bytes(moved * (self.key_width + TID_BYTES))
         return tid
 
     # -- ordered access ---------------------------------------------------------

@@ -931,57 +931,82 @@ class BPlusTree:
     # Invariant checking (tests call this after random workloads)
     # ------------------------------------------------------------------
     def check_invariants(self, strict_fill: bool = True) -> None:
-        """Verify structural invariants; raises ``AssertionError``."""
+        """Verify structural invariants; raises ``AssertionError`` naming
+        the first broken rule (explicitly, so the checks hold under
+        ``python -O``)."""
         leaves_in_tree: List[LeafNode] = []
 
         def walk(node: Node, lo: Optional[bytes], hi: Optional[bytes]) -> int:
             if isinstance(node, InnerNode):
-                assert node.keys == sorted(node.keys), "inner keys unsorted"
-                assert len(node.children) == len(node.keys) + 1
-                assert len(node.keys) <= node.capacity
-                if node is not self.root:
-                    assert len(node.children) >= node.min_children, (
-                        f"inner underfull: {len(node.children)}"
+                if node.keys != sorted(node.keys):
+                    raise AssertionError("inner keys unsorted")
+                if len(node.children) != len(node.keys) + 1:
+                    raise AssertionError(
+                        f"inner node has {len(node.children)} children "
+                        f"for {len(node.keys)} keys"
                     )
-                else:
-                    assert len(node.children) >= 2
+                if len(node.keys) > node.capacity:
+                    raise AssertionError(
+                        f"inner overfull: {len(node.keys)} keys > "
+                        f"{node.capacity}"
+                    )
+                if node is not self.root:
+                    if len(node.children) < node.min_children:
+                        raise AssertionError(
+                            f"inner underfull: {len(node.children)}"
+                        )
+                elif len(node.children) < 2:
+                    raise AssertionError(
+                        "inner root has fewer than 2 children"
+                    )
                 depths = set()
                 for i, child in enumerate(node.children):
                     child_lo = node.keys[i - 1] if i > 0 else lo
                     child_hi = node.keys[i] if i < len(node.keys) else hi
                     depths.add(walk(child, child_lo, child_hi))
-                assert len(depths) == 1, "leaves at differing depths"
+                if len(depths) != 1:
+                    raise AssertionError("leaves at differing depths")
                 return 1 + depths.pop()
             leaves_in_tree.append(node)
             keys = [k for k, _ in _uncharged_items(node)]
-            assert keys == sorted(keys), "leaf keys unsorted"
-            assert len(set(keys)) == len(keys), "duplicate keys in leaf"
-            assert node.count <= node.capacity
+            if keys != sorted(keys):
+                raise AssertionError("leaf keys unsorted")
+            if len(set(keys)) != len(keys):
+                raise AssertionError("duplicate keys in leaf")
+            if node.count > node.capacity:
+                raise AssertionError(
+                    f"leaf overfull: {node.count} > {node.capacity}"
+                )
             # The rightmost leaf is exempt: append-optimized splits leave
             # it shallow by design.
-            if strict_fill and node is not self.root and node.next_leaf is not None:
-                assert node.count >= node.min_fill, (
+            if (strict_fill and node is not self.root
+                    and node.next_leaf is not None
+                    and node.count < node.min_fill):
+                raise AssertionError(
                     f"leaf underfull: {node.count} < {node.min_fill}"
                 )
             for key in keys:
-                if lo is not None:
-                    assert key >= lo, "leaf key below separator"
-                if hi is not None:
-                    assert key < hi, "leaf key not below separator"
+                if lo is not None and key < lo:
+                    raise AssertionError("leaf key below separator")
+                if hi is not None and key >= hi:
+                    raise AssertionError("leaf key not below separator")
             return 1
 
         with self.cost.paused():
             depth = walk(self.root, None, None)
-            assert depth == self.height, f"height {self.height} != depth {depth}"
+            if depth != self.height:
+                raise AssertionError(f"height {self.height} != depth {depth}")
             # Leaf chain must visit exactly the tree's leaves, in order.
             chain: List[LeafNode] = []
             leaf: Optional[LeafNode] = self.first_leaf
             while leaf is not None:
                 chain.append(leaf)
                 leaf = leaf.next_leaf
-            assert chain == leaves_in_tree, "leaf chain disagrees with tree"
+            if chain != leaves_in_tree:
+                raise AssertionError("leaf chain disagrees with tree")
             total = sum(leaf.count for leaf in chain)
-            assert total == self._count, f"count {self._count} != {total}"
+            if total != self._count:
+                raise AssertionError(f"count {self._count} != {total}")
 
 
 def _fences(path: Path) -> Tuple[Optional[bytes], Optional[bytes]]:

@@ -265,8 +265,17 @@ class ElasticBPlusTree(BPlusTree):
         leaf = self.first_leaf
         while leaf is not None:
             if leaf.kind != "standard":
-                assert leaf.capacity <= self.config.max_compact_capacity
-                assert leaf.capacity >= 2 * self.leaf_capacity
+                if not (2 * self.leaf_capacity <= leaf.capacity
+                        <= self.config.max_compact_capacity):
+                    raise AssertionError(
+                        f"{leaf.kind} leaf capacity {leaf.capacity} off "
+                        f"the ladder [{2 * self.leaf_capacity}, "
+                        f"{self.config.max_compact_capacity}]"
+                    )
                 # Never beyond capacity, never empty while chained.
-                assert 0 < leaf.count <= leaf.capacity
+                if not 0 < leaf.count <= leaf.capacity:
+                    raise AssertionError(
+                        f"{leaf.kind} leaf holds {leaf.count} keys at "
+                        f"capacity {leaf.capacity}"
+                    )
             leaf = leaf.next_leaf

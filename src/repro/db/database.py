@@ -12,7 +12,7 @@ from repro.cluster import ReplicaConfig, ReplicaSet, build_replica_set
 from repro.engine import BudgetArbiter, largest_remainder, make_executor
 from repro.engine.builder import IndexRecipe, build, enroll
 from repro.db.metrics import layer_metrics
-from repro.db.write import WriteBatch
+from repro.db.write import WriteBatch, commit_op
 from repro.errors import (
     IndexExistsError,
     InvalidBudgetError,
@@ -307,18 +307,20 @@ class DBTable:
     # Row operations (the transactional write surface)
     # ------------------------------------------------------------------
     # One spelling per shape, mirroring the read side: ``insert`` /
-    # ``insert_batch`` for stores, ``delete`` for removals.  All three
-    # are one-operation auto-committed :class:`~repro.db.write.
-    # WriteBatch`es, so every mutation — scalar or staged — runs the
-    # same facade -> WAL -> index pipeline; ``db.begin_batch()`` stages
-    # several operations under one commit (one log append phase, one
-    # group-commit schedule).
+    # ``insert_batch`` for stores, ``delete`` for removals.  ``insert``
+    # and ``delete`` commit one operation through the write pipeline's
+    # per-op phases (:func:`~repro.db.write.commit_op`) without staging
+    # it, so each is observably a one-op :class:`~repro.db.write.
+    # WriteBatch`: the same charges, log records, kill ordinals, ticks
+    # and exceptions.  ``insert_batch`` is a one-call batch;
+    # ``db.begin_batch()`` stages several operations under one commit
+    # (one log append phase, one group-commit schedule).
 
     def insert(self, row: Sequence[int]) -> int:
         """Store a row and update every secondary index."""
-        batch = self.db.begin_batch()
-        batch.insert(self, row)
-        return batch.commit()[0]
+        return commit_op(
+            self.db, "insert", self, WriteBatch._validate(self, row)
+        )
 
     def insert_batch(self, rows: Sequence[Sequence[int]]) -> List[int]:
         """Store a batch of rows, updating every index with one batch
@@ -329,13 +331,11 @@ class DBTable:
 
     def delete(self, tid: int) -> Tuple[int, ...]:
         """Remove a row from the store and every index."""
-        batch = self.db.begin_batch()
-        batch.delete(self, tid)
-        batch.commit()
-        return batch.deleted_rows[0]
+        self.table.deletable_row(tid)  # a one-op batch's delete check
+        return commit_op(self.db, "delete", self, tid)
 
-    # Apply-phase primitives (called by WriteBatch.commit and by crash
-    # recovery's log replay).  These preserve the historical charge
+    # Apply-phase primitives (called by repro.db.write.apply_op and by
+    # crash recovery's log replay).  These preserve the historical charge
     # sequences exactly, so a WAL-less database stays byte-identical to
     # the pre-batch write path.
     def _apply_insert(self, row: Tuple) -> int:
@@ -550,13 +550,13 @@ class Database:
     off (see :mod:`repro.db.metrics`).
 
     A :class:`~repro.wal.WalConfig` as ``wal`` attaches the durable
-    write pipeline: every :class:`~repro.db.write.WriteBatch` commit
-    appends logical redo records to a per-shard group-committed
-    write-ahead log before touching volatile state, and
-    :func:`repro.wal.recover_database` rebuilds the database from the
-    snapshot (:meth:`snapshot`) plus the log's durable prefix after a
-    crash.  ``wal=None`` (the default) keeps the write path
-    byte-identical to a log-less database.
+    write pipeline: every write — a :class:`~repro.db.write.WriteBatch`
+    commit or a scalar ``insert`` / ``delete`` — appends logical redo
+    records to a per-shard group-committed write-ahead log before
+    touching volatile state, and :func:`repro.wal.recover_database`
+    rebuilds the database from the snapshot (:meth:`snapshot`) plus the
+    log's durable prefix after a crash.  ``wal=None`` (the default)
+    keeps the write path byte-identical to a log-less database.
     """
 
     def __init__(
@@ -714,10 +714,10 @@ class Database:
     def _tick(self, ops: int) -> None:
         """Operation-boundary hook: drives periodic arbitration.
 
-        Every read path and — via :meth:`WriteBatch.commit
-        <repro.db.write.WriteBatch.commit>` — every write path, batched
-        or scalar, WAL or not, ticks here, so the budget arbiter sees
-        one op count per operation actually executed.
+        Every read path and — via :func:`repro.db.write.apply_op` —
+        every write path, batched or scalar, WAL or not, ticks here, so
+        the budget arbiter sees one op count per operation actually
+        executed.
         """
         if self.arbiter is not None:
             self.arbiter.tick(ops)

@@ -1,18 +1,21 @@
-"""The transactional write surface: :class:`WriteBatch`.
+"""The transactional write surface: :class:`WriteBatch`, and the
+per-operation write phases every write runs.
 
-Every mutation in the database flows through one entry point —
-``Database.begin_batch()`` returns a :class:`WriteBatch`, operations
+``Database.begin_batch()`` returns a :class:`WriteBatch`: operations
 are *staged* (validated, nothing touched), and :meth:`WriteBatch.
 commit` runs the whole pipeline::
 
     facade -> delete check -> WAL append -> group commit -> apply -> tick
 
-The scalar spellings (``DBTable.insert`` / ``insert_batch`` /
-``delete``) are one-operation auto-committed batches over the same
-path, so a database without a write-ahead log charges **byte-identical
-costs** to the pre-batch write path — staging is pure Python, the WAL
-phases vanish, and the apply phase replays the exact historical charge
-sequences.
+The per-operation phases are written once: :func:`log_op` logs one
+operation and :func:`apply_op` applies it, then runs its kill point and
+arbiter tick.  Commit loops over them; the scalar ``DBTable.insert`` /
+``delete`` validate and hand one operation to :func:`commit_op`, which
+runs both around the group-commit rule without staging it, so each acts
+exactly as a one-op batch.  ``DBTable.insert_batch`` is a one-call
+batch.  A database without a write-ahead log charges **byte-identical
+costs** to the pre-batch write path — the WAL phases vanish, and the
+apply phase replays the exact historical charge sequences.
 
 Commit first rejects a delete of a row not live at its turn, before
 anything is logged, applied or charged, so the log never holds a record
@@ -38,16 +41,71 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import WalError
 from repro.table.table import TidReplay
 
 if TYPE_CHECKING:
     from repro.db.database import Database, DBTable
+    from repro.wal.log import WriteAheadLog
 
 #: Modeled payload size of a delete record (one 8-byte tuple id).
 _DELETE_PAYLOAD_BYTES = 8
+
+
+def log_op(
+    wal: "WriteAheadLog", op: str, dbtable: "DBTable", payload
+) -> None:
+    """Append one staged operation's redo records: one per row stored
+    (``"insert"`` / ``"insert_rows"``), one per tuple id deleted."""
+    name = dbtable.schema.name
+    if op == "insert":
+        wal.append("insert", name, payload, dbtable.table.row_bytes)
+    elif op == "delete":
+        wal.append("delete", name, payload, _DELETE_PAYLOAD_BYTES)
+    else:
+        row_bytes = dbtable.table.row_bytes
+        for row in payload:
+            wal.append("insert", name, row, row_bytes)
+
+
+def apply_op(
+    db: "Database",
+    wal: "Optional[WriteAheadLog]",
+    op: str,
+    dbtable: "DBTable",
+    payload,
+) -> Any:
+    """Apply one staged operation, then run its apply kill point and
+    tick the arbiter by the rows it wrote.  Returns the insert's tuple
+    id, the row batch's tuple ids, or the deleted row."""
+    if op == "insert":
+        out = dbtable._apply_insert(payload)
+        ops = 1
+    elif op == "delete":
+        out = dbtable._apply_delete(payload)
+        ops = 1
+    else:
+        out = dbtable._apply_insert_rows(payload)
+        ops = len(payload)
+    if wal is not None:
+        wal.notify_applied()
+    db._tick(ops)
+    return out
+
+
+def commit_op(db: "Database", op: str, dbtable: "DBTable", payload) -> Any:
+    """Commit one validated operation without staging it, in a one-op
+    batch's order: log it, run the group-commit rule, apply it.  Returns
+    what :func:`apply_op` returns."""
+    wal = db.wal
+    if wal is not None:
+        log_op(wal, op, dbtable, payload)
+        wal.group_commit()
+    return apply_op(db, wal, op, dbtable, payload)
 
 
 class WriteBatch:
@@ -143,32 +201,17 @@ class WriteBatch:
         wal = db.wal
         if wal is not None and self._staged:
             for op, dbtable, payload in self._staged:
-                name = dbtable.schema.name
-                row_bytes = dbtable.table.row_bytes
-                if op == "insert":
-                    wal.append("insert", name, payload, row_bytes)
-                elif op == "insert_rows":
-                    for row in payload:
-                        wal.append("insert", name, row, row_bytes)
-                else:
-                    wal.append(
-                        "delete", name, payload, _DELETE_PAYLOAD_BYTES
-                    )
+                log_op(wal, op, dbtable, payload)
             wal.group_commit()
         tids: List[int] = []
         for op, dbtable, payload in self._staged:
+            out = apply_op(db, wal, op, dbtable, payload)
             if op == "insert":
-                tids.append(dbtable._apply_insert(payload))
-                ops = 1
+                tids.append(out)
             elif op == "insert_rows":
-                tids.extend(dbtable._apply_insert_rows(payload))
-                ops = len(payload)
+                tids.extend(out)
             else:
-                self.deleted_rows.append(dbtable._apply_delete(payload))
-                ops = 1
-            if wal is not None:
-                wal.notify_applied()
-            db._tick(ops)
+                self.deleted_rows.append(out)
         self.tids = tids
         return tids
 

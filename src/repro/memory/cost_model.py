@@ -360,10 +360,6 @@ class CostModel:
         """Charge ``n`` learned-model position predictions."""
         self.charge("model_eval", n)
 
-    def log_appends(self, n: int = 1) -> None:
-        """Charge ``n`` write-ahead-log record appends."""
-        self.charge("log_append", n)
-
     def log_fsyncs(self, n: int = 1) -> None:
         """Charge ``n`` log-stream durability barriers (group commits)."""
         self.charge("log_fsync", n)

@@ -112,14 +112,26 @@ class Table:
 
     def delete_row(self, tid: int) -> Any:
         """Remove a row, freeing its tuple id for reuse."""
-        row = self._rows[tid]
-        if row is None:
-            raise KeyError(f"tuple id {tid} is not live")
+        row = self.deletable_row(tid)
         self._rows[tid] = None
         self._free_tids.append(tid)
         self._live_rows -= 1
         if self.allocator is not None:
             self.allocator.free(self.row_bytes, "table")
+        return row
+
+    def deletable_row(self, tid: int) -> Any:
+        """The row :meth:`delete_row` would remove, touching nothing.
+
+        Raises ``IndexError`` for an id never assigned — a negative one
+        too, which must not index the row array from its end — and
+        ``KeyError`` for a dead one.
+        """
+        if tid < 0:
+            raise IndexError(f"tuple id {tid} was never assigned")
+        row = self._rows[tid]
+        if row is None:
+            raise KeyError(f"tuple id {tid} is not live")
         return row
 
     def row(self, tid: int) -> Any:
@@ -260,7 +272,7 @@ class TidReplay:
     def delete(self, tid: int) -> None:
         live = self._live.get(tid)
         if live is None:
-            self._table.live_row(tid)
+            self._table.deletable_row(tid)
         elif not live:
             raise KeyError(f"tuple id {tid} is not live")
         self._live[tid] = False

@@ -84,7 +84,7 @@ class WalConfig:
             raise WalError("wal shards must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class WalRecord:
     """One logical redo record.
 
@@ -135,14 +135,19 @@ class WriteAheadLog:
     """The database's modeled write-ahead log (all streams).
 
     Built by :class:`~repro.db.database.Database` when constructed with
-    a :class:`WalConfig`; driven by :class:`~repro.db.write.WriteBatch`
-    commits.  All cost lands on the shared database cost model.
+    a :class:`WalConfig`; driven by the write pipeline's per-op phases
+    (:mod:`repro.db.write`), which batch commits and scalar writes
+    share.  All cost lands on the shared database cost model.
     """
 
     def __init__(self, config: WalConfig, cost: CostModel) -> None:
         config.validate()
         self.config = config
         self.cost = cost
+        # Read once: the config is frozen.
+        self._n_streams = config.shards
+        self._group_size = config.group_size
+        self._faults = config.faults
         self.streams: List[WalShard] = [
             WalShard(stream=i) for i in range(config.shards)
         ]
@@ -171,21 +176,20 @@ class WriteAheadLog:
         """Append one record (visible, not yet durable); charges one
         ``log_append``.  May raise :class:`CrashError` at a scripted
         append kill point — *after* the record landed in the buffer."""
-        self._check_alive()
+        if self.crashed:
+            self._check_alive()
+        lsn = self.next_lsn
         record = WalRecord(
-            lsn=self.next_lsn,
-            op=op,
-            table=table,
-            payload=payload,
-            nbytes=payload_bytes + RECORD_HEADER_BYTES,
+            lsn, op, table, payload, payload_bytes + RECORD_HEADER_BYTES
         )
-        self.next_lsn += 1
+        self.next_lsn = lsn + 1
         self.records.append(record)
-        self.streams[record.lsn % len(self.streams)].records.append(record)
-        self.cost.log_appends(1)
+        self.streams[lsn % self._n_streams].records.append(record)
+        self.cost.charge("log_append", 1)
         ordinal = self._appends
-        self._appends += 1
-        self._kill("append", ordinal)
+        self._appends = ordinal + 1
+        if self._faults is not None:
+            self._kill("append", ordinal)
         return record
 
     def group_commit(self) -> None:
@@ -196,12 +200,11 @@ class WriteAheadLog:
         streams' durable watermarks; a trailing partial group stays
         volatile (that is the group-commit deal — see :meth:`flush`).
         """
-        self._check_alive()
-        while self.next_lsn - self._grouped_upto >= self.config.group_size:
-            self._fsync_range(
-                self._grouped_upto,
-                self._grouped_upto + self.config.group_size,
-            )
+        if self.crashed:
+            self._check_alive()
+        size = self._group_size
+        while self.next_lsn - self._grouped_upto >= size:
+            self._fsync_range(self._grouped_upto, self._grouped_upto + size)
 
     def flush(self) -> None:
         """Force the pending partial group durable (checkpoint barrier)."""
@@ -223,14 +226,17 @@ class WriteAheadLog:
             self.streams[stream_id].durable_lsn = high_lsn[stream_id]
             ordinal = self.fsyncs
             self.fsyncs += 1
-            self._kill("fsync", ordinal)
+            if self._faults is not None:
+                self._kill("fsync", ordinal)
 
     def notify_applied(self) -> None:
         """Count one applied operation (a kill point between applies)."""
-        self._check_alive()
+        if self.crashed:
+            self._check_alive()
         ordinal = self._applies
-        self._applies += 1
-        self._kill("apply", ordinal)
+        self._applies = ordinal + 1
+        if self._faults is not None:
+            self._kill("apply", ordinal)
 
     # ------------------------------------------------------------------
     # Durability queries
@@ -357,8 +363,8 @@ class WriteAheadLog:
             )
 
     def _kill(self, point: str, ordinal: int) -> None:
-        faults = self.config.faults
-        if faults is not None and faults.take_kill(point, ordinal):
+        # Called only when the config carries a FaultPlan.
+        if self._faults.take_kill(point, ordinal):
             self.crashed = True
             raise CrashError(
                 f"scripted kill after {point} #{ordinal}"

@@ -297,3 +297,41 @@ def test_leaves_by_class_key_shape():
         if cls.startswith("compact/")
     )
     assert compact == stats.compact_leaf_count
+
+
+class TestElasticInvariantChecks:
+    """Each converted-leaf rule raises ``AssertionError`` explicitly, so
+    a corrupted tree fails the check under ``python -O`` too."""
+
+    @staticmethod
+    def converted():
+        source = U64Source()
+        tree = make_elastic(source, size_bound=1 << 40)
+        fill(tree, source, 200, shuffle_seed=5)
+        assert tree.controller.bulk_convert("compact") > 0
+        tree.check_elastic_invariants()
+        leaf = tree.first_leaf.next_leaf
+        assert isinstance(leaf, CompactLeaf)
+        return tree, leaf
+
+    @pytest.mark.parametrize("capacity", ["below", "above"])
+    def test_capacity_off_the_ladder_raises(self, capacity):
+        tree, leaf = self.converted()
+        if capacity == "below":
+            leaf._capacity = 2 * tree.leaf_capacity - 1
+        else:
+            leaf._capacity = 2 * tree.config.max_compact_capacity
+        assert leaf.count <= leaf.capacity  # the structural check passes
+        tree.check_invariants(strict_fill=False)
+        with pytest.raises(AssertionError, match="off the ladder"):
+            tree.check_elastic_invariants()
+
+    def test_empty_converted_leaf_raises(self):
+        tree, leaf = self.converted()
+        keys = [key for key, _ in leaf.items()]
+        for key in keys:
+            assert leaf.remove(key) is not None
+        tree._count -= len(keys)
+        tree.check_invariants(strict_fill=False)
+        with pytest.raises(AssertionError, match="holds 0 keys"):
+            tree.check_elastic_invariants()

@@ -84,6 +84,34 @@ class TestTable:
         with pytest.raises(KeyError):
             table.delete_row(tid)
 
+    def test_negative_tid_is_never_assigned(self):
+        # Regression: a negative id indexed the row array from its end,
+        # so delete_row(-1) removed the last row and pushed -1 onto the
+        # free stack for the next insert to take.
+        table, cost, alloc = make_table(with_alloc=True)
+        tids = [table.insert_row(i) for i in range(3)]
+        counts = dict(cost.counts)
+        for tid in (-1, -3, -4):
+            with pytest.raises(IndexError, match="never assigned"):
+                table.deletable_row(tid)
+            with pytest.raises(IndexError, match="never assigned"):
+                table.delete_row(tid)
+        assert len(table) == 3 and alloc.bytes_in("table") == 96
+        assert dict(cost.counts) == counts
+        assert table.insert_row(3) == 3
+        assert [table.live_row(t) for t in tids] == [0, 1, 2]
+
+    def test_deletable_row_raises_what_delete_row_raises(self):
+        table, _, _ = make_table()
+        tid = table.insert_row(1)
+        assert table.deletable_row(tid) == 1
+        table.delete_row(tid)
+        for bad, exc in ((tid, KeyError), (tid + 1, IndexError)):
+            with pytest.raises(exc):
+                table.deletable_row(bad)
+            with pytest.raises(exc):
+                table.delete_row(bad)
+
     def test_dataset_bytes(self):
         table, _, alloc = make_table(with_alloc=True)
         tids = [table.insert_row(i) for i in range(10)]

@@ -28,8 +28,10 @@ from repro.memory.cost_model import CostModel
 from repro.table.table import RowSchema, Table
 from repro.tools import wal_summary
 from repro.wal import (
+    RECORD_HEADER_BYTES,
     CrashError,
     WalConfig,
+    WalRecord,
     WriteAheadLog,
     recover_database,
     state_digest,
@@ -249,6 +251,33 @@ class TestGroupCommit:
                 db.wal.flush()
             costs[group_size] = delta.weighted_cost()
         assert costs[64] < costs[1] * 0.7  # >= 30% cheaper end to end
+
+    def test_records_carry_their_modeled_size(self):
+        # Scalar writes log the same records a one-op batch does; each
+        # record's size is its payload plus the record header.
+        db, table = make_db(wal=WalConfig(group_size=4, shards=2))
+        tid = table.insert((7, 70))
+        assert table.delete(tid) == (7, 70)
+        with db.begin_batch() as batch:
+            batch.insert(table, (8, 80))
+        assert [(r.lsn, r.op, r.table, r.payload, r.nbytes)
+                for r in db.wal.records] == [
+            (0, "insert", "t", (7, 70), 16 + RECORD_HEADER_BYTES),
+            (1, "delete", "t", tid, 8 + RECORD_HEADER_BYTES),
+            (2, "insert", "t", (8, 80), 16 + RECORD_HEADER_BYTES),
+        ]
+        assert [s.records for s in db.wal.streams] == [
+            db.wal.records[0::2], db.wal.records[1::2]
+        ]
+
+    def test_append_returns_its_record(self):
+        log = WriteAheadLog(WalConfig(group_size=4), CostModel())
+        record = log.append("delete", "t", 3, 8)
+        assert record is log.records[0]
+        assert record == WalRecord(0, "delete", "t", 3,
+                                   8 + RECORD_HEADER_BYTES)
+        assert not hasattr(record, "__dict__")  # a slotted record
+        assert log.cost.counts == {"log_append": 1}
 
     def test_crashed_log_refuses_further_use(self):
         plan = FaultPlan().kill(append=0)
@@ -554,12 +583,14 @@ class TestDeadDeletes:
     @given(
         st.lists(st.integers(0, 3), max_size=4, unique=True),
         st.lists(
-            st.one_of(st.just("insert"), st.just("rows"), st.integers(0, 6)),
+            st.one_of(st.just("insert"), st.just("rows"), st.integers(-3, 6)),
             max_size=8,
         ),
     )
     # The insert reuses the most recently freed id, 3, not 1.
     @example(freed=[1, 3], staged=["insert", 3])
+    # A negative id was never assigned, however many rows there are.
+    @example(freed=[], staged=[-2])
     def test_check_agrees_with_the_table(self, freed, staged):
         # Oracle: the same writes applied one by one to a bare Table in
         # the same state; a staged int deletes that tuple id.
@@ -600,6 +631,187 @@ class TestDeadDeletes:
             with pytest.raises(expected):
                 batch.commit()
             assert dict(db.cost.counts) == counts
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+    @pytest.mark.parametrize("wal", [None, WalConfig(group_size=1)],
+                             ids=["no-log", "log"])
+    def test_negative_tid_is_never_assigned(self, wal, batched):
+        # Regression: delete(-2) removed the row in slot len - 2, logged
+        # a "delete -2" record and pushed -2 onto the free-tid stack, so
+        # a later insert took tid -2 and a get answered another row.
+        db, table = make_db(wal=wal)
+        table.insert_batch([(k, 10 * k) for k in range(4)])
+        before = state_digest(db)
+        counts = list(db.cost.counts.items())
+        records = len(db.wal.records) if wal else 0
+        with pytest.raises(IndexError, match="never assigned"):
+            if batched:
+                with db.begin_batch() as batch:
+                    batch.delete(table, -2)
+            else:
+                table.delete(-2)
+        assert state_digest(db) == before
+        assert list(db.cost.counts.items()) == counts
+        assert (len(db.wal.records) if wal else 0) == records
+        assert table.insert((50, 500)) == 4
+        table.insert_batch([(60, 600), (70, 700)])
+        assert table.get("by_k", (50,)) == (50, 500)
+        assert table.get("by_k", (2,)) == (2, 20)
+        if wal is not None:
+            recovered, _ = recover_database(db)
+            assert state_digest(recovered) == state_digest(db)
+
+
+class TestScalarIsOneOpBatch:
+    """``DBTable.insert`` / ``delete`` commit one operation without
+    staging it; each must stay observably a one-op ``begin_batch()``
+    commit.  Two twin databases take the same ops, one through the
+    scalar spellings and one as one-op batches, and must agree on
+    every answer and on everything a write may touch."""
+
+    WALS = [
+        pytest.param(None, id="no-log"),
+        pytest.param({"group_size": 4}, id="group"),
+        pytest.param({"group_size": 4, "shards": 3}, id="sharded-log"),
+    ]
+    INDEXES = [
+        pytest.param({"kind": "elastic", "size_bound_bytes": 3_000},
+                     id="elastic"),
+        pytest.param({"replicas": ReplicaConfig(replicas=3)},
+                     id="replicated"),
+    ]
+    #: Rows every twin starts from, written through the compared paths.
+    SEED = [("insert", (1000 + k, k)) for k in range(6)]
+
+    @staticmethod
+    def make_twin(wal, index_kwargs, faults=None):
+        config = None if wal is None else WalConfig(faults=faults, **wal)
+        db, table = make_db(wal=config, index_kwargs=index_kwargs)
+        db.enable_budget_arbiter(1 << 20, interval_ops=5)
+        return db, table
+
+    @staticmethod
+    def scalar(db, table, op):
+        kind, arg = op
+        return table.delete(arg) if kind == "delete" else table.insert(arg)
+
+    @staticmethod
+    def one_op_batch(db, table, op):
+        kind, arg = op
+        batch = db.begin_batch()
+        if kind == "delete":
+            batch.delete(table, arg)
+            batch.commit()
+            return batch.deleted_rows[0]
+        batch.insert(table, arg)
+        return batch.commit()[0]
+
+    @staticmethod
+    def outcome(write, db, table, op):
+        """The write's return value, or the type of what it raised."""
+        try:
+            return write(db, table, op)
+        except (ValueError, LookupError, CrashError) as exc:
+            return type(exc)
+
+    @staticmethod
+    def observed(db):
+        """Everything a write may touch, as plain data."""
+        cost, wal = db.cost, db.wal
+        state = [
+            list(cost.counts.items()),
+            {tag: list(b.items()) for tag, b in cost.tagged.items()},
+            db.arbiter._ops_since,
+            state_digest(db),
+        ]
+        if wal is not None:
+            state += [
+                [(r.lsn, r.op, r.table, r.payload, r.nbytes)
+                 for r in wal.records],
+                [stream.durable_lsn for stream in wal.streams],
+                wal._appends, wal._applies, wal.fsyncs, wal.crashed,
+            ]
+        return state
+
+    @staticmethod
+    def as_ops(drawn):
+        """Drawn (kind, int) pairs as writes: inserts of distinct keys,
+        rows of the wrong width, deletes of any tid (live, dead, never
+        assigned or negative)."""
+        ops = []
+        for i, (kind, n) in enumerate(drawn):
+            if kind == "insert":
+                ops.append(("insert", (i * 37 % 1000, n)))
+            elif kind == "wide":
+                ops.append(("insert", (i,) if n % 2 else (i, n, n)))
+            else:
+                ops.append(("delete", n))
+        return ops
+
+    @pytest.mark.parametrize("index_kwargs", INDEXES)
+    @pytest.mark.parametrize("wal", WALS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), st.integers(0, 1 << 16)),
+            st.tuples(st.just("wide"), st.integers(0, 9)),
+            st.tuples(st.just("delete"), st.integers(-3, 12)),
+        ),
+        max_size=40,
+    ))
+    # A dead tid, a never-assigned one and a negative one.
+    @example(drawn=[("delete", 2), ("delete", 2), ("delete", 9),
+                    ("delete", -1), ("insert", 5), ("wide", 1)])
+    def test_twins_agree_after_every_op(self, wal, index_kwargs, drawn):
+        twins = [self.make_twin(wal, index_kwargs) for _ in range(2)]
+        for op in self.SEED + self.as_ops(drawn):
+            answers = [
+                self.outcome(write, db, table, op)
+                for write, (db, table) in zip(
+                    (self.scalar, self.one_op_batch), twins
+                )
+            ]
+            assert answers[0] == answers[1], op
+            assert self.observed(twins[0][0]) == self.observed(twins[1][0])
+
+    KILLS = [{"append": 0}, {"append": 11}, {"fsync": 0}, {"fsync": 3},
+             {"apply": 0}, {"apply": 13}]
+
+    @pytest.mark.parametrize("kill", KILLS, ids=lambda k: "%s=%d" % (
+        next(iter(k.items()))))
+    @pytest.mark.parametrize("index_kwargs", INDEXES)
+    @pytest.mark.parametrize("wal", WALS[1:])
+    def test_kill_matrix(self, wal, index_kwargs, kill):
+        # Inserts, live deletes, and rejected ones (a repeat delete, a
+        # never-assigned tid, a negative one, a wrong-width row).
+        ops = self.SEED + self.as_ops(
+            [("insert", n) for n in range(12)]
+            + [("delete", 1), ("delete", 1), ("delete", 40), ("delete", -1),
+               ("wide", 0), ("delete", 7), ("insert", 99), ("delete", 3)]
+            + [("insert", n) for n in range(12)]
+        )
+        results = []
+        for write in (self.scalar, self.one_op_batch):
+            db, table = self.make_twin(
+                wal, index_kwargs, faults=FaultPlan().kill(**kill)
+            )
+            crashed_at = None
+            for i, op in enumerate(ops):
+                if self.outcome(write, db, table, op) is CrashError:
+                    crashed_at = i
+                    break
+            assert crashed_at is not None
+            # A crashed log refuses every write; a dead delete is still
+            # rejected first, as a one-op batch's delete check does.
+            after = [self.outcome(write, db, table, op)
+                     for op in (("insert", (1, 1)), ("delete", 0))]
+            durable = [(r.lsn, r.op, r.table, r.payload, r.nbytes)
+                       for r in db.wal.durable_prefix()]
+            recovered, report = recover_database(db)
+            results.append((crashed_at, after, self.observed(db), durable,
+                            state_digest(recovered), report))
+        assert results[0] == results[1]
+        assert WalError in results[0][1]
 
 
 class TestTickRegression:
