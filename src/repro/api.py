@@ -25,10 +25,10 @@ The facade groups the stable surface of the layered packages:
   :class:`LearnedLeaf`, the FITing-Tree style learned kind
   (``ElasticConfig(leaf_kinds=("standard", "compact", "learned"))``);
 * **engine** — :class:`ShardedIndex` / :func:`build_sharded_index`,
-  partitioners, :class:`BudgetArbiter`, and the scatter/gather
-  executors (:class:`SerialShardExecutor`,
-  :class:`ParallelShardExecutor`, :func:`make_executor`,
-  :class:`FaultPlan`);
+  partitioners, :class:`BudgetArbiter`, the scatter/gather executors
+  (:class:`SerialShardExecutor`, :class:`ParallelShardExecutor`,
+  :func:`make_executor`), and :class:`FaultPlan`, which scripts replica
+  outages and write-ahead-log kills;
 * **cluster** — divergent replica sets above the engine tier
   (``create_index(..., replicas=ReplicaConfig(...))``):
   :class:`ReplicaConfig` / :class:`ReplicaProfile` /
@@ -101,8 +101,6 @@ from repro.engine import (
     Partitioner,
     RangePartitioner,
     SerialShardExecutor,
-    ShardExecutor,
-    ShardTask,
     ShardedIndex,
     build_sharded_index,
     make_executor,
@@ -110,7 +108,6 @@ from repro.engine import (
 )
 from repro.errors import (
     CacheConfigError,
-    ExecutorSaturatedError,
     IndexExistsError,
     InvalidBudgetError,
     LeafKindError,
@@ -118,7 +115,6 @@ from repro.errors import (
     ReplicaConfigError,
     ReproError,
     ShardConfigError,
-    ShardConflictError,
     TuningConfigError,
     WalError,
 )
@@ -175,8 +171,6 @@ __all__ = [
     "Partitioner",
     "RangePartitioner",
     "SerialShardExecutor",
-    "ShardExecutor",
-    "ShardTask",
     "ShardedIndex",
     "build_sharded_index",
     "make_executor",
@@ -221,7 +215,6 @@ __all__ = [
     "encode_u64",
     # errors
     "CacheConfigError",
-    "ExecutorSaturatedError",
     "IndexExistsError",
     "InvalidBudgetError",
     "LeafKindError",
@@ -229,7 +222,6 @@ __all__ = [
     "ReplicaConfigError",
     "ReproError",
     "ShardConfigError",
-    "ShardConflictError",
     "TuningConfigError",
     "WalError",
     # observability

@@ -121,14 +121,11 @@ def run(
             kind, shards, values, probes, starts, scan_count, None
         )
         executor = ParallelShardExecutor(workers=workers)
-        try:
-            parallel_arm = _run_arm(
-                kind, shards, values, probes, starts, scan_count, executor
-            )
-            stats = executor.stats
-            saved = stats.saved_units
-        finally:
-            executor.close()
+        parallel_arm = _run_arm(
+            kind, shards, values, probes, starts, scan_count, executor
+        )
+        stats = executor.stats
+        saved = stats.saved_units
         identical = (
             serial_arm["lookups"] == parallel_arm["lookups"]
             and serial_arm["scans"] == parallel_arm["scans"]

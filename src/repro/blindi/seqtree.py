@@ -209,15 +209,26 @@ class SeqTreeRep(SeqTrieRep):
             return
         m = self.tree[slot]
         if lo > hi:
-            assert m == ET, f"slot {slot} should be ET for empty range"
+            if m != ET:
+                raise AssertionError(
+                    f"slot {slot} should be ET for empty range"
+                )
             self._check_tree(2 * slot + 1, 1, 0)
             self._check_tree(2 * slot + 2, 1, 0)
             return
-        assert m != ET, f"slot {slot} is ET but range [{lo},{hi}] non-empty"
-        assert lo <= m <= hi, f"slot {slot} entry {m} outside [{lo},{hi}]"
+        if m == ET:
+            raise AssertionError(
+                f"slot {slot} is ET but range [{lo},{hi}] non-empty"
+            )
+        if not lo <= m <= hi:
+            raise AssertionError(
+                f"slot {slot} entry {m} outside [{lo},{hi}]"
+            )
         min_bit = min(self.bits[lo : hi + 1])
-        assert self.bits[m] == min_bit, (
-            f"slot {slot} points at bit {self.bits[m]}, range min is {min_bit}"
-        )
+        if self.bits[m] != min_bit:
+            raise AssertionError(
+                f"slot {slot} points at bit {self.bits[m]}, "
+                f"range min is {min_bit}"
+            )
         self._check_tree(2 * slot + 1, lo, m - 1)
         self._check_tree(2 * slot + 2, m + 1, hi)

@@ -443,11 +443,13 @@ class SeqTrieRep:
     def check_invariants(self) -> None:
         """Verify the bits array against the actual keys (tests only)."""
         keys = [self.table.peek_key(t) for t in self.tids]
-        assert keys == sorted(keys), "tids not in key order"
+        if keys != sorted(keys):
+            raise AssertionError("tids not in key order")
         expected = _bits_of_sorted_keys(keys)
-        assert self.bits == expected, (
-            f"bits array {self.bits} != expected {expected}"
-        )
+        if self.bits != expected:
+            raise AssertionError(
+                f"bits array {self.bits} != expected {expected}"
+            )
 
 
 def _bits_of_sorted_keys(keys: List[bytes]) -> List[int]:

@@ -318,16 +318,22 @@ class SubTrieRep:
 
     def check_invariants(self) -> None:
         keys = [self.table.peek_key(t) for t in self.tids]
-        assert keys == sorted(keys), "tids not in key order"
-        expected = _bits_of_sorted_keys(keys)
-        assert self._to_inorder() == expected, "preorder arrays inconsistent"
+        if keys != sorted(keys):
+            raise AssertionError("tids not in key order")
         # lsize consistency: every subtree's declared size must add up.
+        # Checked before the in-order walk, which does not terminate on
+        # an lsize of 0 and over-reads past one larger than its subtree.
         def walk(p: int, m: int) -> None:
             if m <= 0:
                 return
             ls = self.lsize[p]
-            assert 1 <= ls <= m, f"lsize[{p}]={ls} out of range for m={m}"
+            if not 1 <= ls <= m:
+                raise AssertionError(
+                    f"lsize[{p}]={ls} out of range for m={m}"
+                )
             walk(p + 1, ls - 1)
             walk(p + ls, m - ls)
 
         walk(0, len(self.pre_bits))
+        if self._to_inorder() != _bits_of_sorted_keys(keys):
+            raise AssertionError("preorder arrays inconsistent")

@@ -218,7 +218,7 @@ class DBTable:
         scatter/gather backend for a sharded index: ``False`` (serial,
         byte-identical to a loop over shards), ``True`` (the default
         parallel executor), a worker count, or a ready
-        :class:`~repro.engine.ShardExecutor` instance.  Elastic indexes
+        :class:`~repro.engine.ParallelShardExecutor` instance.  Elastic indexes
         — sharded or not — enroll with the database's budget arbiter
         when one is enabled.  A :class:`~repro.cache.CacheConfig` as
         ``cache`` attaches a budget-aware adaptive read cache (one per

@@ -6,8 +6,8 @@ counted by the layer that does it, so :func:`layer_metrics` reads those
 counters when :meth:`~repro.db.database.Database.metrics_snapshot` is
 called instead of re-counting them from bus events.  The families are
 this database's lifetime counts and render whether observability is on
-or off; the event-fed families (state changes and scripted faults) stay
-on the :class:`~repro.obs.Observer`.
+or off; the event-fed families (state changes) stay on the
+:class:`~repro.obs.Observer`.
 """
 
 from __future__ import annotations

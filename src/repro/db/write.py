@@ -17,14 +17,16 @@ batch.  A database without a write-ahead log charges **byte-identical
 costs** to the pre-batch write path — the WAL phases vanish, and the
 apply phase replays the exact historical charge sequences.
 
-Commit first rejects a delete of a row not live at its turn, before
-anything is logged, applied or charged, so the log never holds a record
-recovery could not replay.  With a log configured, commit then appends
-one logical redo record per row (``log_append`` each) and schedules
-group-commit fsync barriers (see :mod:`repro.wal.log`); only then does
-it mutate volatile state, one staged operation at a time, ticking the
-budget arbiter after each — which is also what fixes the historical gap
-where batched writes never drove ``Database._tick``.  A scripted kill
+Staging rejects a row of the wrong width or one an index cannot
+encode, and commit first rejects a delete of a row not live at its
+turn, before anything is logged, applied or charged, so the log never
+holds a record recovery could not replay.  With a log configured,
+commit then appends one logical redo record per row (``log_append``
+each) and schedules group-commit fsync barriers (see
+:mod:`repro.wal.log`); only then does it mutate volatile state, one
+staged operation at a time, ticking the budget arbiter after each —
+which is also what fixes the historical gap where batched writes never
+drove ``Database._tick``.  A scripted kill
 firing during the append or fsync phase leaves volatile state
 untouched; one firing between applies leaves a prefix applied, which
 recovery discards wholesale and rebuilds from the durable log.
@@ -167,12 +169,19 @@ class WriteBatch:
 
     @staticmethod
     def _validate(dbtable: "DBTable", row: Sequence) -> Tuple:
+        """The row as a tuple, once it has the schema's width and every
+        index of the table, parked ones included, can encode its key:
+        a row the apply phase could not index is rejected before
+        anything is logged, applied or charged, with the encoder's own
+        exception."""
         row = tuple(row)
         if len(row) != len(dbtable.schema.column_names):
             raise ValueError(
                 f"row has {len(row)} columns, schema needs "
                 f"{len(dbtable.schema.column_names)}"
             )
+        for secondary in dbtable.indexes.values():
+            secondary.key_of_row(row)
         return row
 
     def _check_open(self) -> None:

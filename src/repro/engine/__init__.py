@@ -16,13 +16,15 @@ Three layers between the database facade and the elastic index family:
 
 A fourth layer decides *how* a scatter executes:
 
-* **executor** (:class:`~repro.engine.executor.ShardExecutor`): the
-  scatter/gather backend behind the router.  The serial backend is
-  byte-identical to visiting shards in a loop; the parallel backend
-  runs the same sub-batches on the calling thread but charges
-  critical-path cost over ``workers``-wide modeled waves, with
-  deterministic retry/hedging/degradation driven by a
-  :class:`~repro.engine.faults.FaultPlan`.
+* **executor** (:mod:`repro.engine.executor`): the scatter/gather
+  backend behind the router.  :class:`~repro.engine.executor.
+  SerialShardExecutor` is byte-identical to visiting shards in a loop;
+  :class:`~repro.engine.executor.ParallelShardExecutor` runs the same
+  sub-batches on the calling thread but charges critical-path cost
+  over ``workers``-wide modeled waves.
+
+A :class:`~repro.engine.faults.FaultPlan` scripts the replica outages
+of the cluster tier and the process kills of the write-ahead log.
 
 With one shard, no arbiter, and the serial executor the engine is
 byte-identical to the unsharded index it wraps; the layers add
@@ -41,8 +43,6 @@ from repro.engine.executor import (
     ExecutorStats,
     ParallelShardExecutor,
     SerialShardExecutor,
-    ShardExecutor,
-    ShardTask,
     make_executor,
 )
 from repro.engine.faults import FaultPlan
@@ -69,8 +69,6 @@ __all__ = [
     "Partitioner",
     "RangePartitioner",
     "SerialShardExecutor",
-    "ShardExecutor",
-    "ShardTask",
     "ShardedIndex",
     "build_sharded_index",
     "largest_remainder",

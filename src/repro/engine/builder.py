@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache import CacheConfig, IndexCache
 from repro.engine.arbiter import largest_remainder
-from repro.engine.executor import ShardExecutor
+from repro.engine.executor import SerialShardExecutor
 from repro.engine.partition import make_partitioner
 from repro.engine.router import ShardedIndex
 from repro.engine.shard import IndexShard
@@ -47,7 +47,7 @@ class IndexRecipe:
     size_bound_bytes: Optional[int] = None
     shards: int = 1
     partitioner: str = "hash"
-    executor: Optional[ShardExecutor] = None
+    executor: Optional[SerialShardExecutor] = None
     cache: Optional[CacheConfig] = None
     index_kwargs: Tuple[Tuple[str, object], ...] = ()
     name: str = ""
@@ -157,7 +157,7 @@ def build_sharded_index(kind: str, *, table, cost, key_width: int,
                         n_shards: int, partitioner: str = "hash",
                         size_bound_bytes: Optional[int] = None,
                         name: str = "",
-                        executor: Optional[ShardExecutor] = None,
+                        executor: Optional[SerialShardExecutor] = None,
                         cache=None, **index_kwargs) -> ShardedIndex:
     """Build ``n_shards`` independent ``kind`` indexes behind one router
     (a :class:`~repro.engine.router.ShardedIndex` even for one shard),

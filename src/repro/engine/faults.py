@@ -1,24 +1,9 @@
-"""Deterministic fault injection for the parallel shard executor.
+"""Deterministic fault scripts for the cluster tier and the write-ahead log.
 
-Every robustness path in :class:`~repro.engine.executor.
-ParallelShardExecutor` — conflict retry, straggler hedging, serial
-degradation — must be unit-testable without real thread-timing
-nondeterminism.  A :class:`FaultPlan` scripts the faults ahead of time
-in the same vocabulary the cost model uses:
+A :class:`FaultPlan` scripts faults ahead of time, so every failure
+path is unit-testable and replayable without wall-clock or thread
+timing.  It has two verbs:
 
-* ``fail(shard=k, op=n, times=t)`` — shard ``k``'s ``n``-th dispatch
-  (0-based, counted per shard across the executor's lifetime) reports a
-  transient conflict on its first ``t`` attempts, the cost-model
-  analogue of an OLC version validation failure
-  (:class:`repro.concurrency.olc_tree.Restart`).
-* ``delay(shard=k, units=c)`` — shard ``k``'s dispatches charge ``c``
-  extra cost units, modeling a straggler (NUMA-remote shard, cold
-  cache, noisy neighbour).  With ``once=True`` (the default) only the
-  next dispatch is delayed, so a hedged duplicate dispatch runs at full
-  speed and wins; with ``once=False`` the slowness is persistent and
-  the hedge loses.
-* ``saturate(calls=n)`` — the next ``n`` scatter batches observe a
-  saturated dispatch pool and must degrade to the serial backend.
 * ``down(replica=k, beats=n, after=m)`` — replica ``k`` fails ``n``
   consecutive heartbeats, starting ``m`` healthy beats from now: the
   cluster router marks it down, reroutes its query classes to the
@@ -41,18 +26,14 @@ event streams.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class FaultPlan:
-    """A scripted, self-consuming schedule of executor faults."""
+    """A scripted, self-consuming schedule of replica outages and WAL
+    kills."""
 
     def __init__(self) -> None:
-        #: (shard, dispatch ordinal) -> remaining conflicting attempts.
-        self._conflicts: Dict[Tuple[int, int], int] = {}
-        #: shard -> (extra cost units per dispatch, one-shot flag).
-        self._delays: Dict[int, Tuple[float, bool]] = {}
-        self._saturated_calls = 0
         #: replica -> outage segments, each [healthy beats to skip,
         #: failed beats to serve], consumed in scripting order.
         self._outages: Dict[int, list] = {}
@@ -62,31 +43,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Scripting (builder-style, chainable)
     # ------------------------------------------------------------------
-    def fail(self, shard: int, op: int = 0, times: int = 1) -> "FaultPlan":
-        """Fail ``shard``'s ``op``-th dispatch for its first ``times``
-        attempts with a transient conflict."""
-        if times < 1:
-            raise ValueError("times must be positive")
-        self._conflicts[(shard, op)] = (
-            self._conflicts.get((shard, op), 0) + times
-        )
-        return self
-
-    def delay(self, shard: int, units: float,
-              once: bool = True) -> "FaultPlan":
-        """Charge ``units`` extra cost to ``shard``'s dispatches."""
-        if units <= 0:
-            raise ValueError("delay units must be positive")
-        self._delays[shard] = (units, once)
-        return self
-
-    def saturate(self, calls: int = 1) -> "FaultPlan":
-        """Make the next ``calls`` scatter batches see a full pool."""
-        if calls < 1:
-            raise ValueError("calls must be positive")
-        self._saturated_calls += calls
-        return self
-
     def down(self, replica: int, beats: int = 1,
              after: int = 0) -> "FaultPlan":
         """Fail ``beats`` consecutive heartbeats of ``replica``,
@@ -130,42 +86,8 @@ class FaultPlan:
         return self
 
     # ------------------------------------------------------------------
-    # Consumption (called by the executor)
+    # Consumption (called by the cluster router and the log)
     # ------------------------------------------------------------------
-    def take_conflict(self, shard: int, op: int) -> bool:
-        """Consume one scheduled conflict for this dispatch, if any."""
-        key = (shard, op)
-        remaining = self._conflicts.get(key, 0)
-        if remaining <= 0:
-            return False
-        if remaining == 1:
-            del self._conflicts[key]
-        else:
-            self._conflicts[key] = remaining - 1
-        return True
-
-    def drop_conflicts(self, shard: int, op: int) -> None:
-        """Discard this dispatch's remaining scheduled conflicts (the
-        executor's retries are exhausted and it degrades instead)."""
-        self._conflicts.pop((shard, op), None)
-
-    def take_delay(self, shard: int) -> float:
-        """Extra cost units for ``shard``'s next dispatch (0 if none)."""
-        entry = self._delays.get(shard)
-        if entry is None:
-            return 0.0
-        units, once = entry
-        if once:
-            del self._delays[shard]
-        return units
-
-    def take_saturation(self) -> bool:
-        """Whether this scatter batch sees a saturated pool."""
-        if self._saturated_calls <= 0:
-            return False
-        self._saturated_calls -= 1
-        return True
-
     def take_heartbeat(self, replica: int) -> bool:
         """Consume one heartbeat for ``replica``; True if it is down.
 
@@ -198,19 +120,10 @@ class FaultPlan:
     @property
     def exhausted(self) -> bool:
         """True once every scripted fault has fired."""
-        return (
-            not self._conflicts
-            and not self._delays
-            and self._saturated_calls == 0
-            and not self._outages
-            and not self._kills
-        )
+        return not self._outages and not self._kills
 
     def __repr__(self) -> str:
         return (
-            f"FaultPlan(conflicts={self._conflicts!r}, "
-            f"delays={self._delays!r}, "
-            f"saturated_calls={self._saturated_calls}, "
-            f"outages={self._outages!r}, "
+            f"FaultPlan(outages={self._outages!r}, "
             f"kills={self._kills!r})"
         )

@@ -15,12 +15,12 @@ workload runners — works against a sharded index unchanged:
   successive shards; hash partitioning scatters the scan to every shard
   and k-way merges the per-shard runs.
 
-*How* the per-shard segments execute is delegated to a
-:class:`~repro.engine.executor.ShardExecutor`: the default serial
-backend visits shards one at a time (byte-identical to the unsharded
-index in results and cost units), while the parallel backend overlaps
-shard dispatches and charges critical-path cost — see
-:mod:`repro.engine.executor`.
+*How* the per-shard segments are priced is delegated to an executor
+(:mod:`repro.engine.executor`), which gets one zero-argument callable
+per shard: the default serial backend visits shards one at a time
+(byte-identical to the unsharded index in results and cost units),
+while the parallel backend overlaps shard dispatches and charges
+critical-path cost.
 
 Results are byte-identical to the same index unsharded under either
 backend: every key lives on exactly one deterministic shard, batch
@@ -31,10 +31,11 @@ input order), and scan merges reassemble global key order.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.executor import SerialShardExecutor, ShardExecutor, ShardTask
+from repro.engine.executor import SerialShardExecutor
 from repro.engine.partition import Partitioner
 from repro.engine.shard import IndexShard
 from repro.errors import ShardConfigError
@@ -52,7 +53,7 @@ class ShardedIndex:
         self,
         shards: Sequence[IndexShard],
         partitioner: Partitioner,
-        executor: Optional[ShardExecutor] = None,
+        executor: Optional[SerialShardExecutor] = None,
         cost: Optional[CostModel] = None,
     ) -> None:
         if len(shards) != partitioner.n_shards:
@@ -62,7 +63,9 @@ class ShardedIndex:
             )
         self.shards: List[IndexShard] = list(shards)
         self.partitioner = partitioner
-        self.executor: ShardExecutor = executor if executor is not None else _SERIAL
+        self.executor: SerialShardExecutor = (
+            executor if executor is not None else _SERIAL
+        )
         if cost is None:
             cost = (
                 self.shards[0].allocator.cost_model
@@ -100,14 +103,8 @@ class ShardedIndex:
                     break
             return items
         runs = self.executor.run_tasks(
-            "scan",
-            [
-                ShardTask(
-                    shard_id=shard.shard_id, ops=1, read_only=True,
-                    run=lambda s=shard: s.index.scan(start_key, count),
-                )
-                for shard in self.shards
-            ],
+            [partial(shard.index.scan, start_key, count)
+             for shard in self.shards],
             self.cost,
         )
         return list(islice(heapq.merge(*runs), count))
@@ -127,14 +124,11 @@ class ShardedIndex:
         results: List[Optional[int]] = [None] * len(keys)
         groups = self._group_by_shard(keys)
         tasks = [
-            ShardTask(
-                shard_id=shard_id, ops=len(positions), read_only=True,
-                run=lambda s=self.shards[shard_id],
-                ks=[keys[p] for p in positions]: s.index.lookup_batch(ks),
-            )
+            partial(self.shards[shard_id].index.lookup_batch,
+                    [keys[p] for p in positions])
             for shard_id, positions in groups.items()
         ]
-        gathered = self.executor.run_tasks("get", tasks, self.cost)
+        gathered = self.executor.run_tasks(tasks, self.cost)
         for positions, hits in zip(groups.values(), gathered):
             for position, tid in zip(positions, hits):
                 results[position] = tid
@@ -146,14 +140,11 @@ class ShardedIndex:
         results: List[Optional[int]] = [None] * len(pairs)
         groups = self._group_by_shard([key for key, _ in pairs])
         tasks = [
-            ShardTask(
-                shard_id=shard_id, ops=len(positions), read_only=False,
-                run=lambda s=self.shards[shard_id],
-                ps=[pairs[p] for p in positions]: s.index.insert_sorted_batch(ps),
-            )
+            partial(self.shards[shard_id].index.insert_sorted_batch,
+                    [pairs[p] for p in positions])
             for shard_id, positions in groups.items()
         ]
-        gathered = self.executor.run_tasks("insert", tasks, self.cost)
+        gathered = self.executor.run_tasks(tasks, self.cost)
         for positions, replaced in zip(groups.values(), gathered):
             for position, tid in zip(positions, replaced):
                 results[position] = tid
@@ -168,30 +159,21 @@ class ShardedIndex:
         if not self.partitioner.ordered:
             # Scatter to every shard, merge per start key.
             tasks = [
-                ShardTask(
-                    shard_id=shard.shard_id, ops=len(start_keys),
-                    read_only=True,
-                    run=lambda s=shard: s.index.scan_batch(start_keys, count),
-                )
+                partial(shard.index.scan_batch, start_keys, count)
                 for shard in self.shards
             ]
-            runs = self.executor.run_tasks("scan", tasks, self.cost)
+            runs = self.executor.run_tasks(tasks, self.cost)
             for position in range(len(start_keys)):
                 merged = heapq.merge(*(run[position] for run in runs))
                 results[position] = list(islice(merged, count))
             return results
         groups = self._group_by_shard(start_keys)
         tasks = [
-            ShardTask(
-                shard_id=shard_id, ops=len(positions), read_only=True,
-                run=lambda s=self.shards[shard_id],
-                ks=[start_keys[p] for p in positions]: s.index.scan_batch(
-                    ks, count
-                ),
-            )
+            partial(self.shards[shard_id].index.scan_batch,
+                    [start_keys[p] for p in positions], count)
             for shard_id, positions in groups.items()
         ]
-        gathered = self.executor.run_tasks("scan", tasks, self.cost)
+        gathered = self.executor.run_tasks(tasks, self.cost)
         for (shard_id, positions), batches in zip(groups.items(), gathered):
             for position, items in zip(positions, batches):
                 # Spill into successive shards until the scan fills.

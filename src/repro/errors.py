@@ -16,14 +16,9 @@ The concrete classes map to the layers that raise them:
   apportioned: non-positive global bounds, negative weights, malformed
   arbiter configuration (``repro.db``, ``repro.engine.arbiter``).
 * :class:`ShardConfigError` — impossible shard topology: zero shards,
-  unknown partitioner names, shard/partitioner arity mismatches, bad
-  executor knobs (``repro.engine``).
-* :class:`ShardConflictError` — a shard reported a *transient* conflict
-  during concurrent dispatch (the cost-model analogue of an OLC version
-  validation failure, cf. :class:`repro.concurrency.olc_tree.Restart`).
-  The parallel executor retries these with backoff; user code only sees
-  one if it drives a :class:`~repro.engine.executor.ShardExecutor`
-  directly.
+  unknown partitioner names, shard/partitioner arity mismatches, a
+  ``parallel=`` value that is not a bool, an executor or a worker
+  count of at least one (``repro.engine``).
 * :class:`CacheConfigError` — an adaptive-cache configuration that can
   never help: non-positive budgets, a cache budget at or above the index
   soft bound it is meant to compete under, malformed sketch/tier knobs
@@ -34,12 +29,6 @@ The concrete classes map to the layers that raise them:
   kind without ``replace=True``, or attaching a :class:`CacheConfig` to
   a tree whose kinds include one without cache support
   (``repro.btree.kinds``, ``repro.core``).
-* :class:`ExecutorSaturatedError` — the parallel executor's modeled
-  dispatch pool could not accept work (saturated or closed).  Engine
-  paths never propagate it (they degrade to the serial backend
-  instead); direct executor users opt in with
-  ``ParallelShardExecutor(strict_saturation=True)`` to shed load
-  themselves.
 * :class:`ReplicaConfigError` — an impossible replica-cluster topology:
   zero replicas, a profile list whose arity does not match the replica
   count, non-positive budget weights, an elastic profile with no bound
@@ -86,14 +75,6 @@ class ShardConfigError(ReproError):
     """A sharded-engine topology or executor configuration is invalid."""
 
 
-class ShardConflictError(ReproError):
-    """A shard reported a transient conflict; the dispatch may retry."""
-
-
-class ExecutorSaturatedError(ReproError):
-    """The modeled parallel dispatch pool cannot accept work."""
-
-
 class CacheConfigError(ReproError):
     """An adaptive-cache configuration is invalid or cannot help."""
 
@@ -120,7 +101,6 @@ class TuningConfigError(ReproError):
 
 __all__ = [
     "CacheConfigError",
-    "ExecutorSaturatedError",
     "IndexExistsError",
     "InvalidBudgetError",
     "LeafKindError",
@@ -128,7 +108,6 @@ __all__ = [
     "ReplicaConfigError",
     "ReproError",
     "ShardConfigError",
-    "ShardConflictError",
     "TuningConfigError",
     "WalError",
 ]

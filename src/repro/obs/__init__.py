@@ -6,10 +6,10 @@ sequence numbers, magnitudes from :class:`~repro.memory.cost_model.
 CostModel` units and tracking-allocator bytes, so instrumented runs stay
 bit-for-bit reproducible.
 
-The bus carries the 18 event kinds that mark a state change (a leaf
+The bus carries the 15 event kinds that mark a state change: a leaf
 conversion, a capacity move, a retrain, a pressure transition, a
-rebalance, a route, a failover, a rebuild, a recovery, a tuning action)
-or a scripted fault.  Per-call activity — cache probes, batch
+rebalance, a route, a failover, a rebuild, a recovery, a tuning
+action.  Per-call activity — cache probes, batch
 dispatches, prefetch waves, log appends and barriers — is counted by
 each layer's own ``stats``; :meth:`repro.db.Database.metrics_snapshot`
 reads those at call time, whether observability is on or off.
@@ -49,7 +49,6 @@ from repro.obs.events import (
     ClusterBudgetEvent,
     Event,
     EventBus,
-    ExecutorDegradeEvent,
     LeafConversionEvent,
     LeafRetrainEvent,
     PolicyActionEvent,
@@ -58,8 +57,6 @@ from repro.obs.events import (
     ReplicaFailoverEvent,
     ReplicaRebuildEvent,
     ReplicaRouteEvent,
-    ShardHedgeEvent,
-    ShardRetryEvent,
     TuningActionEvent,
     TuningPaybackEvent,
 )
@@ -90,7 +87,6 @@ __all__ = [
     "DEFAULT_COST_BUCKETS",
     "Event",
     "EventBus",
-    "ExecutorDegradeEvent",
     "Gauge",
     "Histogram",
     "LeafConversionEvent",
@@ -104,8 +100,6 @@ __all__ = [
     "ReplicaFailoverEvent",
     "ReplicaRebuildEvent",
     "ReplicaRouteEvent",
-    "ShardHedgeEvent",
-    "ShardRetryEvent",
     "Span",
     "Tracer",
     "TuningActionEvent",

@@ -8,8 +8,8 @@ observable: instrumented components publish a typed event at the moment
 an elasticity action lands, and subscribers (metric registries, event
 logs, pressure-timeline recorders) consume them.
 
-The bus carries only state changes — a structure, bound, budget,
-route, recovery or tuning action changed — and scripted faults.
+The bus carries only state changes: a structure, bound, budget,
+route, replica's availability, recovery or tuning action changed.
 Per-call activity (cache probes, batch dispatches, prefetch waves, log
 appends and barriers, arbiter samples, advisor probes) is counted by
 each layer's own ``stats`` and read from there at snapshot time (see
@@ -155,59 +155,6 @@ class PolicyActionEvent(Event):
     kind: ClassVar[str] = "policy_action"
     policy: str = ""
     action: str = ""
-
-
-@dataclass
-class ShardRetryEvent(Event):
-    """A shard dispatch hit a transient conflict and was retried.
-
-    ``attempt`` is the 1-based attempt that failed; ``backoff_units``
-    is the modeled backoff charged before the next attempt (doubling
-    per attempt).
-    """
-
-    kind: ClassVar[str] = "shard_retry"
-    op: str = ""
-    shard: int = 0
-    attempt: int = 0
-    backoff_units: float = 0.0
-
-
-@dataclass
-class ShardHedgeEvent(Event):
-    """A straggler shard got a hedged duplicate dispatch.
-
-    Emitted when a read-only sub-batch exceeded the executor's
-    per-shard deadline budget: a duplicate was dispatched and the
-    cheaper attempt won (``winner`` is ``"hedge"`` or ``"primary"``);
-    the loser's events were rebated, so only the winner's cost remains
-    on the ledger.
-    """
-
-    kind: ClassVar[str] = "shard_hedge"
-    op: str = ""
-    shard: int = 0
-    primary_units: float = 0.0
-    hedge_units: float = 0.0
-    winner: str = ""
-
-
-@dataclass
-class ExecutorDegradeEvent(Event):
-    """The parallel executor fell back to serial execution.
-
-    ``scope`` is ``"batch"`` (the whole scatter ran on the serial
-    backend — the modeled dispatch pool saturated or closed) or
-    ``"shard"`` (one shard exhausted its conflict retries and ran its
-    final attempt unconditionally).  ``shard`` is -1 for batch-scope
-    events.
-    """
-
-    kind: ClassVar[str] = "executor_degrade"
-    op: str = ""
-    reason: str = ""
-    scope: str = "batch"
-    shard: int = -1
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Observer: turns bus events into metrics and a bounded event log.
 
-One ``Observer`` subscribes to an :class:`~repro.obs.events.EventBus`
-(the global :data:`repro.obs.BUS` by default), folds every event into a
-pre-registered :class:`~repro.obs.metrics.MetricsRegistry`, and retains
-the raw events in a bounded deque for JSON-lines export.  A
-:class:`~repro.obs.tracing.Tracer` rides along for cost-attributed
-spans.  Its registry holds only the event-fed families; the families
-counted by the layers themselves are read from their ``stats`` by
-:func:`repro.db.metrics.layer_metrics`.
+One ``Observer`` subscribes to the process-wide bus
+:data:`repro.obs.BUS`, folds every event into a pre-registered
+:class:`~repro.obs.metrics.MetricsRegistry`, and retains the last
+:data:`DEFAULT_MAX_EVENTS` raw events in a deque for JSON-lines export.
+A :class:`~repro.obs.tracing.Tracer` of :data:`TRACE_CAPACITY` spans
+rides along for cost-attributed spans.  Its registry holds only the
+event-fed families; the families counted by the layers themselves are
+read from their ``stats`` by :func:`repro.db.metrics.layer_metrics`.
 
 The subscription is a bound method held weakly by the bus, so observers
 created per test or per benchmark do not accumulate on the global bus
@@ -26,8 +26,6 @@ from repro.obs.events import (
     CapacityChangeEvent,
     ClusterBudgetEvent,
     Event,
-    EventBus,
-    ExecutorDegradeEvent,
     LeafConversionEvent,
     LeafRetrainEvent,
     PolicyActionEvent,
@@ -36,8 +34,6 @@ from repro.obs.events import (
     ReplicaFailoverEvent,
     ReplicaRebuildEvent,
     ReplicaRouteEvent,
-    ShardHedgeEvent,
-    ShardRetryEvent,
     TuningActionEvent,
     TuningPaybackEvent,
 )
@@ -49,27 +45,22 @@ from repro.obs.tracing import Tracer
 #: conversions are per-leaf, so long runs need headroom.
 DEFAULT_MAX_EVENTS = 65536
 
+#: Spans the observer's tracer retains.
+TRACE_CAPACITY = 256
+
 
 class Observer:
     """Aggregates bus events into metrics plus a bounded event log."""
 
-    def __init__(
-        self,
-        bus: Optional[EventBus] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        trace_capacity: int = 256,
-    ) -> None:
-        if bus is None:
-            from repro import obs
+    def __init__(self) -> None:
+        from repro import obs
 
-            bus = obs.BUS
-        self.bus = bus
-        self.events: Deque[Event] = deque(maxlen=max_events)
+        self.events: Deque[Event] = deque(maxlen=DEFAULT_MAX_EVENTS)
         self.dropped_events = 0
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(capacity=trace_capacity)
+        self.tracer = Tracer(capacity=TRACE_CAPACITY)
         self._register_instruments()
-        self._unsubscribe = bus.subscribe(self._on_event)
+        self._unsubscribe = obs.BUS.subscribe(self._on_event)
 
     def _register_instruments(self) -> None:
         reg = self.registry
@@ -116,19 +107,6 @@ class Observer:
         self._shard_bound = reg.gauge(
             "repro_shard_soft_bound_bytes",
             "Per-shard soft bound as of the most recent rebalance.",
-        )
-        self._shard_retries = reg.counter(
-            "repro_shard_retries_total",
-            "Transient-conflict retries by the parallel executor, "
-            "by op and shard.",
-        )
-        self._shard_hedges = reg.counter(
-            "repro_shard_hedges_total",
-            "Hedged duplicate dispatches for straggler shards, by winner.",
-        )
-        self._executor_degrades = reg.counter(
-            "repro_executor_degrades_total",
-            "Parallel-executor fallbacks to serial execution, by reason.",
         )
         self._cache_budget = reg.gauge(
             "repro_cache_budget_bytes",
@@ -216,12 +194,6 @@ class Observer:
             self._rebalance_bytes.inc(event.bytes_moved)
             for shard, bound in zip(event.shards, event.new_bounds):
                 self._shard_bound.set(bound, shard=shard)
-        elif isinstance(event, ShardRetryEvent):
-            self._shard_retries.inc(op=event.op, shard=str(event.shard))
-        elif isinstance(event, ShardHedgeEvent):
-            self._shard_hedges.inc(winner=event.winner)
-        elif isinstance(event, ExecutorDegradeEvent):
-            self._executor_degrades.inc(reason=event.reason)
         elif isinstance(event, CacheBudgetEvent):
             self._cache_budget.set(
                 event.new_budget_bytes, shard=event.shard

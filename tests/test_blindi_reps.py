@@ -240,6 +240,71 @@ class TestStateGuards:
         assert (_arrays(left), _arrays(right)) == before
 
 
+# Corruptions, one per invariant rule, of a representation over
+# CORRUPT_VALUES: its bits are [63, 62, 63, 61, 63], so a 3-level
+# SeqTree keeps its two deepest right slots ET.
+CORRUPT_VALUES = list(range(6))
+
+
+def _swap_tids(rep):
+    rep.tids[0], rep.tids[1] = rep.tids[1], rep.tids[0]
+
+
+def _bump_bit(rep):
+    rep.bits[0] += 1
+
+
+def _fill_empty_slot(rep):
+    rep.tree[rep.tree.index(ET)] = 0
+
+
+def _empty_root(rep):
+    rep.tree[0] = ET
+
+
+def _root_outside_range(rep):
+    rep.tree[0] = len(rep.bits)
+
+
+def _root_off_minimum(rep):
+    rep.tree[0] = rep.bits.index(max(rep.bits))
+
+
+def _bump_pre_bit(rep):
+    rep.pre_bits[0] += 1
+
+
+def _zero_lsize(rep):
+    rep.lsize[0] = 0
+
+
+class TestInvariantChecks:
+    """Each invariant rule raises AssertionError explicitly, so the
+    checks still check under ``python -O``."""
+
+    @pytest.mark.parametrize("rep_cls, kwargs, corrupt, rule", [
+        pytest.param(rep_cls, kwargs, corrupt, rule,
+                     id=f"{rep_cls.__name__}-{corrupt.__name__[1:]}")
+        for rep_cls, kwargs, corrupt, rule in [
+            (SeqTrieRep, {}, _swap_tids, "tids not in key order"),
+            (SeqTrieRep, {}, _bump_bit, "bits array"),
+            (SeqTreeRep, {"levels": 3}, _fill_empty_slot, "should be ET"),
+            (SeqTreeRep, {"levels": 3}, _empty_root, "is ET but range"),
+            (SeqTreeRep, {"levels": 3}, _root_outside_range, "outside"),
+            (SeqTreeRep, {"levels": 3}, _root_off_minimum, "range min is"),
+            (SubTrieRep, {}, _swap_tids, "tids not in key order"),
+            (SubTrieRep, {}, _bump_pre_bit, "preorder arrays inconsistent"),
+            (SubTrieRep, {}, _zero_lsize, r"lsize\[0\]=0 out of range"),
+        ]
+    ])
+    def test_corruption_raises(self, rep_cls, kwargs, corrupt, rule):
+        rep = build_rep(rep_cls, kwargs, U64Source(), CORRUPT_VALUES)
+        rep.check_invariants()
+        corrupt(rep)
+        with pytest.raises(AssertionError, match=rule):
+            rep.check_invariants()
+
+
 @pytest.mark.parametrize("rep_cls,kwargs", REPS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

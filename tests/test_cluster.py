@@ -397,6 +397,25 @@ class TestFailover:
         assert plan.exhausted
         assert not plan.take_heartbeat(0)  # other replicas unaffected
 
+    def test_heartbeat_outages_script_deterministically(self):
+        # The cluster tier's vocabulary on the same plan object: a
+        # scripted outage of `beats` failed heartbeats after `after`
+        # healthy ones, consumed beat by beat.
+        plan = FaultPlan().down(replica=0, beats=2).down(
+            replica=0, beats=1, after=1)
+        assert not plan.exhausted
+        seen = [plan.take_heartbeat(0) for _ in range(5)]
+        assert seen == [True, True, False, True, False]
+        assert plan.exhausted
+        # Unscripted replicas never fail a beat.
+        assert not plan.take_heartbeat(3)
+
+    def test_heartbeat_outage_validates_arguments(self):
+        with pytest.raises(ValueError):
+            FaultPlan().down(replica=0, beats=0)
+        with pytest.raises(ValueError):
+            FaultPlan().down(replica=0, beats=1, after=-1)
+
 
 # ----------------------------------------------------------------------
 # Advisor: billed rebuilds, rebated candidate pricing

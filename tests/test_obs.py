@@ -354,15 +354,14 @@ class TestTracing:
 # ----------------------------------------------------------------------
 # Event bus
 # ----------------------------------------------------------------------
-#: The kinds the bus carries: each marks a state change or a scripted
-#: fault.  Per-call activity is read from layer stats instead.
+#: The kinds the bus carries: each marks a state change.  Per-call
+#: activity is read from layer stats instead.
 KEPT_KINDS = {
     "leaf_conversion", "capacity_change", "leaf_retrain",
     "breathing_resize", "pressure_transition", "policy_action",
     "budget_rebalance", "cache_budget", "replica_route",
     "replica_failover", "replica_rebuild", "cluster_budget",
-    "shard_retry", "shard_hedge", "executor_degrade", "recovery_replay",
-    "tuning_action", "tuning_payback",
+    "recovery_replay", "tuning_action", "tuning_payback",
 }
 
 #: Families read from a database's layer stats (the rest are event-fed).
@@ -381,7 +380,7 @@ LAYER_FAMILIES = {
 class TestEventBus:
     def test_taxonomy_is_the_kept_kinds(self):
         kinds = [cls.kind for cls in obs.Event.__subclasses__()]
-        assert len(kinds) == len(KEPT_KINDS) == 18
+        assert len(kinds) == len(KEPT_KINDS) == 15
         assert set(kinds) == KEPT_KINDS
 
     def test_unsubscribe(self):
@@ -496,7 +495,7 @@ class TestDatabaseObservability:
         names = set(observer.registry.names())
         observer.close()
         assert names.isdisjoint(LAYER_FAMILIES)
-        assert len(names) == 26
+        assert len(names) == 23
         assert "repro_leaf_conversions_total" in names
 
     def test_db_trace_op_spans(self):

@@ -191,6 +191,27 @@ class TestParkUnpark:
         assert advisor.parked_indexes() == []
         assert advisor.stats.actions_by_family.get("unpark_index", 0) == 1
 
+    def test_parked_index_still_validates_its_key(self):
+        # A parked index skips writes, but its rebuild on unpark encodes
+        # every live row: a row it cannot encode is rejected up front.
+        db, table = make_db(
+            interval_ops=64,
+            indexes=(("by_k", ("k",)), ("by_aux", ("v",))),
+        )
+        advisor = db.enable_self_tuning(park_tuning_config())
+        table.insert_batch(rows_u64(256))
+        drive_park(db, table)
+        assert "t.by_aux" in advisor.parked_indexes()
+        rows = len(table)
+        skipped = advisor.stats.parked_writes_skipped
+        with pytest.raises(OverflowError):
+            table.insert((7, -1))
+        assert len(table) == rows
+        assert advisor.stats.parked_writes_skipped == skipped
+        row = table.get("by_aux", (1003 * 3 + 1,))
+        assert row == (1003, 1003 * 3 + 1)
+        assert advisor.parked_indexes() == []
+
     def test_read_live_index_never_parks(self):
         db, table = make_db(
             interval_ops=64,

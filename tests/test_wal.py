@@ -662,6 +662,44 @@ class TestDeadDeletes:
             assert state_digest(recovered) == state_digest(db)
 
 
+class TestUnencodableRows:
+    """A row that an index cannot encode a key for is rejected when it
+    is validated, before the log, the table, the index or the ledger
+    sees any of it, with the encoder's own exception."""
+
+    @pytest.mark.parametrize("bad, error", [
+        (("x", 20), ValueError),      # a str in a u64 column
+        ((-1, 5), OverflowError),     # a negative int in a u64 column
+    ], ids=["str", "negative"])
+    @pytest.mark.parametrize("shape", ["scalar", "batch", "rows"])
+    @pytest.mark.parametrize("wal", [None, WalConfig(group_size=1)],
+                             ids=["no-log", "log"])
+    def test_rejected_before_anything_changes(self, wal, shape, bad, error):
+        db, table = make_db(wal=wal)
+        table.insert_batch([(k, 10 * k) for k in range(4)])
+        index = table.indexes["by_k"].index
+        before = state_digest(db)
+        counts = list(db.cost.counts.items())
+        records = len(db.wal.records) if wal else 0
+        with pytest.raises(error):
+            if shape == "scalar":
+                table.insert(bad)
+            elif shape == "batch":
+                with db.begin_batch() as batch:
+                    batch.insert(table, (7, 70))
+                    batch.insert(table, bad)
+                    batch.insert(table, (8, 80))
+            else:
+                table.insert_batch([(7, 70), bad, (8, 80)])
+        assert (len(db.wal.records) if wal else 0) == records
+        assert len(table) == len(index) == 4
+        assert list(db.cost.counts.items()) == counts
+        assert state_digest(db) == before
+        if wal is not None:
+            recovered, _ = recover_database(db)
+            assert state_digest(recovered) == before
+
+
 class TestScalarIsOneOpBatch:
     """``DBTable.insert`` / ``delete`` commit one operation without
     staging it; each must stay observably a one-op ``begin_batch()``
