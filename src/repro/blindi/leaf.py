@@ -167,18 +167,31 @@ class CompactLeaf(LeafNode):
         # One node access for the whole run (the blind-trie payload stays
         # cache-resident); every verification load is issued as part of a
         # batch of independent accesses, so it charges at the overlapped
-        # key_load_batched rate instead of the dependent-load rate.
+        # key_load_batched rate instead of the dependent-load rate.  The
+        # tag and the mlp_batch depth are set and restored by hand, as in
+        # _search: the same ledger effect as ``attributed_to`` around
+        # ``mlp_batch``, without their context managers.
         rep = self.rep
+        search = rep.search
+        tid_at = rep.tid_at
         out: List[Optional[int]] = []
-        with self.cost.attributed_to("compact.search"):
+        cost = self.cost
+        previous = cost._attribution
+        cost._attribution = "compact.search"
+        try:
             # Independent across the batch's leaf groups: wave-priced
             # under an open mlp_window, serial otherwise.
-            self.cost.wave_loads("rand_line", 1)
+            cost.wave_loads("rand_line", 1)
             self._breathing_search_cost()
-            with self.cost.mlp_batch():
+            cost._mlp_depth += 1
+            try:
                 for key in keys:
-                    result = rep.search(key)
-                    out.append(rep.tid_at(result.pos) if result.found else None)
+                    result = search(key)
+                    out.append(tid_at(result.pos) if result.found else None)
+            finally:
+                cost._mlp_depth -= 1
+        finally:
+            cost._attribution = previous
         return out
 
     def upsert(self, key: bytes, tid: int) -> Optional[int]:

@@ -89,11 +89,6 @@ class LeafNode(abc.ABC):
         """Maximum number of keys this leaf may hold."""
 
     @property
-    def is_full(self) -> bool:
-        """Whether an insert of a new key would overflow."""
-        return self.count >= self.capacity
-
-    @property
     def min_fill(self) -> int:
         """Structural fill bound used by rebalancing: half capacity."""
         return self.capacity // 2
@@ -326,21 +321,20 @@ class StandardLeaf(LeafNode):
         cost.wave_loads(
             "rand_line", 2 if n * self.key_width > _CACHE_LINE else 1
         )
-        probes = max(1, n.bit_length()) if n else 1
-        events = probes * len(keys)
-        cost.charge_many("compare", events, "branch", events)
         out: List[Optional[int]] = []
         hits = 0
         tids = self.tids
+        bisect_left = bisect.bisect_left
         for key in keys:
-            pos = bisect.bisect_left(leaf_keys, key)
+            pos = bisect_left(leaf_keys, key)
             if pos < n and leaf_keys[pos] == key:
                 hits += 1
                 out.append(tids[pos])
             else:
                 out.append(None)
-        if hits:
-            cost.charge("seq_line", hits)  # tid slot accesses
+        # The searches' ALU work and the tid slot accesses, in one call.
+        events = (n.bit_length() or 1) * len(keys)
+        cost.charge_many("compare", events, "branch", events, "seq_line", hits)
         return out
 
     def upsert(self, key: bytes, tid: int) -> Optional[int]:

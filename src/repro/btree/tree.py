@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.btree.leaves import (
@@ -263,6 +264,9 @@ class BPlusTree:
         trace = self.trace
         inner_visits = 0
         probe_events = 0
+        bisect_right = bisect.bisect_right
+        # Depth-first, children left to right: groups come out in run
+        # order.
         stack: List[Tuple[Node, int, int]] = [(self.root, 0, len(run))]
         while stack:
             node, lo, hi = stack.pop()
@@ -271,9 +275,13 @@ class BPlusTree:
                     trace.append(node.node_id)
                 inner_visits += 1
                 seps = node.keys
-                probe_events += max(1, len(seps).bit_length())
-                first = bisect.bisect_right(seps, run[lo])
-                last = bisect.bisect_right(seps, run[hi - 1])
+                probe_events += len(seps).bit_length() or 1
+                if lo + 1 == hi:
+                    # A one-key sub-run routes like descend(): one bisect.
+                    node = node.children[bisect_right(seps, run[lo])]
+                    continue
+                first = bisect_right(seps, run[lo])
+                last = bisect_right(seps, run[hi - 1])
                 if first == last:
                     node = node.children[first]
                     continue
@@ -292,28 +300,27 @@ class BPlusTree:
                     bhi = bounds[offset + 1]
                     if blo < bhi:
                         stack.append((children[first + offset], blo, bhi))
+                # run[lo] < seps[first], so the first child's share is
+                # never empty.
                 hi = bounds[1]
                 node = children[first]
-                if lo >= hi:
-                    break
-            else:
-                if trace is not None:
-                    trace.append(node.node_id)
-                groups.append((node, lo, hi))
+            if trace is not None:
+                trace.append(node.node_id)
+            groups.append((node, lo, hi))
         # Sibling-subtree descents are independent pointer chases: under
         # an open mlp_window they issue as prefetch waves; with no window
         # this is plain serial rand_line charging.
         cost = self.cost
         cost.wave_loads("rand_line", inner_visits)
         cost.charge_many("compare", probe_events, "branch", probe_events)
-        groups.sort(key=lambda g: g[1])
         return groups
 
     @staticmethod
     def _sorted_run(keys: Sequence[bytes]) -> Tuple[List[int], List[bytes]]:
         """Sort a batch into a run; returns (input positions, sorted keys)."""
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        return order, [keys[i] for i in order]
+        pick = keys.__getitem__
+        order = sorted(range(len(keys)), key=pick)
+        return order, list(map(pick, order))
 
     # ------------------------------------------------------------------
     # Point operations
@@ -347,49 +354,64 @@ class BPlusTree:
         leaf answers its whole slice of the run in one visit (batched
         indirect key loads on compact leaves).
         """
+        return self._lookup_batch(keys)[0]
+
+    def _lookup_batch(
+        self, keys: Sequence[bytes]
+    ) -> Tuple[List[Optional[int]], List[Tuple[LeafNode, int, int]]]:
+        """The batched point-query kernel: probe the row cache, sort the
+        misses into a run, partition it under one prefetch-wave window,
+        call each group's leaf once, scatter the answers to input order
+        and admit the group's indirect-key rows in run order.  Returns
+        the results and the ``(leaf, lo, hi)`` groups it visited (none
+        when the cache answered every key)."""
         results: List[Optional[int]] = [None] * len(keys)
         if not keys:
-            return results
+            return results, []
         cache = self.cache
+        positions = None
         if cache is not None:
             # Probe the whole batch first; only misses pay for descents.
             keys, positions = self._probe_batch(cache, keys, results)
             if not keys:
-                return results
+                return results, []
         order, run = self._sorted_run(keys)
+        if positions is not None:
+            order = list(map(positions.__getitem__, order))
         # The batch's subtree descents and leaf accesses are independent
         # loads: under a wave width >= 2 they issue as prefetch waves.
         with self.cost.mlp_window():
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
                 hits = leaf.lookup_batch(run[lo:hi])
-                compact = cache is not None and leaf.indirect_keys
-                for offset, tid in enumerate(hits):
-                    position = order[lo + offset]
-                    if cache is not None:
-                        position = positions[position]
-                    results[position] = tid
-                    if compact and tid is not None:
-                        cache.admit_row(run[lo + offset], tid)
-        return results
+                for offset, tid in enumerate(hits, lo):
+                    results[order[offset]] = tid
+                if cache is not None and leaf.indirect_keys:
+                    for offset, tid in enumerate(hits, lo):
+                        if tid is not None:
+                            cache.admit_row(run[offset], tid)
+        return results, groups
 
     @staticmethod
     def _probe_batch(
         cache, keys: Sequence[bytes], results: List[Optional[int]]
-    ) -> Tuple[List[bytes], List[int]]:
+    ) -> Tuple[Sequence[bytes], Optional[List[int]]]:
         """Resolve a batch's row-cache hits in place; return the misses.
 
         Fills ``results`` at hit positions and returns the missed keys
-        with their input positions, ready for the shared descent.
+        with their input positions, ready for the shared descent — or
+        the batch itself and ``None`` when nothing hit.
         """
+        tids = cache.probe_row_batch(keys)
+        if tids.count(None) == len(tids):
+            return keys, None
         miss_keys: List[bytes] = []
         positions: List[int] = []
-        tids = cache.probe_row_batch(keys)
-        for position, (key, tid) in enumerate(zip(keys, tids)):
+        for position, tid in enumerate(tids):
             if tid is not None:
                 results[position] = tid
             else:
-                miss_keys.append(key)
+                miss_keys.append(keys[position])
                 positions.append(position)
         return miss_keys, positions
 
@@ -507,10 +529,19 @@ class BPlusTree:
         descents are shared; the leaf-chain walks are the same as
         :meth:`scan`'s.
         """
-        results: List[List[Tuple[bytes, int]]] = [[] for _ in start_keys]
+        return self._scan_batch(start_keys, count)[0]
+
+    def _scan_batch(
+        self, start_keys: Sequence[bytes], count: int
+    ) -> Tuple[List[List[Tuple[bytes, int]]], List[Tuple[LeafNode, int, int]]]:
+        """The batched scan kernel: sort, partition under one window,
+        collect each start key's scan.  Returns the results and the
+        groups visited."""
         if not start_keys:
-            return results
+            return [], []
+        results: List = [None] * len(start_keys)
         order, run = self._sorted_run(start_keys)
+        collect = self._collect_scan
         # Shared descents plus per-scan iteration key loads wave-price
         # under the window; the leaf-chain pointer chases inside
         # _collect_scan are dependent and stay serially priced.
@@ -518,29 +549,26 @@ class BPlusTree:
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
                 for offset in range(lo, hi):
-                    results[order[offset]] = self._collect_scan(
-                        leaf, run[offset], count
-                    )
-        return results
+                    results[order[offset]] = collect(leaf, run[offset], count)
+        return results, groups
 
     def _collect_scan(
         self, leaf: LeafNode, start_key: bytes, count: int
     ) -> List[Tuple[bytes, int]]:
         out: List[Tuple[bytes, int]] = []
+        # Called even for count <= 0: a standard leaf charges its search
+        # here, eagerly.  islice pulls a (lazy) compact or learned leaf
+        # iterator no further than the items it takes.
         iterator: Iterator[Tuple[bytes, int]] = leaf.iter_from(start_key)
-        current: Optional[LeafNode] = leaf
-        while current is not None and len(out) < count:
-            for item in iterator:
-                out.append(item)
-                if len(out) >= count:
-                    break
-            else:
-                current = current.next_leaf
-                if current is not None:
-                    self.cost.rand_lines(1)  # leaf-chain pointer chase
-                    iterator = current.items()
-                continue
-            break
+        while len(out) < count:
+            out.extend(islice(iterator, count - len(out)))
+            if len(out) >= count:
+                break
+            leaf = leaf.next_leaf
+            if leaf is None:
+                break
+            self.cost.rand_lines(1)  # leaf-chain pointer chase
+            iterator = leaf.items()
         return out
 
     def items(self) -> Iterator[Tuple[bytes, int]]:

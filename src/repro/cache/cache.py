@@ -187,28 +187,12 @@ class IndexCache:
         )
         self._recompute_capacities()
 
-    @property
-    def is_bound(self) -> bool:
-        return self._allocator is not None
-
     # ------------------------------------------------------------------
     # Probes (each charges one ``cache_hit`` unit, hit or miss)
     # ------------------------------------------------------------------
     def probe_row(self, key: bytes) -> Optional[int]:
         """Hot-row tier probe: cached tuple id for ``key``, or None."""
         self._cost.charge("cache_hit", 1)
-        return self._probe_row(key)
-
-    def probe_row_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
-        """Hot-row tier probes for a batch: one :meth:`probe_row` result
-        per key, in order, with the batch's ``cache_hit`` units charged
-        in one charge."""
-        self._cost.charge("cache_hit", len(keys))
-        probe = self._probe_row
-        return [probe(key) for key in keys]
-
-    def _probe_row(self, key: bytes) -> Optional[int]:
-        """One row-tier probe minus its charge: sketch, LRU, counters."""
         self._window_probes += 1
         self._sketch.record(key)
         rows = self._rows
@@ -220,6 +204,34 @@ class IndexCache:
             return tid
         self.stats.row_misses += 1
         return None
+
+    def probe_row_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
+        """Hot-row tier probes for a batch: one :meth:`probe_row` result
+        per key, in order, with the batch's ``cache_hit`` units charged
+        in one charge.  One loop records each key in the sketch, in
+        input order (the sketch's aging point depends on it), looks it
+        up and touches a hit's LRU slot; the counters move once per
+        batch."""
+        self._cost.charge("cache_hit", len(keys))
+        record = self._sketch.record
+        rows = self._rows
+        get = rows.get
+        touch = rows.move_to_end
+        out: List[Optional[int]] = []
+        hits = 0
+        for key in keys:
+            record(key)
+            tid = get(key)
+            if tid is not None:
+                touch(key)
+                hits += 1
+            out.append(tid)
+        stats = self.stats
+        stats.row_hits += hits
+        stats.row_misses += len(keys) - hits
+        self._window_probes += len(keys)
+        self._window_hits += hits
+        return out
 
     def probe_leaf(self, key: bytes, epoch: int):
         """Descent tier probe: the leaf covering ``key``, or None.

@@ -35,6 +35,9 @@ _MASK64 = (1 << 64) - 1
 #: byte layout model below still accounts half a byte per counter).
 _COUNTER_MAX = 15
 
+#: ``bytes.translate`` table halving a counter byte (the aging step).
+_HALVED = bytes(c >> 1 for c in range(256))
+
 
 class FrequencySketch:
     """Count-min sketch with saturating, periodically aged counters.
@@ -107,14 +110,13 @@ class FrequencySketch:
                 )
 
     def _age(self) -> None:
+        # Halve every counter at C speed, in place (the lanes hold the
+        # row objects).
         for row in self._rows:
-            for i, c in enumerate(row):
-                if c:
-                    row[i] = c >> 1
+            row[:] = row.translate(_HALVED)
         self._samples >>= 1
 
     def clear(self) -> None:
         for row in self._rows:
-            for i in range(len(row)):
-                row[i] = 0
+            row[:] = bytes(len(row))
         self._samples = 0

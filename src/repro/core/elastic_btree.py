@@ -140,89 +140,63 @@ class ElasticBPlusTree(BPlusTree):
     def lookup_batch(self, keys) -> List[Optional[int]]:
         """Batched point queries; elasticity hooks fire per leaf visit.
 
-        Expansion splits are deferred to after the shared descent (they
-        restructure the tree, which would invalidate the run partition);
-        each visited compact leaf then gets the same per-search split
-        chances a scalar loop would have given it, via fresh descents.
+        The shared kernel answers the batch; then every visited leaf
+        counts its accesses, and — since expansion splits restructure
+        the tree, which would invalidate the run partition — each
+        visited converted leaf gets the same per-search split chances a
+        scalar loop would have given it, via fresh descents, before the
+        deferred policy actions run.
         """
-        results: List[Optional[int]] = [None] * len(keys)
         if not keys:
-            return results
-        cache = self.cache
-        positions: List[int] = []
-        if cache is not None:
-            keys, positions = self._probe_batch(cache, keys, results)
-            if not keys:
-                self.controller.run_pending()
-                return results
-        order, run = self._sorted_run(keys)
-        visited: List[Tuple[LeafNode, int]] = []
-        # Wave-price the shared descent and leaf visits; deferred
-        # expansion work below is structural (copies, allocs), not a set
-        # of independent loads, so it runs outside the window.
-        with self.cost.mlp_window():
-            groups = self._partition_descend(run)
-            for leaf, lo, hi in groups:
-                leaf.access_count += hi - lo
-                hits = leaf.lookup_batch(run[lo:hi])
-                compact = cache is not None and leaf.indirect_keys
-                for offset, tid in enumerate(hits):
-                    position = order[lo + offset]
-                    if cache is not None:
-                        position = positions[position]
-                    results[position] = tid
-                    if compact and tid is not None:
-                        cache.admit_row(run[lo + offset], tid)
-                visited.append((leaf, hi - lo))
-        self._run_deferred_expansion(visited)
-        self.controller.run_pending()
+            return []
+        results, groups = self._lookup_batch(keys)
+        self._after_batch_read(groups)
         return results
 
     def scan_batch(self, start_keys, count: int):
-        results = [[] for _ in start_keys]
         if not start_keys:
-            return results
-        order, run = self._sorted_run(start_keys)
-        visited: List[Tuple[LeafNode, int]] = []
-        with self.cost.mlp_window():
-            groups = self._partition_descend(run)
-            for leaf, lo, hi in groups:
-                leaf.access_count += hi - lo
-                for offset in range(lo, hi):
-                    results[order[offset]] = self._collect_scan(
-                        leaf, run[offset], count
-                    )
-                visited.append((leaf, hi - lo))
-        self._run_deferred_expansion(visited)
-        self.controller.run_pending()
+            return []
+        results, groups = self._scan_batch(start_keys, count)
+        self._after_batch_read(groups)
         return results
 
+    def _after_batch_read(
+        self, groups: List[Tuple[LeafNode, int, int]]
+    ) -> None:
+        """Access counts, then deferred expansion, then pending actions
+        (also for a batch the cache answered whole)."""
+        for leaf, lo, hi in groups:
+            leaf.access_count += hi - lo
+        self._run_deferred_expansion(groups)
+        self.controller.run_pending()
+
     def _run_deferred_expansion(
-        self, visited: List[Tuple[LeafNode, int]]
+        self, groups: List[Tuple[LeafNode, int, int]]
     ) -> None:
         """Give each visited converted leaf its deferred expansion chances.
 
         Mirrors the scalar path's ``on_search_leaf`` per query: a leaf a
-        batch touched ``times`` times gets up to ``times`` split chances.
-        Each attempt re-descends for a fresh path (the batch partition is
-        stale once any split lands), and stops once the leaf is replaced.
-        Outside the expanding state, only churn-heavy learned leaves get
-        visits — the scalar path demotes those on any search while
-        memory allows (DESIGN.md §11).
+        batch group touched ``hi - lo`` times gets up to that many split
+        chances.  Each attempt re-descends for a fresh path (the batch
+        partition is stale once any split lands), and stops once the
+        leaf is replaced.  Outside the expanding state, only churn-heavy
+        learned leaves get visits — the scalar path demotes those on any
+        search while memory allows (DESIGN.md §11).
         """
         state = self.controller.budget.state
         if state is not PressureState.EXPANDING:
             if state is PressureState.SHRINKING:
                 return
             retrains = self.controller.config.learned_churn_retrains
-            visited = [
-                (leaf, times) for leaf, times in visited
-                if leaf.kind == "learned" and leaf.retrain_count >= retrains
+            groups = [
+                group for group in groups
+                if group[0].kind == "learned"
+                and group[0].retrain_count >= retrains
             ]
-            if not visited:
+            if not groups:
                 return
-        for leaf, times in visited:
-            for _ in range(times):
+        for leaf, lo, hi in groups:
+            for _ in range(hi - lo):
                 if leaf.kind == "standard" or leaf.count < 2:
                     break
                 path, found = self.descend(leaf.first_key())

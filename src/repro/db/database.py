@@ -163,10 +163,25 @@ class SecondaryIndex:
     def key_of_values(self, values: Sequence) -> bytes:
         """Order-preserving concatenation of the typed column values."""
         if len(values) != len(self.widths):
-            raise ValueError(
-                f"index {self.name!r} needs {len(self.widths)} values"
-            )
+            raise self._arity_error()
         return self._encode_values(values)
+
+    def keys_of_values(self, values_batch: Sequence[Sequence]) -> List[bytes]:
+        """:meth:`key_of_values` of every entry, in order, in one call;
+        raises what the first entry it cannot encode raises."""
+        arity = len(self.widths)
+        encode = self._encode_values
+        keys = []
+        for values in values_batch:
+            if len(values) != arity:
+                raise self._arity_error()
+            keys.append(encode(values))
+        return keys
+
+    def _arity_error(self) -> ValueError:
+        return ValueError(
+            f"index {self.name!r} needs {len(self.widths)} values"
+        )
 
     def key_of_row(self, row: Tuple[int, ...]) -> bytes:
         return self._encode_row(row)
@@ -318,9 +333,8 @@ class DBTable:
 
     def insert(self, row: Sequence[int]) -> int:
         """Store a row and update every secondary index."""
-        return commit_op(
-            self.db, "insert", self, WriteBatch._validate(self, row)
-        )
+        row, keys = WriteBatch._validate(self, row)
+        return commit_op(self.db, "insert", self, row, keys)
 
     def insert_batch(self, rows: Sequence[Sequence[int]]) -> List[int]:
         """Store a batch of rows, updating every index with one batch
@@ -337,17 +351,20 @@ class DBTable:
     # Apply-phase primitives (called by repro.db.write.apply_op and by
     # crash recovery's log replay).  These preserve the historical charge
     # sequences exactly, so a WAL-less database stays byte-identical to
-    # the pre-batch write path.
-    def _apply_insert(self, row: Tuple) -> int:
+    # the pre-batch write path.  ``keys`` are the keys staging encoded,
+    # one entry per index in index order; an index created after staging
+    # (indexes are only ever added) and recovery's replay, which stages
+    # nothing, encode theirs here.
+    def _apply_insert(self, row: Tuple, keys: Sequence[bytes] = ()) -> int:
         tid = self.table.insert_row(row)
         advisor = self.db.advisor
-        for secondary in self.indexes.values():
+        for i, secondary in enumerate(self.indexes.values()):
             if secondary.parked:
                 advisor.observe_parked_write(
                     self.schema.name, secondary.name, 1
                 )
                 continue
-            key = secondary.key_of_row(row)
+            key = keys[i] if i < len(keys) else secondary.key_of_row(row)
             secondary.index.insert(key, tid)
             if advisor is not None:
                 advisor.observe_writes(
@@ -355,23 +372,25 @@ class DBTable:
                 )
         return tid
 
-    def _apply_insert_rows(self, rows: Sequence[Tuple]) -> List[int]:
-        stored: List[Tuple[Tuple, int]] = []
-        tids: List[int] = []
-        for row in rows:
-            tid = self.table.insert_row(row)
-            stored.append((row, tid))
-            tids.append(tid)
+    def _apply_insert_rows(
+        self, rows: Sequence[Tuple], keys: Sequence[Sequence[bytes]] = ()
+    ) -> List[int]:
+        """``keys`` holds one key sequence per index, aligned with
+        ``rows``."""
+        insert_row = self.table.insert_row
+        tids = [insert_row(row) for row in rows]
         advisor = self.db.advisor
-        for secondary in self.indexes.values():
+        for i, secondary in enumerate(self.indexes.values()):
             if secondary.parked:
                 advisor.observe_parked_write(
-                    self.schema.name, secondary.name, len(stored)
+                    self.schema.name, secondary.name, len(tids)
                 )
                 continue
-            pairs = [
-                (secondary.key_of_row(row), tid) for row, tid in stored
-            ]
+            if i < len(keys):
+                index_keys = keys[i]
+            else:
+                index_keys = [secondary.key_of_row(row) for row in rows]
+            pairs = list(zip(index_keys, tids))
             secondary.executor.insert_batch(pairs)
             if advisor is not None:
                 advisor.observe_writes(
@@ -434,7 +453,7 @@ class DBTable:
         if secondary.parked:
             db.advisor.unpark(self, secondary)
         with db.trace_op("db.get_batch", index_name):
-            keys = [secondary.key_of_values(v) for v in values_batch]
+            keys = secondary.keys_of_values(values_batch)
             rows = self.table.row_batch(secondary.executor.get_batch(keys))
         advisor = db.advisor
         if advisor is not None:
@@ -493,7 +512,7 @@ class DBTable:
         if secondary.parked:
             db.advisor.unpark(self, secondary)
         with db.trace_op("db.scan_batch", index_name):
-            starts = [secondary.key_of_values(v) for v in start_values_batch]
+            starts = secondary.keys_of_values(start_values_batch)
             batches = secondary.executor.scan_batch(starts, count)
             if include_rows:
                 rows = iter(self.table.row_batch(

@@ -80,18 +80,20 @@ def apply_op(
     op: str,
     dbtable: "DBTable",
     payload,
+    keys=(),
 ) -> Any:
     """Apply one staged operation, then run its apply kill point and
-    tick the arbiter by the rows it wrote.  Returns the insert's tuple
-    id, the row batch's tuple ids, or the deleted row."""
+    tick the arbiter by the rows it wrote.  ``keys`` are the index keys
+    staging encoded (see :meth:`WriteBatch._validate`).  Returns the
+    insert's tuple id, the row batch's tuple ids, or the deleted row."""
     if op == "insert":
-        out = dbtable._apply_insert(payload)
+        out = dbtable._apply_insert(payload, keys)
         ops = 1
     elif op == "delete":
         out = dbtable._apply_delete(payload)
         ops = 1
     else:
-        out = dbtable._apply_insert_rows(payload)
+        out = dbtable._apply_insert_rows(payload, keys)
         ops = len(payload)
     if wal is not None:
         wal.notify_applied()
@@ -99,7 +101,9 @@ def apply_op(
     return out
 
 
-def commit_op(db: "Database", op: str, dbtable: "DBTable", payload) -> Any:
+def commit_op(
+    db: "Database", op: str, dbtable: "DBTable", payload, keys=()
+) -> Any:
     """Commit one validated operation without staging it, in a one-op
     batch's order: log it, run the group-commit rule, apply it.  Returns
     what :func:`apply_op` returns."""
@@ -107,7 +111,7 @@ def commit_op(db: "Database", op: str, dbtable: "DBTable", payload) -> Any:
     if wal is not None:
         log_op(wal, op, dbtable, payload)
         wal.group_commit()
-    return apply_op(db, wal, op, dbtable, payload)
+    return apply_op(db, wal, op, dbtable, payload, keys)
 
 
 class WriteBatch:
@@ -123,9 +127,10 @@ class WriteBatch:
 
     def __init__(self, db: "Database") -> None:
         self._db = db
-        #: Staged ops: ("insert", table, row) | ("insert_rows", table,
-        #: rows) | ("delete", table, tid), in stage order.
-        self._staged: List[Tuple[str, "DBTable", object]] = []
+        #: Staged ops: ("insert", table, row, keys) | ("insert_rows",
+        #: table, rows, keys) | ("delete", table, tid, ()), in stage
+        #: order; ``keys`` are the index keys validation encoded.
+        self._staged: List[Tuple[str, "DBTable", object, Sequence]] = []
         self._committed = False
         self._has_deletes = False  # commit validates staged deletes
         self._stores = 0  # staged rows to store, which bounds their tid reuse
@@ -141,7 +146,8 @@ class WriteBatch:
     def insert(self, table: "Union[DBTable, str]", row: Sequence) -> None:
         """Stage one row insert."""
         dbtable = self._resolve(table)
-        self._staged.append(("insert", dbtable, self._validate(dbtable, row)))
+        row, keys = self._validate(dbtable, row)
+        self._staged.append(("insert", dbtable, row, keys))
         self._stores += 1
 
     def insert_batch(
@@ -151,14 +157,17 @@ class WriteBatch:
         insert per index (the gapped data-parallel unit the log's group
         commit amortizes over)."""
         dbtable = self._resolve(table)
-        rows = [self._validate(dbtable, row) for row in rows]
-        self._staged.append(("insert_rows", dbtable, rows))
+        validated = [self._validate(dbtable, row) for row in rows]
+        rows = [row for row, _ in validated]
+        # Transposed: one tuple of keys per index, aligned with the rows.
+        keys = tuple(zip(*[row_keys for _, row_keys in validated]))
+        self._staged.append(("insert_rows", dbtable, rows, keys))
         self._stores += len(rows)
 
     def delete(self, table: "Union[DBTable, str]", tid: int) -> None:
         """Stage one delete by tuple id (liveness checked at commit,
         before anything is logged or applied)."""
-        self._staged.append(("delete", self._resolve(table), tid))
+        self._staged.append(("delete", self._resolve(table), tid, ()))
         self._has_deletes = True
 
     def _resolve(self, table: "Union[DBTable, str]") -> "DBTable":
@@ -168,21 +177,25 @@ class WriteBatch:
         return table
 
     @staticmethod
-    def _validate(dbtable: "DBTable", row: Sequence) -> Tuple:
-        """The row as a tuple, once it has the schema's width and every
-        index of the table, parked ones included, can encode its key:
-        a row the apply phase could not index is rejected before
-        anything is logged, applied or charged, with the encoder's own
-        exception."""
+    def _validate(
+        dbtable: "DBTable", row: Sequence
+    ) -> Tuple[Tuple, List[bytes]]:
+        """The row as a tuple and its key in every index of the table,
+        parked ones included, in index order, once the row has the
+        schema's width and every key encodes: a row the apply phase
+        could not index is rejected before anything is logged, applied
+        or charged, with the encoder's own exception.  The apply phase
+        stores the keys, so each is encoded once."""
         row = tuple(row)
         if len(row) != len(dbtable.schema.column_names):
             raise ValueError(
                 f"row has {len(row)} columns, schema needs "
                 f"{len(dbtable.schema.column_names)}"
             )
+        keys = []
         for secondary in dbtable.indexes.values():
-            secondary.key_of_row(row)
-        return row
+            keys.append(secondary.key_of_row(row))
+        return row, keys
 
     def _check_open(self) -> None:
         if self._committed:
@@ -209,12 +222,12 @@ class WriteBatch:
         db = self._db
         wal = db.wal
         if wal is not None and self._staged:
-            for op, dbtable, payload in self._staged:
+            for op, dbtable, payload, _ in self._staged:
                 log_op(wal, op, dbtable, payload)
             wal.group_commit()
         tids: List[int] = []
-        for op, dbtable, payload in self._staged:
-            out = apply_op(db, wal, op, dbtable, payload)
+        for op, dbtable, payload, keys in self._staged:
+            out = apply_op(db, wal, op, dbtable, payload, keys)
             if op == "insert":
                 tids.append(out)
             elif op == "insert_rows":
@@ -228,7 +241,7 @@ class WriteBatch:
         """Raise what the apply phase would raise for the first staged
         delete of a row that is not live at its turn."""
         replays: Dict["DBTable", TidReplay] = {}
-        for op, dbtable, payload in self._staged:
+        for op, dbtable, payload, _ in self._staged:
             replay = replays.get(dbtable)
             if replay is None:
                 replay = replays[dbtable] = TidReplay(

@@ -173,13 +173,6 @@ class BudgetArbiter:
         del self._controllers[position]
         self._caches.pop(name, None)
 
-    def unregister_cache(self, name: str) -> None:
-        """Withdraw just the cache registered under ``name`` (rebuilds
-        that keep the controller but replace the cache object)."""
-        if name not in self._caches:
-            raise ShardConfigError(f"shard {name!r} has no registered cache")
-        del self._caches[name]
-
     def add_interval_hook(self, hook) -> None:
         """Run ``hook()`` after every interval-driven evaluation.
 

@@ -21,23 +21,25 @@ The parallelism exists only in the ledger
 -----------------------------------------
 Shards are disjoint indexes, but they share one
 :class:`~repro.memory.cost_model.CostModel` ledger, and every sub-batch
-must be measured on its own for per-shard attribution and the
-repo-wide determinism contract.  Pure-Python shard work cannot overlap
-under the interpreter lock anyway, so the parallel backend starts no
-thread: it runs the sub-batches on the calling thread, one after
-another in task order, measures each shard's exact cost delta, and then
-performs the parallelism *in the ledger*:
-:meth:`~repro.memory.cost_model.CostModel.charge_parallel` rebates every
-event hidden behind the critical path.  ``workers`` is the modeled wave
-width.  Results and costs are deterministic.  Optimistic-lock-coupling
-restarts, the paper's parallel-scaling lever, are modeled separately by
+must be priced on its own for the critical path and the repo-wide
+determinism contract.  Pure-Python shard work cannot overlap under the
+interpreter lock anyway, so the parallel backend starts no thread: it
+runs the sub-batches on the calling thread, one after another in task
+order, and takes each one's exact event delta by copying the ledger's
+counts before the task and diffing them after it (in the ledger's key
+order, zeros skipped).  It then performs the parallelism *in the
+ledger*: :meth:`~repro.memory.cost_model.CostModel.charge_parallel`
+prices those deltas and rebates every event hidden behind the critical
+path.  ``workers`` is the modeled wave width.  Results and costs are
+deterministic.  Optimistic-lock-coupling restarts, the paper's
+parallel-scaling lever, are modeled separately by
 :mod:`repro.concurrency`.
 
 Interaction with prefetch-wave pricing (DESIGN.md §10): a shard whose
 sub-batch runs with an :meth:`~repro.memory.cost_model.CostModel.
 mlp_window` width >= 2 records *wave-priced* counts (including the
-``wave_issue`` fees) in its measured delta, because every window opens
-and closes inside the shard's measurement.  ``charge_parallel`` then
+``wave_issue`` fees) in its delta, because every window opens and
+closes inside the shard's task.  ``charge_parallel`` then
 rebates whole deltas of non-critical shards — exactly the counts they
 charged, wave fees included — so wave pricing and critical-path
 rebating **compose**: the intra-shard MLP discount applies first, the
@@ -121,9 +123,17 @@ class ParallelShardExecutor(SerialShardExecutor):
         results = []
         deltas = []
         for task in tasks:
-            with cost.measure() as delta:
-                results.append(task())
-            deltas.append(delta)
+            # The task's delta: a snapshot of the ledger before it, diffed
+            # in the ledger's key order after it, zeros skipped (what a
+            # measure() delta holds, without its generator and model).
+            before = dict(cost.counts)
+            results.append(task())
+            base = before.get
+            deltas.append({
+                category: diff
+                for category, count in cost.counts.items()
+                if (diff := count - base(category, 0))
+            })
         serial_sum, critical = cost.charge_parallel(
             deltas, self.workers, COORDINATION_UNITS * len(tasks)
         )

@@ -20,6 +20,7 @@ as the cost model and the event bus.
 from __future__ import annotations
 
 import zlib
+from typing import List, Sequence
 
 from repro.errors import ShardConfigError
 
@@ -38,6 +39,10 @@ class Partitioner:
     def shard_of(self, key: bytes) -> int:
         raise NotImplementedError
 
+    def shards_of(self, keys: Sequence[bytes]) -> List[int]:
+        """:meth:`shard_of` of every key, in order, in one call."""
+        raise NotImplementedError
+
     def describe(self) -> str:
         return f"{type(self).__name__}(n_shards={self.n_shards})"
 
@@ -51,6 +56,13 @@ class RangePartitioner(Partitioner):
         prefix = int.from_bytes(key[:8].ljust(8, b"\x00"), "big")
         return (prefix * self.n_shards) >> 64
 
+    def shards_of(self, keys: Sequence[bytes]) -> List[int]:
+        n, from_bytes = self.n_shards, int.from_bytes
+        return [
+            (from_bytes(key[:8].ljust(8, b"\x00"), "big") * n) >> 64
+            for key in keys
+        ]
+
 
 class HashPartitioner(Partitioner):
     """CRC-32 spread of keys across shards (order-destroying)."""
@@ -59,6 +71,10 @@ class HashPartitioner(Partitioner):
 
     def shard_of(self, key: bytes) -> int:
         return zlib.crc32(key) % self.n_shards
+
+    def shards_of(self, keys: Sequence[bytes]) -> List[int]:
+        n, crc32 = self.n_shards, zlib.crc32
+        return [crc32(key) % n for key in keys]
 
 
 #: Partitioner names accepted by :func:`make_partitioner`.

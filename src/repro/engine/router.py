@@ -112,43 +112,48 @@ class ShardedIndex:
     # ------------------------------------------------------------------
     # Batch operations: partition, per-shard fast path, gather
     # ------------------------------------------------------------------
-    def _group_by_shard(self, keys: Sequence[bytes]) -> Dict[int, List[int]]:
-        """Input positions per shard, preserving input order."""
-        groups: Dict[int, List[int]] = {}
-        shard_of = self.partitioner.shard_of
-        for position, key in enumerate(keys):
-            groups.setdefault(shard_of(key), []).append(position)
+    def _group_by_shard(
+        self, keys: Sequence[bytes], items: Sequence
+    ) -> Dict[int, Tuple[List[int], List]]:
+        """Input positions and ``items`` per shard, both in input order,
+        in one pass (``items[i]`` routes by ``keys[i]``); shards in
+        first-seen order."""
+        groups: Dict[int, Tuple[List[int], List]] = {}
+        get = groups.get
+        shard_ids = self.partitioner.shards_of(keys)
+        for position, (shard_id, item) in enumerate(zip(shard_ids, items)):
+            group = get(shard_id)
+            if group is None:
+                group = groups[shard_id] = ([], [])
+            group[0].append(position)
+            group[1].append(item)
         return groups
 
-    def lookup_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
-        results: List[Optional[int]] = [None] * len(keys)
-        groups = self._group_by_shard(keys)
+    def _scatter(self, method: str, keys: Sequence[bytes], items: Sequence):
+        """Hand each shard index's ``method`` its share of ``items``
+        through the executor; gather the answers into input order."""
+        results: List = [None] * len(items)
+        groups = self._group_by_shard(keys, items)
+        shards = self.shards
         tasks = [
-            partial(self.shards[shard_id].index.lookup_batch,
-                    [keys[p] for p in positions])
-            for shard_id, positions in groups.items()
+            partial(getattr(shards[shard_id].index, method), share)
+            for shard_id, (_, share) in groups.items()
         ]
         gathered = self.executor.run_tasks(tasks, self.cost)
-        for positions, hits in zip(groups.values(), gathered):
-            for position, tid in zip(positions, hits):
-                results[position] = tid
+        for (positions, _), answers in zip(groups.values(), gathered):
+            for position, answer in zip(positions, answers):
+                results[position] = answer
         return results
+
+    def lookup_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
+        return self._scatter("lookup_batch", keys, keys)
 
     def insert_sorted_batch(
         self, pairs: Sequence[Tuple[bytes, int]]
     ) -> List[Optional[int]]:
-        results: List[Optional[int]] = [None] * len(pairs)
-        groups = self._group_by_shard([key for key, _ in pairs])
-        tasks = [
-            partial(self.shards[shard_id].index.insert_sorted_batch,
-                    [pairs[p] for p in positions])
-            for shard_id, positions in groups.items()
-        ]
-        gathered = self.executor.run_tasks(tasks, self.cost)
-        for positions, replaced in zip(groups.values(), gathered):
-            for position, tid in zip(positions, replaced):
-                results[position] = tid
-        return results
+        return self._scatter(
+            "insert_sorted_batch", [key for key, _ in pairs], pairs
+        )
 
     def scan_batch(
         self, start_keys: Sequence[bytes], count: int
@@ -167,14 +172,14 @@ class ShardedIndex:
                 merged = heapq.merge(*(run[position] for run in runs))
                 results[position] = list(islice(merged, count))
             return results
-        groups = self._group_by_shard(start_keys)
+        groups = self._group_by_shard(start_keys, start_keys)
         tasks = [
-            partial(self.shards[shard_id].index.scan_batch,
-                    [start_keys[p] for p in positions], count)
-            for shard_id, positions in groups.items()
+            partial(self.shards[shard_id].index.scan_batch, share, count)
+            for shard_id, (_, share) in groups.items()
         ]
         gathered = self.executor.run_tasks(tasks, self.cost)
-        for (shard_id, positions), batches in zip(groups.items(), gathered):
+        for (shard_id, (positions, _)), batches in zip(groups.items(),
+                                                       gathered):
             for position, items in zip(positions, batches):
                 # Spill into successive shards until the scan fills.
                 # The spill chain is a sequential dependency (each hop

@@ -1,6 +1,6 @@
 """BatchExecutor: amortized execution of operation batches.
 
-Why batching (see ISSUE/DESIGN): a YCSB batch of 10k point lookups
+Why batching (DESIGN.md §6): a YCSB batch of 10k point lookups
 executed one key per descent pays the root-to-leaf pointer-chase cost
 10k times.  Sorting the batch into a run and descending once per
 distinct subtree charges each inner node's random line and routing
@@ -22,9 +22,8 @@ native/fallback accounting.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.interface import OrderedIndex
 
@@ -136,24 +135,35 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Batch operations
     # ------------------------------------------------------------------
-    def _record(self, kind: str, ops: int) -> None:
-        self.stats.record(kind, ops, self.native_by_kind[kind])
+    def _dispatch(self, kind: str, call, items: Sequence, *args) -> List:
+        """Hand ``items`` to ``call`` in chunks of at most ``max_batch``
+        (one chunk, the batch itself, when it fits), recording each, and
+        concatenate the answers."""
+        out: List = []
+        record = self.stats.record
+        native = self.native_by_kind[kind]
+        size = self.max_batch
+        n = len(items)
+        for start in range(0, n, size):
+            chunk = items if n <= size else items[start:start + size]
+            record(kind, len(chunk), native)
+            out.extend(call(chunk, *args))
+        return out
 
-    @contextmanager
-    def _mlp_scope(self) -> Iterator[None]:
-        """Apply the configured wave width to the index's cost model for
-        one read dispatch and fold the wave tallies into :attr:`stats`."""
+    def _read(self, kind: str, call, items: Sequence, *args) -> List:
+        """:meth:`_dispatch` a read batch under the configured wave
+        width, folding the wave tallies into :attr:`stats`; with no
+        width configured, just dispatch it."""
         cost = self._cost
         if self.mlp_width is None or cost is None:
-            yield
-            return
+            return self._dispatch(kind, call, items, *args)
         totals = cost.mlp_totals
         loads = totals.loads
         waves = totals.waves
         saved = totals.saved_units
         with cost.using_mlp_width(self.mlp_width):
             try:
-                yield
+                return self._dispatch(kind, call, items, *args)
             finally:
                 totals = cost.mlp_totals
                 self.stats.mlp_loads += totals.loads - loads
@@ -169,15 +179,11 @@ class BatchExecutor:
         :attr:`stats` as ``cache_hits``.
         """
         caches = index_caches(self.index)
-        hits_before = sum(c.stats.row_hits for c in caches)
-        out: List[Optional[int]] = []
-        with self._mlp_scope():
-            for chunk in self._chunks(keys):
-                self._record("get", len(chunk))
-                out.extend(self.index.lookup_batch(chunk))
+        hits_before = sum([c.stats.row_hits for c in caches])
+        out = self._read("get", self.index.lookup_batch, keys)
         if caches:
             self.stats.cache_hits += (
-                sum(c.stats.row_hits for c in caches) - hits_before
+                sum([c.stats.row_hits for c in caches]) - hits_before
             )
         return out
 
@@ -190,28 +196,10 @@ class BatchExecutor:
         a chunk apply in input order, so the outcome matches a scalar
         input-order loop.
         """
-        out: List[Optional[int]] = []
-        for chunk in self._chunks(pairs):
-            self._record("insert", len(chunk))
-            out.extend(self.index.insert_sorted_batch(chunk))
-        return out
+        return self._dispatch("insert", self.index.insert_sorted_batch, pairs)
 
     def scan_batch(
         self, start_keys: Sequence[bytes], count: int
     ) -> List[List[Tuple[bytes, int]]]:
         """Run one ``count``-item scan per start key."""
-        out: List[List[Tuple[bytes, int]]] = []
-        with self._mlp_scope():
-            for chunk in self._chunks(start_keys):
-                self._record("scan", len(chunk))
-                out.extend(self.index.scan_batch(chunk, count))
-        return out
-
-    # ------------------------------------------------------------------
-    def _chunks(self, items: Sequence):
-        if len(items) <= self.max_batch:
-            if items:
-                yield items
-            return
-        for i in range(0, len(items), self.max_batch):
-            yield items[i : i + self.max_batch]
+        return self._read("scan", self.index.scan_batch, start_keys, count)

@@ -319,14 +319,25 @@ class LearnedLeaf(LeafNode):
         # cache-resident); every probe load is issued as part of a batch
         # of independent accesses, so it charges at the overlapped
         # key_load_batched rate — or joins an open prefetch wave.
+        # Tag and mlp_batch depth set and restored by hand, as in
+        # CompactLeaf.lookup_batch.
         out: List[Optional[int]] = []
-        with self.cost.attributed_to("learned.search"):
-            self.cost.wave_loads("rand_line", 1)
+        probe = self._probe
+        cost = self.cost
+        previous = cost._attribution
+        cost._attribution = "learned.search"
+        try:
+            cost.wave_loads("rand_line", 1)
             self._breathing_search_cost()
-            with self.cost.mlp_batch():
+            cost._mlp_depth += 1
+            try:
                 for key in keys:
-                    found, pos = self._probe(key)
+                    found, pos = probe(key)
                     out.append(self.tids[pos] if found else None)
+            finally:
+                cost._mlp_depth -= 1
+        finally:
+            cost._attribution = previous
         return out
 
     def upsert(self, key: bytes, tid: int) -> Optional[int]:

@@ -92,7 +92,7 @@ about 2 extra units on a B+-tree versus about 19 on an indirect-key index
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 from contextlib import contextmanager
 
 
@@ -177,16 +177,62 @@ class WaveStats:
 
 
 class _WaveWindow:
-    """Open-window state for :meth:`CostModel.mlp_window` (internal)."""
+    """One ``with cost.mlp_window()`` scope (internal; see
+    :meth:`CostModel.mlp_window`).
 
-    __slots__ = ("width", "pending", "stats", "depth")
+    The outermost open scope of a model is its wave set: it holds the
+    per-category loads not yet grouped into a complete wave and the
+    window's tallies, and the model points :attr:`CostModel._wave` at
+    it.  A scope entered while another is open only joins that one
+    (``joined``); a scope of width <= 1 or on a disabled model is inert
+    (neither ``joined`` nor ``pending``).  Which of the three a scope
+    is gets decided when it is entered, not when it is made."""
 
-    def __init__(self, width: int) -> None:
+    __slots__ = (
+        "cost", "width", "weights", "pending", "stats", "depth", "joined",
+    )
+
+    def __init__(self, cost: "CostModel", width: Optional[int]) -> None:
+        self.cost = cost
         self.width = width
-        #: Per-category loads not yet grouped into a complete wave.
-        self.pending: Dict[str, int] = {}
+        self.pending: Optional[Dict[str, int]] = None
+        self.joined: Optional["_WaveWindow"] = None
+
+    def __enter__(self) -> WaveStats:
+        cost = self.cost
+        width = cost.mlp_width if self.width is None else self.width
+        if not cost.enabled or width <= 1:
+            return WaveStats(width=max(1, width))
+        window = cost._wave
+        if window is not None:
+            window.depth += 1
+            self.joined = window
+            return window.stats
+        self.width = width
+        #: The model's weight map, looked up once per window.
+        self.weights = cost.weights._weight_map()
+        self.pending = {}
         self.stats = WaveStats(width=width)
         self.depth = 1
+        cost._wave = self
+        return self.stats
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        window = self.joined
+        if window is not None:
+            window.depth -= 1
+            if window.depth < 1:
+                raise AssertionError("mlp_window depth underflow")
+            return
+        if self.pending is None:
+            return  # inert
+        self.depth -= 1
+        if self.depth != 0:
+            raise AssertionError("mlp_window depth underflow")
+        cost = self.cost
+        cost._wave = None
+        cost._flush_window(self)
+        cost.mlp_totals.fold(self.stats)
 
 
 @dataclass(slots=True)
@@ -343,18 +389,18 @@ class CostModel:
         if window is None:
             self.charge(category, n)
             return
-        weight = self.weights._weight_map().get(category, 0.0)
+        weight = window.weights.get(category, 0.0)
         stats = window.stats
         stats.loads += n
         stats.serial_units += n * weight
-        complete, remainder = divmod(window.pending.get(category, 0) + n,
+        pending = window.pending
+        complete, remainder = divmod(pending.get(category, 0) + n,
                                      window.width)
         if complete:
-            self.charge(category, complete)
-            self.charge("wave_issue", complete)
+            self.charge_many(category, complete, "wave_issue", complete)
             stats.waves += complete
             stats.wave_units += complete * (weight + self.weights.wave_issue)
-        window.pending[category] = remainder
+        pending[category] = remainder
 
     def model_evals(self, n: int = 1) -> None:
         """Charge ``n`` learned-model position predictions."""
@@ -404,39 +450,46 @@ class CostModel:
     def rebate_delta(self, delta: "CostModel") -> None:
         """Remove a previously-charged event delta from the ledger.
 
-        The parallel executor measures every shard's sub-batch against
-        the shared model (so the work *is* charged as it executes) and
-        then rebates the events hidden behind the critical path — work
-        overlapped by a concurrently-executing shard costs no latency.
-        Rebates adjust only the **global** counters: attribution is
-        suppressed while the negative charges land, so per-tag buckets
-        keep recording the work that was *performed* and never pick up
-        negative residues from a rebate issued under a different (or
-        no) attribution context than the original charge.
+        Rebates adjust only the **global** counters: no tag's bucket is
+        touched, so per-tag buckets keep recording the work that was
+        *performed* and never pick up negative residues from a rebate
+        issued under a different (or no) attribution context than the
+        original charge.  A disabled model rebates nothing, as it
+        charges nothing.
         """
-        previous = self._attribution
-        self._attribution = ""
-        try:
-            for category, count in delta.counts.items():
-                self.charge(category, -count)
-        finally:
-            self._attribution = previous
+        self._rebate(delta.counts)
+
+    def _rebate(self, delta: Mapping[str, int]) -> None:
+        """:meth:`rebate_delta` of a plain ``category -> count`` delta:
+        each category in the delta's order, zero counts skipped, exactly
+        the ledger effect of ``charge(category, -count)`` with
+        attribution suppressed."""
+        if not self.enabled:
+            return
+        counts = self.counts
+        get = counts.get
+        for category, count in delta.items():
+            if count:
+                counts[category] = get(category, 0) - count
 
     def charge_parallel(
         self,
-        deltas: Sequence["CostModel"],
+        deltas: Sequence[Mapping[str, int]],
         width: int,
         coordination_units: float = 0.0,
     ) -> Tuple[float, float]:
         """Critical-path combinator over concurrently-executed deltas.
 
-        ``deltas`` are per-task event deltas (from :meth:`measure`)
-        whose events have *already* been charged to this model — the
-        serial sum.  Execution overlaps ``width`` tasks at a time, so
-        only the most expensive member of each wave of ``width``
-        consecutive deltas contributes latency; the other members'
-        events are rebated.  A ``coordination_units`` fee (``fixed_op``
-        units, the scatter/merge bookkeeping) is charged on top.
+        ``deltas`` are per-task ``category -> count`` event deltas (as
+        a :meth:`measure` delta's ``counts``, or the parallel shard
+        executor's snapshot diffs) whose events have *already* been
+        charged to this model — the serial sum.  Execution overlaps
+        ``width`` tasks at a time, so only the most expensive member of
+        each wave of ``width`` consecutive deltas contributes latency;
+        the other members' events are rebated (global counters only, as
+        :meth:`rebate_delta`).  A ``coordination_units`` fee
+        (``fixed_op`` units, the scatter/merge bookkeeping) is charged
+        on top.
 
         Returns ``(serial_sum_units, critical_path_units)``, where the
         critical path includes the coordination fee.  Ties inside a
@@ -446,7 +499,7 @@ class CostModel:
         if width < 1:
             raise ValueError("parallel width must be positive")
         critical = 0.0
-        costs = [delta.weighted_cost() for delta in deltas]
+        costs = [self._units(delta) for delta in deltas]
         serial_sum = sum(costs)
         for start in range(0, len(deltas), width):
             wave = range(start, min(start + width, len(deltas)))
@@ -454,7 +507,7 @@ class CostModel:
             critical += costs[keep]
             for i in wave:
                 if i != keep:
-                    self.rebate_delta(deltas[i])
+                    self._rebate(deltas[i])
         if coordination_units:
             self.fixed_ops(coordination_units)
             critical += coordination_units * self.weights.fixed_op
@@ -480,13 +533,13 @@ class CostModel:
             if self._mlp_depth < 0:
                 raise AssertionError("mlp_batch depth underflow")
 
-    @contextmanager
-    def mlp_window(self, width: Optional[int] = None) -> Iterator[WaveStats]:
+    def mlp_window(self, width: Optional[int] = None) -> _WaveWindow:
         """Open a prefetch-wave window: independent loads charged through
         :meth:`wave_loads` (and key loads already marked independent via
         :meth:`mlp_batch` / :meth:`key_loads_batched`) are grouped into
         waves of ``width`` outstanding misses and charged max-of-wave
-        plus one ``wave_issue`` fee per wave.
+        plus one ``wave_issue`` fee per wave.  Use as ``with
+        cost.mlp_window() as stats:``.
 
         ``width`` defaults to :attr:`mlp_width`.  Width 1 (or a
         disabled model) yields an inert :class:`WaveStats` and changes
@@ -496,49 +549,26 @@ class CostModel:
         requested width is ignored).  On exit — normal or by exception
         — partial waves are flushed deterministically (per category, in
         sorted order) and the window's tallies fold into
-        :attr:`mlp_totals`.
+        :attr:`mlp_totals`.  Depth bookkeeping is guarded: an inner or
+        outer scope that finds it corrupted raises ``AssertionError``.
 
         Windows must close inside any enclosing :meth:`measure` scope
         so the flush lands in the same delta as the loads it prices.
         """
-        effective = self.mlp_width if width is None else width
-        if not self.enabled or effective <= 1:
-            yield WaveStats(width=max(1, effective))
-            return
-        window = self._wave
-        if window is not None:
-            window.depth += 1
-            try:
-                yield window.stats
-            finally:
-                window.depth -= 1
-                if window.depth < 1:
-                    raise AssertionError("mlp_window depth underflow")
-            return
-        window = _WaveWindow(effective)
-        self._wave = window
-        try:
-            yield window.stats
-        finally:
-            window.depth -= 1
-            if window.depth != 0:
-                raise AssertionError("mlp_window depth underflow")
-            self._wave = None
-            self._flush_window(window)
-            self.mlp_totals.fold(window.stats)
+        return _WaveWindow(self, width)
 
     def _flush_window(self, window: _WaveWindow) -> None:
         """Charge the window's partial waves (one event + one fee each)."""
-        weights = self.weights._weight_map()
+        weights = window.weights
         fee = self.weights.wave_issue
         stats = window.stats
-        for category in sorted(window.pending):
-            if window.pending[category]:
-                self.charge(category, 1)
-                self.charge("wave_issue", 1)
+        pending = window.pending
+        for category in sorted(pending):
+            if pending[category]:
+                self.charge_many(category, 1, "wave_issue", 1)
                 stats.waves += 1
                 stats.wave_units += weights.get(category, 0.0) + fee
-        window.pending.clear()
+        pending.clear()
 
     @contextmanager
     def using_mlp_width(self, width: int) -> Iterator[None]:
@@ -571,9 +601,14 @@ class CostModel:
     # ------------------------------------------------------------------
     def weighted_cost(self) -> float:
         """Total cost in DRAM-miss units under the configured weights."""
+        return self._units(self.counts)
+
+    def _units(self, counts: Mapping[str, int]) -> float:
+        """Weighted cost of ``category -> count`` events, summed in the
+        mapping's order."""
         weights = self.weights._weight_map()
         total = 0.0
-        for category, count in self.counts.items():
+        for category, count in counts.items():
             if category == "fixed_op_milli":
                 total += weights["fixed_op"] * (count / 1000.0)
             else:
@@ -628,14 +663,7 @@ class CostModel:
 
     def tagged_cost(self, tag: str) -> float:
         """Weighted cost of the events attributed to ``tag``."""
-        weights = self.weights._weight_map()
-        total = 0.0
-        for category, count in self.tagged.get(tag, {}).items():
-            if category == "fixed_op_milli":
-                total += weights["fixed_op"] * (count / 1000.0)
-            else:
-                total += weights.get(category, 0.0) * count
-        return total
+        return self._units(self.tagged.get(tag, {}))
 
     @contextmanager
     def paused(self) -> Iterator[None]:

@@ -94,9 +94,6 @@ class Gauge(Counter):
         key = _label_key(labels)
         self.values[key] = self.values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
 
 class Histogram:
     """Fixed-bucket histogram (cumulative, Prometheus-style).

@@ -70,15 +70,6 @@ class WindowStats:
             return 0
         return max(1, self.scan_count_sum // self.scan_reads)
 
-    def hot_fraction(self) -> float:
-        """Share of point traffic landing in the single hottest bucket."""
-        if not self.heat:
-            return 0.0
-        total = sum(self.heat.values())
-        if not total:
-            return 0.0
-        return max(self.heat.values()) / total
-
 
 class StatsCollector:
     """Current window + bounded history for one secondary index."""

@@ -80,10 +80,6 @@ class IottaTraceGenerator:
     # ------------------------------------------------------------------
     # Figure 1 data: daily extracted-data size relative to the average
     # ------------------------------------------------------------------
-    def daily_sizes_gb(self, gb_per_row: float = 1e-6) -> List[float]:
-        """Extracted data size per day (arbitrary GB scale)."""
-        return [rows * gb_per_row for rows in self._daily_rows]
-
     def daily_relative_sizes(self) -> List[float]:
         """Per-day size divided by the period average (Figure 1's shape)."""
         average = sum(self._daily_rows) / len(self._daily_rows)
@@ -113,6 +109,3 @@ class IottaTraceGenerator:
                 emitted += 1
                 if limit is not None and emitted >= limit:
                     return
-
-    def rows_of_day_count(self, day: int) -> int:
-        return self._daily_rows[day]

@@ -19,7 +19,7 @@ import repro
 #: The packages whose tests CI also runs with asserts stripped.
 OPTIMIZED_PACKAGES = (
     "memory", "blindi", "btree", "core", "cluster", "cache", "wal",
-    "tuning",
+    "tuning", "engine", "exec",
 )
 
 CHECK_PREFIXES = ("check_", "_check_")

@@ -50,6 +50,20 @@ class TestSchemaAndKeys:
         with pytest.raises(ValueError):
             idx.key_of_values((1, 2))
 
+    def test_batch_encoding_matches_per_entry(self):
+        _, table = make_log_table()
+        idx = table.create_index("by_size_ts", ("size", "timestamp"))
+        batch = [(5, 100), (6, 1), (0, (1 << 64) - 1)]
+        assert idx.keys_of_values(batch) == [
+            idx.key_of_values(v) for v in batch
+        ]
+        assert idx.keys_of_values([]) == []
+        with pytest.raises(ValueError, match="needs 2 values"):
+            idx.keys_of_values([(1, 2), (3,)])
+        # The first entry that cannot be encoded raises its own error.
+        with pytest.raises(OverflowError):
+            idx.keys_of_values([(1, 2), (-1, 2), (3,)])
+
     def test_duplicate_index_name_rejected(self):
         _, table = make_log_table()
         table.create_index("x", ("timestamp",))

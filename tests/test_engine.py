@@ -69,6 +69,16 @@ class TestPartitioners:
             part = make_partitioner(kind, 4)
             assert 0 <= part.shard_of(b"ab") < 4
 
+    @pytest.mark.parametrize("kind", ["hash", "range"])
+    @pytest.mark.parametrize("n_shards", [1, 3, 8])
+    def test_shards_of_is_shard_of_per_key(self, kind, n_shards):
+        rng = random.Random(13)
+        keys = [rng.randbytes(rng.choice((2, 8, 16))) for _ in range(500)]
+        keys += [b"", b"\x00" * 8, b"\xff" * 8, b"\xff" * 12]
+        part = make_partitioner(kind, n_shards)
+        assert part.shards_of(keys) == [part.shard_of(k) for k in keys]
+        assert part.shards_of([]) == []
+
 
 # ----------------------------------------------------------------------
 # Router equivalence against the unsharded engine

@@ -599,7 +599,10 @@ class TestRebateResidues:
             else:
                 deltas.append(delta)
         if deltas:
-            cost.charge_parallel(deltas, width, coordination_units=0.5)
+            cost.charge_parallel(
+                [delta.counts for delta in deltas], width,
+                coordination_units=0.5,
+            )
         for category, count in cost.counts.items():
             assert count >= 0, (category, cost.counts)
         for tag, bucket in cost.tagged.items():
@@ -617,7 +620,9 @@ class TestRebateResidues:
                 with cost.mlp_window(4):
                     cost.wave_loads("rand_line", 4)
             deltas.append(delta)
-        serial_sum, critical = cost.charge_parallel(deltas, width=4)
+        serial_sum, critical = cost.charge_parallel(
+            [delta.counts for delta in deltas], width=4
+        )
         assert serial_sum == pytest.approx(4 * 1.1)
         assert critical == pytest.approx(1.1)
         assert cost.counts["rand_line"] == 1

@@ -700,6 +700,102 @@ class TestUnencodableRows:
             assert state_digest(recovered) == before
 
 
+class TestOneEncodePerRow:
+    """Staging encodes each stored row's key once per index and the
+    apply phase reuses it: a counting wrapper on ``key_of_row`` sees one
+    call per row per index, parked indexes included, on every insert
+    shape, with or without a log.  Keys staging did not encode — an
+    index created after staging, recovery's replay — are encoded at
+    apply."""
+
+    @staticmethod
+    def _count_encodes(monkeypatch):
+        from repro.db.database import SecondaryIndex
+
+        calls = []
+        original = SecondaryIndex.key_of_row
+
+        def counted(self, row):
+            calls.append(self.name)
+            return original(self, row)
+
+        monkeypatch.setattr(SecondaryIndex, "key_of_row", counted)
+        return calls
+
+    @pytest.mark.parametrize("shape", ["scalar", "batch", "rows"])
+    @pytest.mark.parametrize("wal", [None, WalConfig(group_size=2)],
+                             ids=["no-log", "log"])
+    def test_one_encode_per_row_per_index(self, monkeypatch, wal, shape):
+        db, table = make_db(wal=wal)
+        table.create_index("by_v", ("v",), kind="elastic",
+                           size_bound_bytes=1 << 20)
+        table.create_index("by_vk", ("v", "k"))
+        table.insert_batch([(k, 10 * k) for k in range(50)])
+        calls = self._count_encodes(monkeypatch)
+        rows = [(k, 7 * k) for k in range(100, 130)]
+        if shape == "scalar":
+            for row in rows:
+                table.insert(row)
+        elif shape == "batch":
+            with db.begin_batch() as batch:
+                for row in rows[:10]:
+                    batch.insert(table, row)
+                batch.insert_batch(table, rows[10:])
+        else:
+            table.insert_batch(rows[:20])
+            table.insert_batch(rows[20:])
+        assert sorted(calls) == sorted(
+            ["by_k", "by_v", "by_vk"] * len(rows)
+        )
+        for row in rows:
+            assert table.get("by_vk", (row[1], row[0])) == row
+        monkeypatch.undo()
+        if wal is not None:
+            recovered, _ = recover_database(db)
+            assert state_digest(recovered) == state_digest(db)
+
+    def test_index_created_between_staging_and_commit(self, monkeypatch):
+        db, table = make_db(wal=WalConfig(group_size=1))
+        batch = db.begin_batch()
+        batch.insert(table, (1, 10))
+        batch.insert_batch(table, [(2, 20), (3, 30)])
+        table.create_index("by_v", ("v",))
+        calls = self._count_encodes(monkeypatch)
+        batch.commit()
+        # Staging encoded by_k; by_v, created after it, encodes at apply.
+        assert sorted(calls) == ["by_v"] * 3
+        assert [table.get("by_v", (v,)) for v in (10, 20, 30)] == [
+            (1, 10), (2, 20), (3, 30)
+        ]
+        monkeypatch.undo()
+        recovered, _ = recover_database(db)
+        assert state_digest(recovered) == state_digest(db)
+
+    def test_parked_index_is_validated_not_written(self, monkeypatch):
+        db, table = make_db()
+        table.create_index("by_v", ("v",))
+        table.indexes["by_v"].parked = True
+
+        class Advisor:
+            parked_writes = 0
+
+            def observe_parked_write(self, table_name, index_name, n):
+                Advisor.parked_writes += n
+
+            def observe_writes(self, *args):
+                pass
+
+        db.advisor = Advisor()
+        calls = self._count_encodes(monkeypatch)
+        table.insert((5, 50))
+        table.insert_batch([(6, 60), (7, 70)])
+        assert sorted(calls) == sorted(["by_k", "by_v"] * 3)
+        assert Advisor.parked_writes == 3
+        with pytest.raises(ValueError):
+            table.insert((8, "x"))  # the parked index still validates
+        assert len(table) == 3
+
+
 class TestScalarIsOneOpBatch:
     """``DBTable.insert`` / ``delete`` commit one operation without
     staging it; each must stay observably a one-op ``begin_batch()``
