@@ -8,6 +8,7 @@ global memory — and its rebalance decisions are visible as
 ``budget_rebalance`` events.
 """
 
+from repro import obs
 from repro.bench import shard
 
 from conftest import run_once, scaled
@@ -20,6 +21,7 @@ def test_shard_arbiter(benchmark, show):
         n_big=scaled(9000),
         n_small=scaled(500),
         txn_ops=scaled(12_000),
+        observer=obs.Observer(),
     )
     show(result)
     meta = result.meta

@@ -12,14 +12,15 @@ wall-clock), checked three ways:
 * its **baseline** — the committed ``BENCH_<name>.json``.  Every stored
   metric must be present and match the run exactly at the stored
   4-decimal precision; a metric that grew past ``TOLERANCE`` is
-  reported as a regression.  With observability disabled (the
-  default) any drift at all means instrumentation or wiring leaked
-  into the hot path — the zero-overhead guarantee of ``repro.obs``;
-* its **enabled replay** — the same smoke rerun with observability on
-  and an ``Observer`` attached, which must reproduce every cost metric
-  and make the gate's activity visible: state changes as events and
-  registry metrics, per-call activity as the layer ``stats`` fields the
-  driver copies into its ``meta``.
+  reported as a regression.  The base run is unobserved (the default),
+  so any drift at all means instrumentation or wiring leaked into the
+  hot path — the zero-overhead guarantee of ``repro.obs``;
+* its **enabled replay** — the same smoke rerun with an ``Observer``
+  handed to the driver, which watches every ledger the driver builds;
+  the replay must reproduce every cost metric and make the gate's
+  activity visible: state changes as events and registry metrics,
+  per-call activity as the layer ``stats`` fields the driver copies
+  into its ``meta``.
 
 A subprocess smoke also exercises the ``DBTable`` read/write surface
 under ``-W error::DeprecationWarning`` to prove the current spellings
@@ -41,7 +42,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -92,15 +93,13 @@ class Gate:
     ``config``; ``metrics`` maps ``meta`` to the stored metrics;
     ``contract`` pairs predicates over ``meta`` with their messages;
     ``replay`` pairs counts over ``(observer, meta)`` that must be
-    non-zero with theirs; ``*_kwargs`` go to the driver as well.
+    non-zero with theirs.
     """
 
     config: dict
     metrics: Callable[[dict], Dict[str, float]]
     contract: Tuple[Tuple[Callable[[dict], bool], Message], ...]
     replay: Tuple[Tuple[Callable[[object, dict], float], Message], ...]
-    base_kwargs: dict = field(default_factory=dict)
-    replay_kwargs: dict = field(default_factory=dict)
 
 
 def registry(metric: str):
@@ -213,7 +212,6 @@ GATES: Dict[str, Gate] = {
     ),
     # Two tables, two shards each, one global bound: the budget arbiter
     # must strictly dominate the static equal split, having rebalanced.
-    # The driver turns observability on itself unless told not to.
     "shard": Gate(
         config=dict(n_big=4000, n_small=300, txn_ops=6000, shards=2,
                     seed=17),
@@ -242,7 +240,6 @@ GATES: Dict[str, Gate] = {
              lambda m: f"{m['rebalance_events']} budget_rebalance events "
              f"vs {m['rebalances']} rebalances counted"),
         ),
-        base_kwargs=dict(capture_events=False),
     ),
     # Serial vs parallel scatter/gather over a hash-sharded index: one
     # shard (single-task short-cut) must charge exactly serial cost, four
@@ -444,7 +441,6 @@ GATES: Dict[str, Gate] = {
             (captured("failover_events", "cluster_budget"),
              "no cluster_budget event captured at build"),
         ),
-        replay_kwargs=dict(capture_events=True),
     ),
     # WAL off vs per-op fsync vs group commit, plus a scripted kill +
     # recovery differential replayed across two cycles; the WAL-off arm
@@ -485,7 +481,6 @@ GATES: Dict[str, Gate] = {
              "no recovery_replay event captured — the recovery was "
              "invisible"),
         ),
-        replay_kwargs=dict(capture_events=True),
     ),
     # The five-scenario adversarial pack at equal total memory: the
     # self-tuned arm returns identical answers, never loses to the best
@@ -575,18 +570,17 @@ def check_baseline(metrics: dict, baseline: dict) -> List[str]:
 
 
 def enabled_replay(name: str, base_metrics: dict) -> List[str]:
-    """Rerun gate ``name`` with observability on and an observer
-    attached: every cost metric must equal the base run's, and every
-    replay requirement must be non-zero."""
+    """Rerun gate ``name`` with an observer watching every ledger its
+    driver builds: every cost metric must equal the base run's, and
+    every replay requirement must be non-zero."""
     from repro import obs
 
     gate = GATES[name]
-    with obs.enabled():
-        observer = obs.Observer()
-        try:
-            meta = run_gate(name, **gate.replay_kwargs).meta
-        finally:
-            observer.close()
+    observer = obs.Observer()
+    try:
+        meta = run_gate(name, observer=observer).meta
+    finally:
+        observer.close()
     failures = [
         f"enabled-replay: {metric} = {value!r} with observability "
         f"enabled vs {base_metrics.get(metric)!r} disabled "
@@ -665,21 +659,15 @@ def main() -> int:
     args = parser.parse_args()
 
     sys.path.insert(0, os.path.join(REPO, "src"))
-    from repro import obs
 
     selected = [name for name in GATES
                 if args.only is None or name in args.only]
     failures = []
     runs = {}
     for name in selected:
-        result = run_gate(name, **GATES[name].base_kwargs)
+        result = run_gate(name)
         print(result.render())
         print()
-        if obs.is_enabled():
-            failures.append(
-                f"{name}: observability unexpectedly enabled during the "
-                "base run"
-            )
         runs[name] = GATES[name].metrics(result.meta), result.meta
 
     if args.update:

@@ -59,7 +59,8 @@ The facade groups the stable surface of the layered packages:
 * **errors** — the typed :mod:`repro.errors` hierarchy (every class
   still subclasses :class:`ValueError`);
 * **observability** — the :mod:`repro.obs` module itself, re-exported
-  as :data:`obs` (``api.obs.set_enabled(True)``, ``api.obs.Observer()``).
+  as :data:`obs`: ``observer = api.obs.Observer()`` then
+  ``observer.watch(db.cost)`` observes one database.
 
 Deeper modules (``repro.bench``, ``repro.workloads``, ``repro.mcas``,
 per-structure baselines) remain importable directly; they are research

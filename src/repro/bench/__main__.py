@@ -20,6 +20,7 @@ import argparse
 import os
 import time
 
+from repro import obs
 from repro.bench import ablation, fig1, fig5, fig6, fig7, fig8, fig9, fig10, fig11
 from repro.bench import cache, cluster, latency, learned, mlp, parallel
 from repro.bench import sec61, sec64, selftune, shard, wal
@@ -27,6 +28,10 @@ from repro.bench import sec61, sec64, selftune, shard, wal
 
 def _experiments(full: bool, events_dir=None):
     scale = 4 if full else 1
+
+    def observer():
+        return obs.Observer() if events_dir is not None else None
+
     return {
         "fig1": lambda: fig1.run(events_dir=events_dir),
         "fig5": lambda: fig5.run(
@@ -80,11 +85,10 @@ def _experiments(full: bool, events_dir=None):
         ),
         "cluster": lambda: cluster.run(
             n_keys=6_000 * scale, ops=3_000 * scale,
-            capture_events=events_dir is not None,
+            observer=observer(),
         ),
         "wal": lambda: wal.run(
-            n_rows=4_000 * scale,
-            capture_events=events_dir is not None,
+            n_rows=4_000 * scale, observer=observer(),
         ),
         "selftune": lambda: selftune.run(scale=scale),
     }
@@ -118,9 +122,10 @@ def main() -> None:
     parser.add_argument(
         "--events",
         action="store_true",
-        help="enable observability for the event-capable experiments "
-        "(fig1/fig5/fig6) and dump JSON-lines event logs, Prometheus "
-        "snapshots, and pressure timelines into the output directory",
+        help="observe the event-capable experiments (fig1/fig5/fig6 "
+        "dump JSON-lines event logs, Prometheus snapshots and pressure "
+        "timelines, shard-arbiter its rebalance log, cluster and wal "
+        "an event-mix row) into the output directory",
     )
     args = parser.parse_args()
     events_dir = None

@@ -14,27 +14,32 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import (
     ExperimentResult,
     estimate_stx_bytes_per_key,
     make_u64_environment,
     measure,
+    watch,
 )
 from repro.exec import BatchExecutor
 from repro.keys.encoding import encode_u64
+from repro.obs import Observer
 
 DEFAULT_BATCH_SIZES = (1, 16, 256, 4096)
 
 
-def _build(kind: str, n_keys: int, seed: int):
-    """Build an index over ``n_keys`` uniform keys; returns (env, keys)."""
+def _build(kind: str, n_keys: int, seed: int,
+           observer: Optional[Observer] = None):
+    """Build an index over ``n_keys`` uniform keys, its ledger watched
+    by ``observer`` if given; returns (env, keys)."""
     if kind == "elastic":
         bound = int(estimate_stx_bytes_per_key() * n_keys * 0.75 / 0.9)
         env = make_u64_environment("elastic", size_bound_bytes=bound)
     else:
         env = make_u64_environment(kind)
+    watch(observer, env.cost)
     rng = random.Random(seed)
     values = set()
     while len(values) < n_keys:
@@ -73,6 +78,7 @@ def run(
     indexes: Sequence[str] = ("elastic", "stx"),
     seed: int = 11,
     wall_repeats: int = 3,
+    observer: Optional[Observer] = None,
 ) -> ExperimentResult:
     """Batch-vs-scalar lookup cost and wall-clock across batch sizes."""
     result = ExperimentResult(
@@ -84,7 +90,7 @@ def run(
     result.xs = list(batch_sizes)
     summary: Dict[str, Dict[str, float]] = {}
     for kind in indexes:
-        env, keys = _build(kind, n_keys, seed)
+        env, keys = _build(kind, n_keys, seed, observer)
         rng = random.Random(seed ^ 0x5A5A)
         queries = [keys[rng.randrange(len(keys))] for _ in range(query_count)]
         expected = [env.index.lookup(k) for k in queries]

@@ -31,18 +31,20 @@ reported alongside.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import (
     ExperimentResult,
     IndexEnv,
     estimate_stx_bytes_per_key,
     make_u64_environment,
+    watch,
 )
 from repro.cache import CacheConfig, IndexCache
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
+from repro.obs import Observer
 from repro.registry import build_index
 from repro.table.table import Table
 from repro.workloads.distributions import ZipfianGenerator
@@ -70,9 +72,11 @@ def _run_queries(env: IndexEnv, keys: List[bytes]) -> Tuple[List, float]:
 # YCSB-C: read-only zipfian over a u64 keyspace
 # ----------------------------------------------------------------------
 def _zipf_arm(
-    values: List[int], queries: List[int], bound: int, cached: bool
+    values: List[int], queries: List[int], bound: int, cached: bool,
+    observer: Optional[Observer],
 ) -> Dict[str, object]:
     env = make_u64_environment("elastic", size_bound_bytes=bound)
+    watch(observer, env.cost)
     if cached:
         env.index.attach_cache(IndexCache(_cache_config(bound)))
     for v in values:
@@ -113,9 +117,11 @@ def _iotta_env(bound: int) -> IndexEnv:
 
 
 def _iotta_arm(
-    rows, queries: List[int], bound: int, cached: bool
+    rows, queries: List[int], bound: int, cached: bool,
+    observer: Optional[Observer],
 ) -> Dict[str, object]:
     env = _iotta_env(bound)
+    watch(observer, env.cost)
     if cached:
         env.index.attach_cache(IndexCache(_cache_config(bound)))
     keys = []
@@ -143,6 +149,7 @@ def run(
     bound_fraction: float = 0.55,
     iotta_rows: int = 15_000,
     seed: int = 23,
+    observer: Optional[Observer] = None,
 ) -> ExperimentResult:
     """Cache-on vs cache-off at one identical soft memory bound.
 
@@ -175,14 +182,14 @@ def run(
 
     arms = {
         "zipf": {
-            "off": _zipf_arm(values, queries, bound, cached=False),
-            "on": _zipf_arm(values, queries, bound, cached=True),
+            "off": _zipf_arm(values, queries, bound, False, observer),
+            "on": _zipf_arm(values, queries, bound, True, observer),
         },
         "iotta": {
-            "off": _iotta_arm(rows, iotta_queries, iotta_bound,
-                              cached=False),
-            "on": _iotta_arm(rows, iotta_queries, iotta_bound,
-                             cached=True),
+            "off": _iotta_arm(rows, iotta_queries, iotta_bound, False,
+                              observer),
+            "on": _iotta_arm(rows, iotta_queries, iotta_bound, True,
+                             observer),
         },
     }
 

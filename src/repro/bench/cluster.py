@@ -31,10 +31,11 @@ arm.  Two further arms pin the tier's contracts:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, watch
 from repro.cache import CacheConfig
 from repro.cluster import ReplicaConfig, ReplicaProfile
 from repro.db.database import Database
@@ -123,10 +124,13 @@ def _run_arm(
     ops_list: List[Tuple],
     bound: int,
     replicas: Optional[ReplicaConfig],
+    observer: Optional[obs.Observer],
     chunk: int = 512,
 ) -> Dict[str, object]:
-    """Load, index, and run the op stream on one fresh database."""
+    """Load, index, and run the op stream on one fresh database,
+    watched by ``observer`` if given."""
     db = Database()
+    watch(observer, db.cost)
     table = db.create_table(RowSchema("bench", ("k", "v"), (8, 8)))
     table.create_index(
         "by_k", ("k",), kind="elastic", size_bound_bytes=bound,
@@ -184,15 +188,16 @@ def run(
     ops: int = 3_000,
     bound_per_replica_fraction: float = 0.6,
     seed: int = 41,
-    capture_events: bool = False,
+    observer: Optional[obs.Observer] = None,
 ) -> ExperimentResult:
     """Divergent vs. uniform 3-replica cluster at equal total memory.
 
     The cluster bound is ``3 * bound_per_replica_fraction *`` the
     workload's unconstrained STX footprint — tight enough that a
     uniform ``B/3`` replica sits partly compact, leaving the divergent
-    arm room to specialize.  ``capture_events=True`` runs the failover
-    arm under observability and reports the event mix.
+    arm room to specialize.  ``observer`` watches every arm's database;
+    the first failover run's slice of its log is reported as the
+    failover arm's event mix.
     """
     from repro.bench.harness import estimate_stx_bytes_per_key
 
@@ -215,12 +220,12 @@ def run(
         heartbeat_interval_ops=128, probe_keys=4,
     )
 
-    single = _run_arm(values, ops_list, per_replica, None)
+    single = _run_arm(values, ops_list, per_replica, None, observer)
     r1 = _run_arm(
-        values, ops_list, per_replica, ReplicaConfig(replicas=1)
+        values, ops_list, per_replica, ReplicaConfig(replicas=1), observer
     )
-    uniform = _run_arm(values, ops_list, bound, uniform_cfg)
-    divergent = _run_arm(values, ops_list, bound, divergent_cfg)
+    uniform = _run_arm(values, ops_list, bound, uniform_cfg, observer)
+    divergent = _run_arm(values, ops_list, bound, divergent_cfg, observer)
 
     r1_exact = (
         single["cost_units"] == r1["cost_units"]
@@ -242,20 +247,15 @@ def run(
     failover_events: Dict[str, int] = {}
     fail_runs = []
     for attempt in range(2):
-        if capture_events and attempt == 0:
-            with obs.enabled():
-                arm = _run_arm(
-                    values, ops_list, bound,
-                    _failover_config(bound, cache_budget, after_beats),
-                )
-                for event in arm["db"].event_log():
-                    kind = type(event).kind
-                    failover_events[kind] = failover_events.get(kind, 0) + 1
-        else:
-            arm = _run_arm(
-                values, ops_list, bound,
-                _failover_config(bound, cache_budget, after_beats),
-            )
+        start = observer.seq if observer is not None else 0
+        arm = _run_arm(
+            values, ops_list, bound,
+            _failover_config(bound, cache_budget, after_beats), observer,
+        )
+        if observer is not None and attempt == 0:
+            failover_events = dict(Counter(
+                event.kind for event in observer.since(start)
+            ))
         fail_runs.append(arm)
     failover_deterministic = (
         fail_runs[0]["cost_units"] == fail_runs[1]["cost_units"]
@@ -298,7 +298,7 @@ def run(
         "results identical",
         "yes" if results_identical else "NO — ARMS DISAGREE",
     )
-    if capture_events:
+    if observer is not None:
         result.add_row(
             "failover events",
             ", ".join(f"{k}={v}" for k, v in sorted(failover_events.items()))

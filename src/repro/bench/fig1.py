@@ -80,10 +80,9 @@ def _replay_pressure_timeline(
     bound = int(estimate_stx_bytes_per_key() * avg_window_rows)
     env = make_u64_environment("elastic", size_bound_bytes=bound)
 
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
     observer = obs.Observer()
-    timeline = obs.PressureTimeline(obs.BUS, label="fig1")
+    observer.watch(env.cost)
+    timeline = obs.PressureTimeline(observer, label="fig1")
     rng = random.Random(seed ^ 0x5A5A)
     window: deque = deque()
     try:
@@ -121,6 +120,4 @@ def _replay_pressure_timeline(
             f"-> {events_dir}",
         )
     finally:
-        timeline.close()
         observer.close()
-        obs.set_enabled(was_enabled)

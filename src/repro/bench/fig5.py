@@ -86,11 +86,10 @@ def run(
 
         observing = events_dir is not None and name == "elastic"
         observer = timeline = None
-        was_enabled = obs.is_enabled()
         if observing:
-            obs.set_enabled(True)
             observer = obs.Observer()
-            timeline = obs.PressureTimeline(obs.BUS, label="fig5")
+            observer.watch(cost)
+            timeline = obs.PressureTimeline(observer, label="fig5")
 
         def query_phase(panel_insert_or_remove: str, m_modify: Measurement):
             population = live if live else [0]
@@ -173,9 +172,7 @@ def run(
                 f"({len(timeline.transitions)} pressure transitions) "
                 f"-> {events_dir}",
             )
-            timeline.close()
             observer.close()
-            obs.set_enabled(was_enabled)
 
         checkpoints = checkpoints_local
 

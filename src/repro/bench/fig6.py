@@ -19,6 +19,7 @@ from repro.bench.harness import (
     estimate_stx_bytes_per_key,
     make_u64_environment,
     measure,
+    watch,
 )
 from repro.workloads.ycsb import YCSB_CORE, YCSBRunner
 
@@ -61,17 +62,13 @@ def run(
     mode (``YCSBRunner.load(batch_size=...)`` / ``run_batched``): same
     operation stream, amortized descents.
 
-    With ``events_dir`` set, observability is enabled for the whole
-    experiment and the captured elasticity/batch events and Prometheus
+    With ``events_dir`` set, one observer watches every environment of
+    the experiment and its captured elasticity events and Prometheus
     metrics snapshot are dumped into that directory as
     ``fig6_events.jsonl`` / ``fig6_metrics.prom``.
     """
     bytes_per_key = estimate_stx_bytes_per_key()
-    observer = None
-    was_enabled = obs.is_enabled()
-    if events_dir is not None:
-        obs.set_enabled(True)
-        observer = obs.Observer()
+    observer = obs.Observer() if events_dir is not None else None
     experiment_id = "fig6" if batch_size is None else f"fig6-batch{batch_size}"
     result = ExperimentResult(
         experiment_id,
@@ -96,6 +93,7 @@ def run(
             f"{w}|{d}" for d in distributions for w in workloads
         ]:
             env = _make_env(name, load_n, bytes_per_key)
+            watch(observer, env.cost)
             spec_dist = dist
             if dist == "__load__":
                 runner = YCSBRunner(
@@ -156,5 +154,4 @@ def run(
             f"{len(observer.events)} captured -> {events_dir}",
         )
         observer.close()
-        obs.set_enabled(was_enabled)
     return result

@@ -8,6 +8,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
+from repro.obs import Observer
 # ``build_index`` and the index name table live in
 # :mod:`repro.registry` now (so the database and engine layers build
 # indexes without importing the benchmark package); the re-exports keep
@@ -47,6 +48,14 @@ def measure(cost: CostModel, ops: int, fn: Callable[[], None]) -> Measurement:
         fn()
     return Measurement(ops=ops, cost_units=delta.weighted_cost(),
                        counts=delta.snapshot())
+
+
+def watch(observer: Optional[Observer], cost: CostModel) -> None:
+    """Have ``observer`` watch ``cost`` (nothing without one).  A driver
+    calls it on every ledger it builds, so one observer sees the whole
+    run."""
+    if observer is not None:
+        observer.watch(cost)
 
 
 # ----------------------------------------------------------------------

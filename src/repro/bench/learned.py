@@ -48,9 +48,11 @@ from repro.bench.harness import (
     Measurement,
     make_u64_environment,
     measure,
+    watch,
 )
 from repro.btree.stats import collect_stats
 from repro.exec import BatchExecutor
+from repro.obs import Observer
 from repro.workloads.distributions import ScrambledZipfianGenerator
 
 #: The three-kind conversion lattice of the 3-way arm.
@@ -71,6 +73,7 @@ def _build_arm(
     size_bound_bytes: int,
     batch_size: int,
     interleave: bool,
+    observer: Optional[Observer],
     **config_kwargs,
 ) -> Tuple[IndexEnv, List[bytes], List[int]]:
     """One fully loaded index arm.
@@ -85,6 +88,7 @@ def _build_arm(
     env = make_u64_environment(
         "elastic", size_bound_bytes=size_bound_bytes, **config_kwargs
     )
+    watch(observer, env.cost)
     rng = random.Random(seed)
     values = list(range(n_keys))
     rng.shuffle(values)
@@ -141,6 +145,7 @@ def run(
     query_count: int = 8_192,
     seed: int = 29,
     batch_size: int = 256,
+    observer: Optional[Observer] = None,
 ) -> ExperimentResult:
     """Space/cost frontier across leaf kinds at equal memory budgets."""
     result = ExperimentResult(
@@ -154,26 +159,26 @@ def run(
     # Static arms share one unbounded build; the elastic arms share one
     # tight bound derived from the full arm's measured footprint.
     env_full, sorted_keys, expected = _build_arm(
-        n_keys, seed, UNBOUND, batch_size, interleave=False
+        n_keys, seed, UNBOUND, batch_size, False, observer
     )
     bound = int(env_full.index_bytes * BOUND_FRACTION)
     arms: Dict[str, IndexEnv] = {"full": env_full}
 
-    env, _, _ = _build_arm(n_keys, seed, UNBOUND, batch_size,
-                           interleave=False)
+    env, _, _ = _build_arm(n_keys, seed, UNBOUND, batch_size, False,
+                           observer)
     env.index.controller.bulk_convert("compact")
     arms["compact"] = env
 
-    env, _, _ = _build_arm(n_keys, seed, UNBOUND, batch_size,
-                           interleave=False, leaf_kinds=THREE_KINDS)
+    env, _, _ = _build_arm(n_keys, seed, UNBOUND, batch_size, False,
+                           observer, leaf_kinds=THREE_KINDS)
     env.index.controller.bulk_convert("learned")
     arms["learned"] = env
 
-    env2, _, _ = _build_arm(n_keys, seed, bound, batch_size,
-                            interleave=True)
+    env2, _, _ = _build_arm(n_keys, seed, bound, batch_size, True,
+                            observer)
     arms["elastic-2way"] = env2
-    env3, _, _ = _build_arm(n_keys, seed, bound, batch_size,
-                            interleave=True, leaf_kinds=THREE_KINDS)
+    env3, _, _ = _build_arm(n_keys, seed, bound, batch_size, True,
+                            observer, leaf_kinds=THREE_KINDS)
     arms["elastic-3way"] = env3
 
     rng = ScrambledZipfianGenerator(n_keys, seed=seed ^ 0x2F)
@@ -218,7 +223,7 @@ def run(
     # Learned-off passthrough: spelling the default lattice explicitly
     # must reproduce the default build's event counts and bytes exactly.
     env_off, _, _ = _build_arm(
-        n_keys, seed, bound, batch_size, interleave=True,
+        n_keys, seed, bound, batch_size, True, observer,
         leaf_kinds=("standard", "compact"),
     )
     m_off_sorted, m_off_zipf, off_sorted_got, off_zipf_got = _measure_arm(

@@ -25,10 +25,11 @@ re-checked by ``scripts/check_bench_regression.py``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.batch import _build
 from repro.bench.harness import ExperimentResult, measure
+from repro.obs import Observer
 from repro.exec import BatchExecutor
 
 DEFAULT_WIDTHS = (1, 2, 3, 4, 8)
@@ -44,6 +45,7 @@ def run(
     indexes: Sequence[str] = DEFAULT_INDEXES,
     seed: int = 13,
     batch_size: int = 256,
+    observer: Optional[Observer] = None,
 ) -> ExperimentResult:
     """Scalar vs batched vs wave-priced lookup cost across wave widths."""
     result = ExperimentResult(
@@ -55,7 +57,7 @@ def run(
     result.xs = list(widths)
     summary: Dict[str, Dict[str, object]] = {}
     for kind in indexes:
-        env, keys = _build(kind, n_keys, seed)
+        env, keys = _build(kind, n_keys, seed, observer)
         rng = random.Random(seed ^ 0x5A5A)
         queries = [keys[rng.randrange(len(keys))] for _ in range(query_count)]
         expected = [env.index.lookup(k) for k in queries]

@@ -24,12 +24,13 @@ after which extra shards only deepen the wave count.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, watch
 from repro.engine import ParallelShardExecutor, build_sharded_index
 from repro.keys.encoding import encode_u64
 from repro.memory.cost_model import CostModel
+from repro.obs import Observer
 from repro.table.table import Table
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
@@ -45,8 +46,10 @@ def _mint_values(n: int, seed: int) -> List[int]:
     return ordered
 
 
-def _build(kind: str, shards: int, values: Sequence[int], executor):
+def _build(kind: str, shards: int, values: Sequence[int], executor,
+           observer: Optional[Observer]):
     cost = CostModel()
+    watch(observer, cost)
     table = Table(encode_u64, row_bytes=32, cost_model=cost)
     index = build_sharded_index(
         kind, table=table, cost=cost, key_width=8, n_shards=shards,
@@ -66,8 +69,9 @@ def _run_arm(
     starts: Sequence[bytes],
     scan_count: int,
     executor,
+    observer: Optional[Observer],
 ) -> Dict[str, object]:
-    index, cost = _build(kind, shards, values, executor)
+    index, cost = _build(kind, shards, values, executor, observer)
     with cost.measure() as delta:
         lookups = index.lookup_batch(probes)
     lookup_cost = delta.weighted_cost()
@@ -91,6 +95,7 @@ def run(
     workers: int = 4,
     kind: str = "stx",
     seed: int = 19,
+    observer: Optional[Observer] = None,
 ) -> ExperimentResult:
     """Serial vs parallel executor cost across shard counts."""
     values = _mint_values(n_keys, seed)
@@ -118,11 +123,12 @@ def run(
     results_identical = True
     for shards in shard_counts:
         serial_arm = _run_arm(
-            kind, shards, values, probes, starts, scan_count, None
+            kind, shards, values, probes, starts, scan_count, None, observer
         )
         executor = ParallelShardExecutor(workers=workers)
         parallel_arm = _run_arm(
-            kind, shards, values, probes, starts, scan_count, executor
+            kind, shards, values, probes, starts, scan_count, executor,
+            observer,
         )
         stats = executor.stats
         saved = stats.saved_units

@@ -31,9 +31,14 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.harness import ExperimentResult, estimate_stx_bytes_per_key
+from repro.bench.harness import (
+    ExperimentResult,
+    estimate_stx_bytes_per_key,
+    watch,
+)
 from repro.cache import CacheConfig
 from repro.db.database import Database
+from repro.obs import Observer
 from repro.table.table import RowSchema
 from repro.tuning import TuningConfig
 from repro.workloads.scenarios import IndexSpec, Scenario, build_scenarios
@@ -110,6 +115,7 @@ def _run_arm(
     preset_kwargs: Dict[str, object],
     cache_fraction: Optional[float],
     tuned: bool,
+    observer: Optional[Observer],
 ) -> Dict[str, object]:
     """One fresh database, one configuration, the whole op stream.
 
@@ -118,6 +124,7 @@ def _run_arm(
     not just in principle.
     """
     db = Database()
+    watch(observer, db.cost)
     table = db.create_table(
         RowSchema(scenario.name, scenario.columns, scenario.widths)
     )
@@ -181,14 +188,17 @@ def _grid(scenario: Scenario) -> List[Tuple[str, Dict[str, object],
     return arms
 
 
-def run_scenario(scenario: Scenario) -> Dict[str, object]:
-    """All arms for one scenario; returns the per-scenario verdict."""
+def run_scenario(
+    scenario: Scenario, observer: Optional[Observer] = None
+) -> Dict[str, object]:
+    """All arms for one scenario, each database watched by ``observer``
+    if given; returns the per-scenario verdict."""
     arms = _grid(scenario)
     static_costs: Dict[str, float] = {}
     reference_results = None
     results_identical = True
     for label, preset_kwargs, fraction in arms:
-        arm = _run_arm(scenario, preset_kwargs, fraction, tuned=False)
+        arm = _run_arm(scenario, preset_kwargs, fraction, False, observer)
         static_costs[label] = arm["cost_units"]
         if reference_results is None:
             reference_results = arm["results"]
@@ -199,7 +209,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, object]:
     # smallest cache level.
     base_fraction = arms[0][2]
     tuned = _run_arm(
-        scenario, GRID_PRESETS["paper"], base_fraction, tuned=True
+        scenario, GRID_PRESETS["paper"], base_fraction, True, observer
     )
     if tuned["results"] != reference_results:
         results_identical = False
@@ -228,7 +238,9 @@ def run_scenario(scenario: Scenario) -> Dict[str, object]:
     }
 
 
-def run(scale: int = 1) -> ExperimentResult:
+def run(
+    scale: int = 1, observer: Optional[Observer] = None
+) -> ExperimentResult:
     """The five-scenario pack, self-tuned vs. the swept static grid.
 
     ``scale`` stretches every scenario's phases proportionally (the
@@ -236,7 +248,7 @@ def run(scale: int = 1) -> ExperimentResult:
     windows per phase and should only widen its margin).
     """
     scenarios = build_scenarios(scale=scale)
-    verdicts = [run_scenario(scenario) for scenario in scenarios]
+    verdicts = [run_scenario(scenario, observer) for scenario in scenarios]
 
     dominates_all = all(v["dominates"] for v in verdicts)
     strict_wins = sum(1 for v in verdicts if v["strict_win"])

@@ -23,14 +23,17 @@ as a ``budget_rebalance`` event log when ``events_dir`` is given).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import random
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.bench.harness import ExperimentResult, estimate_stx_bytes_per_key
+from repro.bench.harness import (
+    ExperimentResult,
+    estimate_stx_bytes_per_key,
+    watch,
+)
 from repro.db.database import Database
 from repro.table.table import RowSchema
 
@@ -101,8 +104,11 @@ def _run_arm(
     ops,
     shards: int,
     interval_ops: int,
+    observer: Optional[obs.Observer],
 ) -> Dict[str, object]:
     db = Database()
+    watch(observer, db.cost)
+    start = observer.seq if observer is not None else 0
     big = db.create_table(SCHEMA_BIG)
     small = db.create_table(SCHEMA_SMALL)
     per_index = Database.split_budget(total_budget, [1.0, 1.0])
@@ -110,34 +116,29 @@ def _run_arm(
                      size_bound_bytes=per_index[0], shards=shards)
     small.create_index("by_k", ("k",), kind="elastic",
                        size_bound_bytes=per_index[1], shards=shards)
-    rebalance_log: List[Dict[str, object]] = []
     if use_arbiter:
         db.enable_budget_arbiter(total_budget, interval_ops=interval_ops)
 
     tables = {"big": big, "small": small}
-    def on_event(event) -> None:
-        if event.kind == "budget_rebalance":
-            rebalance_log.append(event.as_dict())
-
-    unsubscribe = obs.BUS.subscribe(on_event)
     phase_costs: Dict[str, float] = {}
-    try:
+    with db.cost.measure() as delta:
+        for i in range(0, len(big_rows), 1024):
+            big.insert_batch(big_rows[i:i + 1024])
+        for i in range(0, len(small_rows), 1024):
+            small.insert_batch(small_rows[i:i + 1024])
+    phase_costs["load"] = delta.weighted_cost()
+    for phase in (1, 2):
         with db.cost.measure() as delta:
-            for i in range(0, len(big_rows), 1024):
-                big.insert_batch(big_rows[i:i + 1024])
-            for i in range(0, len(small_rows), 1024):
-                small.insert_batch(small_rows[i:i + 1024])
-        phase_costs["load"] = delta.weighted_cost()
-        for phase in (1, 2):
-            with db.cost.measure() as delta:
-                for _, table, op, key in (o for o in ops if o[0] == phase):
-                    if op == "get":
-                        tables[table].get("by_k", (key,))
-                    else:
-                        tables[table].insert((key, key & 0xFFFF))
-            phase_costs[f"txn{phase}"] = delta.weighted_cost()
-    finally:
-        unsubscribe()
+            for _, table, op, key in (o for o in ops if o[0] == phase):
+                if op == "get":
+                    tables[table].get("by_k", (key,))
+                else:
+                    tables[table].insert((key, key & 0xFFFF))
+        phase_costs[f"txn{phase}"] = delta.weighted_cost()
+    rebalance_log = [] if observer is None else [
+        event.as_dict() for event in observer.since(start)
+        if event.kind == "budget_rebalance"
+    ]
 
     return {
         "phase_costs": phase_costs,
@@ -158,16 +159,18 @@ def run(
     interval_ops: int = 1024,
     seed: int = 17,
     events_dir: Optional[str] = None,
-    capture_events: bool = True,
+    observer: Optional[obs.Observer] = None,
 ) -> ExperimentResult:
     """Arbitrated vs statically-split global budget, same op stream.
 
-    With ``capture_events=False`` the run leaves observability in
-    whatever state it is in (the regression guard uses this to prove
-    the cost metrics are identical with instrumentation off);
-    ``budget_rebalance`` events are then not recorded, but the arbiter's
-    own ``stats`` counters still are.
+    ``observer`` watches both arms' databases; the arbiter arm's
+    ``budget_rebalance`` events are its rebalance log.  With
+    ``events_dir`` set and no observer the run makes its own.  With
+    neither, no event is recorded (``rebalance_events`` is 0), but the
+    arbiter's own ``stats`` counters still are.
     """
+    if observer is None and events_dir is not None:
+        observer = obs.Observer()
     big_rows, small_rows, ops = _make_ops(n_big, n_small, txn_ops, seed)
     total_budget = int(
         budget_fraction * (n_big + n_small) * estimate_stx_bytes_per_key()
@@ -182,12 +185,11 @@ def run(
     result.xs = [0, 1, 2]
 
     arms: Dict[str, Dict[str, object]] = {}
-    with obs.enabled() if capture_events else contextlib.nullcontext():
-        for label, use_arbiter in (("static", False), ("arbiter", True)):
-            arms[label] = _run_arm(
-                use_arbiter, total_budget, big_rows, small_rows, ops,
-                shards, interval_ops,
-            )
+    for label, use_arbiter in (("static", False), ("arbiter", True)):
+        arms[label] = _run_arm(
+            use_arbiter, total_budget, big_rows, small_rows, ops,
+            shards, interval_ops, observer,
+        )
     for label, arm in arms.items():
         costs = arm["phase_costs"]
         result.add_series(

@@ -28,19 +28,20 @@ all running the same batched insert/delete workload:
   crash/recover cycle must replay deterministically across two runs.
 
 All three live arms must return byte-identical table/index digests;
-``capture_events=True`` replays the recovery arm under observability
-and reports its event mix (the ``recovery_replay`` event).  Appends and
-fsync barriers are read from the logs themselves: ``group_records``,
-``crash_records`` and ``crash_fsyncs`` in the result's ``meta``.
+with an ``observer`` the run reports the crash arm's event mix (the
+``recovery_replay`` event).  Appends and fsync barriers are read from
+the logs themselves: ``group_records``, ``crash_records`` and
+``crash_fsyncs`` in the result's ``meta``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, watch
 from repro.db.database import Database
 from repro.engine import FaultPlan
 from repro.table.table import RowSchema
@@ -91,8 +92,11 @@ def _make_workload(
     return batches
 
 
-def _new_db(wal: Optional[WalConfig]) -> Tuple[Database, object]:
+def _new_db(
+    wal: Optional[WalConfig], observer: Optional[obs.Observer]
+) -> Tuple[Database, object]:
     db = Database(wal=wal)
+    watch(observer, db.cost)
     table = db.create_table(RowSchema("wal_bench", ("k", "v"), (8, 8)))
     table.create_index("by_k", ("k",))
     return db, table
@@ -111,11 +115,13 @@ def _apply_batch(db: Database, table, batch, tids: List[int]) -> None:
 
 
 def _run_arm(
-    batches: List[List[Tuple]], wal: Optional[WalConfig]
+    batches: List[List[Tuple]],
+    wal: Optional[WalConfig],
+    observer: Optional[obs.Observer],
 ) -> Dict[str, object]:
     """Run the whole workload on one fresh database; flush at the end
     so every arm finishes fully durable (comparable barrier counts)."""
-    db, table = _new_db(wal)
+    db, table = _new_db(wal, observer)
     tids: List[int] = []
     with db.cost.measure() as delta:
         for batch in batches:
@@ -130,7 +136,10 @@ def _run_arm(
 
 
 def _run_crash_arm(
-    batches: List[List[Tuple]], group_size: int, kill_after_applies: int
+    batches: List[List[Tuple]],
+    group_size: int,
+    kill_after_applies: int,
+    observer: Optional[obs.Observer],
 ) -> Dict[str, object]:
     """The group arm with a scripted mid-workload kill, then recovery.
 
@@ -140,7 +149,7 @@ def _run_crash_arm(
     """
     plan = FaultPlan().kill(apply=kill_after_applies)
     db, table = _new_db(
-        WalConfig(group_size=group_size, faults=plan)
+        WalConfig(group_size=group_size, faults=plan), observer
     )
     tids: List[int] = []
     crashed = False
@@ -165,13 +174,15 @@ def _run_crash_arm(
 
 
 def _reference_digest(
-    batches: List[List[Tuple]], prefix_records: int
+    batches: List[List[Tuple]],
+    prefix_records: int,
+    observer: Optional[obs.Observer],
 ) -> bytes:
     """Digest after replaying exactly ``prefix_records`` unit ops on a
     fresh WAL-less database through the public scalar write surface —
     an independent reference for the recovered state (one WAL record
     per unit op, in stage order)."""
-    db, table = _new_db(None)
+    db, table = _new_db(None, observer)
     tids: List[int] = []
     applied = 0
     for batch in batches:
@@ -192,7 +203,7 @@ def run(
     group_size: int = GROUP_SIZE,
     kill_after_applies: int = 90,
     seed: int = 43,
-    capture_events: bool = False,
+    observer: Optional[obs.Observer] = None,
 ) -> ExperimentResult:
     """Durability pricing and crash recovery over one insert/delete mix.
 
@@ -200,15 +211,16 @@ def run(
     applied *staged* operations (a whole ``insert_batch`` is one
     apply) — land it away from a group boundary, so a volatile tail
     genuinely exists to discard.
-    ``capture_events=True`` re-runs the crash arm under observability
-    and reports the event mix.
+    ``observer`` watches every database the run builds, recovered ones
+    included; the first crash run's slice of its log is reported as
+    the crash arm's event mix.
     """
     batches = _make_workload(n_rows, batch_rows, seed)
     total_ops = sum(len(b) for b in batches)
 
-    off = _run_arm(batches, None)
-    perop = _run_arm(batches, WalConfig(group_size=1))
-    group = _run_arm(batches, WalConfig(group_size=group_size))
+    off = _run_arm(batches, None, observer)
+    perop = _run_arm(batches, WalConfig(group_size=1), observer)
+    group = _run_arm(batches, WalConfig(group_size=group_size), observer)
 
     results_identical = (
         off["digest"] == perop["digest"] == group["digest"]
@@ -225,24 +237,19 @@ def run(
     crash_events: Dict[str, int] = {}
     crash_runs = []
     for attempt in range(2):
-        if capture_events and attempt == 0:
-            observer = None
-            with obs.enabled():
-                observer = obs.Observer()
-                try:
-                    arm = _run_crash_arm(
-                        batches, group_size, kill_after_applies
-                    )
-                    for event in observer.events:
-                        kind = type(event).kind
-                        crash_events[kind] = crash_events.get(kind, 0) + 1
-                finally:
-                    observer.close()
-        else:
-            arm = _run_crash_arm(batches, group_size, kill_after_applies)
+        start = observer.seq if observer is not None else 0
+        arm = _run_crash_arm(
+            batches, group_size, kill_after_applies, observer
+        )
+        if observer is not None and attempt == 0:
+            crash_events = dict(Counter(
+                event.kind for event in observer.since(start)
+            ))
         crash_runs.append(arm)
     crash = crash_runs[0]
-    reference = _reference_digest(batches, crash["durable_records"])
+    reference = _reference_digest(
+        batches, crash["durable_records"], observer
+    )
     recovery_match = crash["digest"] == reference
     recovery_deterministic = (
         crash_runs[0]["digest"] == crash_runs[1]["digest"]
@@ -290,7 +297,7 @@ def run(
         "recovery cost",
         f"{report.cost_units:.0f} units attributed to 'recovery'",
     )
-    if capture_events:
+    if observer is not None:
         result.add_row(
             "crash-arm events",
             ", ".join(f"{k}={v}" for k, v in sorted(crash_events.items()))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import obs
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
 from repro.obs import BreathingResizeEvent
@@ -68,8 +67,9 @@ class BreathingTidArray:
         self.allocator.resize(old_bytes, self.size_bytes, self.category)
         self.cost.copy_bytes((count_after_insert - 1) * TID_BYTES)
         self.cost.rand_lines(1)
-        if obs.is_enabled():
-            obs.emit(BreathingResizeEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(BreathingResizeEvent(
                 reason="grow", old_slots=old_slots, new_slots=self.slots,
                 capacity=self.capacity, count=count_after_insert,
             ))
@@ -82,8 +82,9 @@ class BreathingTidArray:
         self.slots = min(capacity, count + self.slack)
         self.allocator.resize(old_bytes, self.size_bytes, self.category)
         self.cost.copy_bytes(count * TID_BYTES)
-        if obs.is_enabled():
-            obs.emit(BreathingResizeEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(BreathingResizeEvent(
                 reason="rebase", old_slots=old_slots, new_slots=self.slots,
                 capacity=capacity, count=count,
             ))

@@ -1,7 +1,7 @@
 """Pluggable leaf-kind registry: conversion targets as first-class names.
 
-The paper's elasticity was a two-point dial baked in as scattered
-``is_compact`` booleans.  This module turns leaf representations into
+The paper's elasticity is a two-point dial: a leaf is full or
+compact.  This module turns leaf representations into
 registered *kinds*: each kind supplies construction hooks, and the
 tree / elasticity / cache / stats layers dispatch on
 :attr:`~repro.btree.leaves.LeafNode.kind` plus the registered

@@ -67,16 +67,6 @@ class LeafNode(abc.ABC):
     prev_leaf: Optional["LeafNode"]
     node_id: int
 
-    @property
-    def is_compact(self) -> bool:
-        """Derived compatibility probe: ``kind == "compact"``.
-
-        :attr:`kind` is the canonical discriminator; this property is
-        kept for external callers and tests that still speak the paper's
-        two-point full/compact vocabulary.
-        """
-        return self.kind == "compact"
-
     # -- capacity -------------------------------------------------------
     @property
     @abc.abstractmethod

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.cluster.config import (
     BOUNDED_KINDS,
     QUERY_CLASSES,
@@ -111,8 +110,9 @@ class ReplicaAdvisor:
         replica.profile = profile
         replica.bound_bytes = recipe.size_bound_bytes
         self.router.invalidate(replica_id)
-        if obs.is_enabled():
-            obs.emit(ReplicaRebuildEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(ReplicaRebuildEvent(
                 replica=replica_id, old_profile=old_profile.name,
                 new_profile=profile.name, items=items,
                 cost_units=cost_units,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.cluster.config import (
     BOUNDED_KINDS,
     ReplicaConfig,
@@ -44,6 +43,7 @@ from repro.engine.builder import (
     controllers,
     live_bound,
 )
+from repro.engine.router import ShardedIndex
 from repro.errors import ReplicaConfigError
 from repro.exec.executor import index_caches
 from repro.memory.cost_model import CostModel
@@ -189,7 +189,9 @@ class ReplicaSet:
     def check_invariants(self) -> None:
         """Raise ``ValueError`` naming the first broken invariant, then
         check the router's (:meth:`ClusterRouter.check_invariants
-        <repro.cluster.ClusterRouter.check_invariants>`)."""
+        <repro.cluster.ClusterRouter.check_invariants>`) and each sharded
+        replica's (:meth:`ShardedIndex.check_invariants
+        <repro.engine.router.ShardedIndex.check_invariants>`)."""
         replicas = self.replicas
         routed = self.router.replicas
         for holds, invariant in (
@@ -204,6 +206,9 @@ class ReplicaSet:
             if not holds:
                 raise ValueError(f"ReplicaSet invariant broken: {invariant}")
         self.router.check_invariants()
+        for replica in replicas:
+            if isinstance(replica.index, ShardedIndex):
+                replica.index.check_invariants()
 
     def replica_report(self) -> List[Dict[str, object]]:
         """Per-replica configuration/health/routing snapshot."""
@@ -317,8 +322,9 @@ def build_replica_set(config: ReplicaConfig,
         for replica_id, (profile, replica_recipe)
         in enumerate(zip(profiles, recipes))
     ]
-    if obs.is_enabled():
-        obs.emit(ClusterBudgetEvent(
+    observer = recipe.cost.observer
+    if observer is not None:
+        observer.record(ClusterBudgetEvent(
             total_bytes=total or 0,
             replicas=[p.name for p in profiles],
             bounds=[b or 0 for b in bounds],

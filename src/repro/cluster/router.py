@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro import obs
 from repro.cluster.config import QUERY_CLASSES, ReplicaConfig
 from repro.engine.whatif import ProbeRound
 from repro.exec.executor import index_caches
@@ -145,6 +144,7 @@ class ClusterRouter:
 
     def _fail_over(self, replica) -> None:
         """Reroute the down replica's classes to the next-cheapest up."""
+        observer = self.cost.observer
         rerouted = False
         for cls in QUERY_CLASSES:
             if self._assignment.get(cls) != replica.replica_id:
@@ -154,19 +154,19 @@ class ClusterRouter:
                 continue  # no survivor; reads will raise downstream
             self._assignment[cls] = target.replica_id
             rerouted = True
-            if obs.is_enabled():
-                obs.emit(ReplicaFailoverEvent(
+            if observer is not None:
+                observer.record(ReplicaFailoverEvent(
                     replica=replica.replica_id, query_class=cls,
                     to_replica=target.replica_id, reason="heartbeat",
                 ))
-                obs.emit(ReplicaRouteEvent(
+                observer.record(ReplicaRouteEvent(
                     query_class=cls, replica=target.replica_id,
                     cost_units=self._scores.get(
                         (cls, target.replica_id), 0.0),
                     candidates=len(self.up_replicas()), reason="failover",
                 ))
-        if not rerouted and obs.is_enabled():
-            obs.emit(ReplicaFailoverEvent(
+        if not rerouted and observer is not None:
+            observer.record(ReplicaFailoverEvent(
                 replica=replica.replica_id, query_class="",
                 to_replica=-1, reason="heartbeat",
             ))
@@ -178,8 +178,9 @@ class ClusterRouter:
         receiving writes while down, so its index is current and
         recovery costs nothing beyond moving routes back.
         """
-        if obs.is_enabled():
-            obs.emit(ReplicaFailoverEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(ReplicaFailoverEvent(
                 replica=replica.replica_id, query_class="",
                 to_replica=replica.replica_id, reason="recover",
             ))
@@ -195,8 +196,8 @@ class ClusterRouter:
                 incumbent, current
             ):
                 self._assignment[cls] = replica.replica_id
-                if obs.is_enabled():
-                    obs.emit(ReplicaRouteEvent(
+                if observer is not None:
+                    observer.record(ReplicaRouteEvent(
                         query_class=cls, replica=replica.replica_id,
                         cost_units=returned,
                         candidates=len(self.up_replicas()),
@@ -254,6 +255,7 @@ class ClusterRouter:
                         self._probe_units(cls, replica.index)
                     )
         probes.bill()
+        observer = self.cost.observer
         for cls in QUERY_CLASSES:
             if not self._samples[cls]:
                 continue
@@ -262,8 +264,8 @@ class ClusterRouter:
                 continue
             previous = self._assignment.get(cls)
             self._assignment[cls] = target.replica_id
-            if obs.is_enabled() and previous != target.replica_id:
-                obs.emit(ReplicaRouteEvent(
+            if observer is not None and previous != target.replica_id:
+                observer.record(ReplicaRouteEvent(
                     query_class=cls, replica=target.replica_id,
                     cost_units=self._scores[(cls, target.replica_id)],
                     candidates=len(up), reason="score",

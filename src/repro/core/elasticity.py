@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro import obs
 from repro.blindi.leaf import CompactLeaf
 from repro.btree.kinds import LeafKindContext, leaf_kind
 from repro.btree.leaves import LeafNode
@@ -95,7 +94,7 @@ class ElasticityController:
         self.pending_actions: List = []
         #: Structural churn since the last :meth:`take_churn`: one per
         #: leaf conversion, capacity change or learned-leaf retrain (the
-        #: events this controller's tree publishes with obs on), plus
+        #: events this controller's tree records when watched), plus
         #: the retrains' cost units.  Plain arithmetic, never charged.
         self.churn_events = 0
         self.retrain_cost_units = 0.0
@@ -132,8 +131,9 @@ class ElasticityController:
             state = self.budget.state
         if state is not previous:
             self.stats.state_transitions += 1
-            if obs.is_enabled():
-                obs.emit(PressureTransitionEvent(
+            observer = self.tree.cost.observer
+            if observer is not None:
+                observer.record(PressureTransitionEvent(
                     previous=previous.value,
                     state=state.value,
                     index_bytes=self.tree.index_bytes,
@@ -258,9 +258,10 @@ class ElasticityController:
             tree.replace_leaf(path, leaf, new_leaf)
         self.stats.conversion_cost_units += delta.weighted_cost()
         self.churn_events += 1
-        if obs.is_enabled():
+        observer = tree.cost.observer
+        if observer is not None:
             if promoted:
-                obs.emit(CapacityChangeEvent(
+                observer.record(CapacityChangeEvent(
                     direction="double", trigger="overflow",
                     node_id=new_leaf.node_id, old_capacity=old_capacity,
                     new_capacity=new_leaf.capacity, count=new_leaf.count,
@@ -268,7 +269,7 @@ class ElasticityController:
                     cost_units=delta.weighted_cost(),
                 ))
             else:
-                obs.emit(LeafConversionEvent(
+                observer.record(LeafConversionEvent(
                     direction=f"to_{target}", trigger="overflow",
                     node_id=new_leaf.node_id, capacity=new_leaf.capacity,
                     count=new_leaf.count, index_bytes=tree.index_bytes,
@@ -306,9 +307,10 @@ class ElasticityController:
             tree.replace_leaf(path, leaf, new_leaf)
         self.stats.conversion_cost_units += delta.weighted_cost()
         self.churn_events += 1
-        if obs.is_enabled():
+        observer = tree.cost.observer
+        if observer is not None:
             if stepped_down:
-                obs.emit(CapacityChangeEvent(
+                observer.record(CapacityChangeEvent(
                     direction="halve", trigger="underflow",
                     node_id=new_leaf.node_id, old_capacity=old_capacity,
                     new_capacity=half, count=new_leaf.count,
@@ -316,7 +318,7 @@ class ElasticityController:
                     cost_units=delta.weighted_cost(),
                 ))
             else:
-                obs.emit(LeafConversionEvent(
+                observer.record(LeafConversionEvent(
                     direction="to_standard", trigger="underflow",
                     node_id=new_leaf.node_id, capacity=tree.leaf_capacity,
                     count=new_leaf.count, index_bytes=tree.index_bytes,
@@ -398,12 +400,13 @@ class ElasticityController:
             self.stats.expansion_splits += 1
         self.stats.conversion_cost_units += delta.weighted_cost()
         self.churn_events += 2
-        if obs.is_enabled():
+        observer = tree.cost.observer
+        if observer is not None:
             index_bytes = tree.index_bytes
             cost_units = delta.weighted_cost()
             for node in (left, right):
                 if split_converted:
-                    obs.emit(CapacityChangeEvent(
+                    observer.record(CapacityChangeEvent(
                         direction="halve", trigger=trigger,
                         node_id=node.node_id, old_capacity=old_capacity,
                         new_capacity=half, count=node.count,
@@ -411,7 +414,7 @@ class ElasticityController:
                         cost_units=cost_units / 2,
                     ))
                 else:
-                    obs.emit(LeafConversionEvent(
+                    observer.record(LeafConversionEvent(
                         direction="to_standard", trigger=trigger,
                         node_id=node.node_id, capacity=tree.leaf_capacity,
                         count=node.count, index_bytes=index_bytes,
@@ -419,9 +422,6 @@ class ElasticityController:
                         from_kind=old_kind,
                     ))
         self.observe()
-
-    # Backwards-compatible alias (pre-registry name).
-    _expansion_split = _split_down
 
     # ------------------------------------------------------------------
     # Cold-first sweeps (ColdFirstPolicy: section 4's future-work policy)
@@ -491,8 +491,9 @@ class ElasticityController:
         self._count_conversion(kind)
         self.stats.conversion_cost_units += delta.weighted_cost()
         self.churn_events += 1
-        if obs.is_enabled():
-            obs.emit(LeafConversionEvent(
+        observer = tree.cost.observer
+        if observer is not None:
+            observer.record(LeafConversionEvent(
                 direction=f"to_{kind}", trigger="cold_sweep",
                 node_id=new_leaf.node_id, capacity=new_leaf.capacity,
                 count=new_leaf.count, index_bytes=tree.index_bytes,
@@ -540,8 +541,9 @@ class ElasticityController:
                 )
                 tree.replace_leaf(path, node, new_leaf)
             converted += 1
-            if obs.is_enabled():
-                obs.emit(LeafConversionEvent(
+            observer = tree.cost.observer
+            if observer is not None:
+                observer.record(LeafConversionEvent(
                     direction=f"to_{kind}", trigger="bulk",
                     node_id=new_leaf.node_id, capacity=new_leaf.capacity,
                     count=new_leaf.count, index_bytes=tree.index_bytes,
@@ -606,8 +608,9 @@ class ElasticityController:
                 tree.replace_leaf(path, node, new_leaf)
             converted += 1
             self.stats.conversion_cost_units += delta.weighted_cost()
-            if obs.is_enabled():
-                obs.emit(LeafConversionEvent(
+            observer = tree.cost.observer
+            if observer is not None:
+                observer.record(LeafConversionEvent(
                     direction=f"to_{target}", trigger="retarget",
                     node_id=new_leaf.node_id, capacity=new_leaf.capacity,
                     count=new_leaf.count, index_bytes=tree.index_bytes,

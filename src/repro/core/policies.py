@@ -25,7 +25,6 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
-from repro import obs
 from repro.memory.budget import PressureState
 from repro.obs import PolicyActionEvent
 
@@ -149,8 +148,9 @@ class EagerCompactionPolicy(PaperPolicy):
             # overflow handler, where rewriting other leaves would
             # invalidate the in-flight insert's descent path.
             controller.pending_actions.append(controller.bulk_compact)
-            if obs.is_enabled():
-                obs.emit(PolicyActionEvent(
+            observer = controller.tree.cost.observer
+            if observer is not None:
+                observer.record(PolicyActionEvent(
                     policy="eager_compaction", action="bulk_compact",
                 ))
 
@@ -192,8 +192,9 @@ class ColdFirstPolicy(PaperPolicy):
         if self._sweep_queued:
             return
         self._sweep_queued = True
-        if obs.is_enabled():
-            obs.emit(PolicyActionEvent(
+        observer = controller.tree.cost.observer
+        if observer is not None:
+            observer.record(PolicyActionEvent(
                 policy="cold_first", action="cold_sweep",
             ))
 

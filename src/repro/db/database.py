@@ -24,7 +24,7 @@ from repro.exec import BatchExecutor
 from repro.keys.encoding import encode_f64, encode_i64, encode_str
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
-from repro.obs import Event, Observer
+from repro.obs import Event, Observer, write_event_log
 from repro.table.table import RowSchema, Table
 from repro.wal.log import TableSnapshot, WalConfig, WriteAheadLog
 
@@ -433,10 +433,9 @@ class DBTable:
         secondary = self.indexes[index_name]
         if secondary.parked:
             db.advisor.unpark(self, secondary)
-        with db.trace_op("db.get", index_name):
-            key = secondary.key_of_values(values)
-            tid = secondary.index.lookup(key)
-            row = self.table.row(tid) if tid is not None else None
+        key = secondary.key_of_values(values)
+        tid = secondary.index.lookup(key)
+        row = self.table.row(tid) if tid is not None else None
         advisor = db.advisor
         if advisor is not None:
             advisor.observe_point(self.schema.name, secondary.name, key)
@@ -452,9 +451,8 @@ class DBTable:
         secondary = self.indexes[index_name]
         if secondary.parked:
             db.advisor.unpark(self, secondary)
-        with db.trace_op("db.get_batch", index_name):
-            keys = secondary.keys_of_values(values_batch)
-            rows = self.table.row_batch(secondary.executor.get_batch(keys))
+        keys = secondary.keys_of_values(values_batch)
+        rows = self.table.row_batch(secondary.executor.get_batch(keys))
         advisor = db.advisor
         if advisor is not None:
             advisor.observe_batch(self.schema.name, secondary.name, keys)
@@ -479,13 +477,12 @@ class DBTable:
         secondary = self.indexes[index_name]
         if secondary.parked:
             db.advisor.unpark(self, secondary)
-        with db.trace_op("db.scan", index_name):
-            start = secondary.key_of_values(start_values)
-            items = secondary.index.scan(start, count)
-            if include_rows:
-                out = self.table.row_batch([tid for _, tid in items])
-            else:
-                out = [key for key, _ in items]
+        start = secondary.key_of_values(start_values)
+        items = secondary.index.scan(start, count)
+        if include_rows:
+            out = self.table.row_batch([tid for _, tid in items])
+        else:
+            out = [key for key, _ in items]
         advisor = db.advisor
         if advisor is not None:
             advisor.observe_scan(
@@ -511,16 +508,15 @@ class DBTable:
         secondary = self.indexes[index_name]
         if secondary.parked:
             db.advisor.unpark(self, secondary)
-        with db.trace_op("db.scan_batch", index_name):
-            starts = secondary.keys_of_values(start_values_batch)
-            batches = secondary.executor.scan_batch(starts, count)
-            if include_rows:
-                rows = iter(self.table.row_batch(
-                    [tid for items in batches for _, tid in items]
-                ))
-                out = [list(islice(rows, len(items))) for items in batches]
-            else:
-                out = [[key for key, _ in items] for items in batches]
+        starts = secondary.keys_of_values(start_values_batch)
+        batches = secondary.executor.scan_batch(starts, count)
+        if include_rows:
+            rows = iter(self.table.row_batch(
+                [tid for items in batches for _, tid in items]
+            ))
+            out = [list(islice(rows, len(items))) for items in batches]
+        else:
+            out = [[key for key, _ in items] for items in batches]
         advisor = db.advisor
         if advisor is not None:
             advisor.observe_scan_batch(
@@ -554,19 +550,18 @@ class DBTable:
 class Database:
     """A set of tables sharing one cost account and allocator.
 
-    Every database owns an :class:`~repro.obs.Observer` subscribed to
-    the process-wide event bus: with observability enabled by the caller
-    (``with repro.obs.enabled():``) state-change events — leaf
-    conversions, pressure transitions, rebalances, routes, recoveries,
-    tuning actions — are folded into its metrics registry and bounded
-    event log, surfaced via :meth:`metrics_snapshot` / :meth:`event_log`.
-    The bus is shared, so those events include every other database's in
-    the process.  With it disabled (the default) no events are
-    published, so the observer stays empty and the hot paths are
-    untouched.  Per-call activity (cache probes, batch dispatches,
-    prefetch waves, WAL appends and barriers) is read from this
-    database's own layer ``stats`` by :meth:`metrics_snapshot`, on or
-    off (see :mod:`repro.db.metrics`).
+    The cost account is also the database's event channel: an
+    :class:`~repro.obs.Observer` that watches :attr:`cost`
+    (``observer.watch(db.cost)``) receives this database's state-change
+    events — leaf conversions, pressure transitions, rebalances, routes,
+    recoveries, tuning actions — and no other database's; they surface
+    via :meth:`metrics_snapshot` / :meth:`event_log`.  Unwatched (the
+    default) no event is built and the hot paths are untouched.
+    Per-call activity (cache probes, batch dispatches, prefetch waves,
+    WAL appends and barriers) is read from this database's own layer
+    ``stats`` by :meth:`metrics_snapshot`, watched or not (see
+    :mod:`repro.db.metrics`).  To price one operation, measure it:
+    ``with db.cost.measure() as delta:``.
 
     A :class:`~repro.wal.WalConfig` as ``wal`` attaches the durable
     write pipeline: every write — a :class:`~repro.db.write.WriteBatch`
@@ -586,7 +581,6 @@ class Database:
         self.cost = cost_model if cost_model is not None else CostModel()
         self.allocator = TrackingAllocator(cost_model=self.cost)
         self.tables: Dict[str, DBTable] = {}
-        self.observer = Observer()
         self.arbiter: Optional[BudgetArbiter] = None
         #: The self-tuning advisor, set by :meth:`enable_self_tuning`
         #: (None = every tuning hook in the hot paths is a single
@@ -666,6 +660,7 @@ class Database:
         if self.arbiter is not None:
             raise InvalidBudgetError("budget arbiter already enabled")
         self.arbiter = BudgetArbiter(total_bytes, **arbiter_kwargs)
+        self.arbiter.cost = self.cost
         self._ddl.append((
             "enable_budget_arbiter", total_bytes, dict(arbiter_kwargs)
         ))
@@ -744,24 +739,25 @@ class Database:
     # ------------------------------------------------------------------
     # Observability surface
     # ------------------------------------------------------------------
-    def trace_op(self, op: str, target: Optional[str] = None):
-        """Cost-attributed span over one operation, labelled ``op`` or
-        ``op[target]`` (no-op, and no label built, when obs is off)."""
-        return self.observer.tracer.trace_op(self.cost, op, target)
-
     def metrics_snapshot(self) -> str:
-        """Prometheus exposition text: the observer's event-fed
-        families plus the families read from this database's layer
-        stats at call time."""
-        return self.observer.registry.render_prometheus(layer_metrics(self))
+        """Prometheus exposition text: the event-fed families of the
+        observer watching :attr:`cost` (all zero while none does) plus
+        the families read from this database's layer stats at call
+        time."""
+        observer = self.cost.observer
+        if observer is None:
+            observer = Observer()
+        return observer.registry.render_prometheus(layer_metrics(self))
 
     def event_log(self, kind: Optional[str] = None) -> List[Event]:
-        """Events retained by the observer, oldest first."""
-        return self.observer.event_log(kind)
+        """Events retained by the observer watching :attr:`cost`,
+        oldest first; ``[]`` while none does."""
+        observer = self.cost.observer
+        return [] if observer is None else observer.event_log(kind)
 
     def write_event_log(self, path) -> int:
-        """Dump the observer's events as JSON-lines; returns line count."""
-        return self.observer.write_event_log(path)
+        """Dump :meth:`event_log` as JSON-lines; returns line count."""
+        return write_event_log(self.event_log(), path)
 
     @staticmethod
     def split_budget(total_bytes: int, shares: Sequence[float]) -> List[int]:

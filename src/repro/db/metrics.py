@@ -4,10 +4,10 @@ Per-call activity — cache probes, batch dispatches, prefetch waves, log
 appends and barriers, arbiter samples, advisor probes — is already
 counted by the layer that does it, so :func:`layer_metrics` reads those
 counters when :meth:`~repro.db.database.Database.metrics_snapshot` is
-called instead of re-counting them from bus events.  The families are
-this database's lifetime counts and render whether observability is on
-or off; the event-fed families (state changes) stay on the
-:class:`~repro.obs.Observer`.
+called instead of re-counting them from events.  The families are this
+database's lifetime counts and render whether or not an observer
+watches its ledger; the event-fed families (state changes) stay on the
+:class:`~repro.obs.Observer` watching ``db.cost``.
 """
 
 from __future__ import annotations

@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro import obs
 from repro.errors import InvalidBudgetError, ShardConfigError
 from repro.memory.budget import PressureState
+from repro.memory.cost_model import NULL_COST_MODEL
 from repro.obs import BudgetRebalanceEvent, CacheBudgetEvent
 
 
@@ -116,6 +116,10 @@ class BudgetArbiter:
         self.min_bound_bytes = min_bound_bytes
         self.rebalance_fraction = rebalance_fraction
         self.stats = ArbiterStats()
+        #: The ledger the arbiter's events go on: its database's, set by
+        #: :meth:`~repro.db.Database.enable_budget_arbiter`.  The arbiter
+        #: charges nothing.
+        self.cost = NULL_COST_MODEL
         self._names: List[str] = []
         self._controllers: List = []
         self._caches: Dict[str, object] = {}
@@ -247,8 +251,9 @@ class BudgetArbiter:
                 controller.set_soft_bound(bound)
         self.stats.rebalances += 1
         self.stats.bytes_moved += moved
-        if obs.is_enabled():
-            obs.emit(BudgetRebalanceEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(BudgetRebalanceEvent(
                 reason=reason,
                 total_bytes=self.total_bytes,
                 bytes_moved=moved,
@@ -273,7 +278,7 @@ class BudgetArbiter:
         """
         if not self._caches:
             return
-        emit = obs.is_enabled()
+        observer = self.cost.observer
         for name, controller in zip(self._names, self._controllers):
             cache = self._caches.get(name)
             if cache is None or not cache.config.adaptive:
@@ -294,8 +299,8 @@ class BudgetArbiter:
             cache.set_budget(target)
             self.stats.cache_resizes += 1
             self.stats.cache_bytes_moved += abs(target - current)
-            if emit:
-                obs.emit(CacheBudgetEvent(
+            if observer is not None:
+                observer.record(CacheBudgetEvent(
                     shard=name,
                     old_budget_bytes=current,
                     new_budget_bytes=target,

@@ -208,6 +208,44 @@ class ShardedIndex:
     def n_shards(self) -> int:
         return len(self.shards)
 
+    def check_invariants(self) -> None:
+        """Raise ``ValueError`` naming the first broken invariant — every
+        key of shard ``i`` is one the partitioner places on shard ``i``,
+        and each shard holds as many keys as its length, so ``len(self)``
+        (the sum of those lengths) counts every key — then run each
+        shard index's own structural check (the elastic one where there
+        is one).  Keys are read from the leaf chain (or, for kinds
+        without one, a full scan) with charging paused, so the walk
+        bumps no leaf's access count and touches no cache."""
+        shard_of = self.partitioner.shard_of
+        with self.cost.paused():
+            for i, shard in enumerate(self.shards):
+                index = shard.index
+                items = getattr(index, "items", None)
+                keys = [key for key, _ in (
+                    items() if items is not None
+                    else index.scan(bytes(index.key_width), len(index))
+                )]
+                for key in keys:
+                    if shard_of(key) != i:
+                        raise ValueError(
+                            "ShardedIndex invariant broken: key "
+                            f"{key.hex()} on {shard.name} belongs to "
+                            f"shard {shard_of(key)}"
+                        )
+                if len(keys) != len(shard):
+                    raise ValueError(
+                        f"ShardedIndex invariant broken: {shard.name} "
+                        f"holds {len(keys)} keys, its length is "
+                        f"{len(shard)}"
+                    )
+        for shard in self.shards:
+            index = shard.index
+            check = getattr(index, "check_elastic_invariants", None) or \
+                getattr(index, "check_invariants", None)
+            if check is not None:
+                check()
+
     def controllers(self) -> List:
         """Elasticity controllers of the elastic shards, in shard order."""
         return [s.controller for s in self.shards if s.controller is not None]

@@ -18,8 +18,8 @@ tightened bound ``fit ε = max(1, ε // 4)`` and counts every structural
 mutation as one position of *drift*; when drift would exceed
 ``ε - fit ε - 1`` the leaf **retrains** (reloads its keys, refits the
 segments), billed like a conversion, reported to the owning elasticity
-controller's churn counters and emitted as a
-:class:`~repro.obs.events.LeafRetrainEvent`.  That keeps every probe of
+controller's churn counters and recorded as a
+:class:`~repro.obs.events.LeafRetrainEvent` when its ledger is watched.  That keeps every probe of
 a stored key within ε of its prediction (the hypothesis-tested
 invariant) and makes churn measurably expensive — exactly the signal
 the elasticity policy uses to send churn-heavy leaves back to full
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro import obs
 from repro.blindi.breathing import BreathingTidArray, TID_BYTES
 from repro.btree.leaves import LeafFullError, LeafNode, next_node_id
 from repro.learned.segments import (
@@ -208,8 +207,9 @@ class LearnedLeaf(LeafNode):
         cost_units = delta.weighted_cost()
         if self.controller is not None:
             self.controller.note_retrain(cost_units)
-        if obs.is_enabled():
-            obs.emit(LeafRetrainEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(LeafRetrainEvent(
                 node_id=self.node_id,
                 trigger=trigger,
                 count=self.count,

@@ -262,6 +262,13 @@ class CostModel:
     #: :meth:`mlp_summary`); cleared by :meth:`reset`.
     mlp_totals: WaveStats = field(default_factory=WaveStats, repr=False)
     _wave: Optional[_WaveWindow] = field(default=None, repr=False)
+    #: The :class:`~repro.obs.Observer` watching this ledger (set by
+    #: :meth:`~repro.obs.Observer.watch`).  Components record their
+    #: state-change events on it; ``None`` — the default — means no
+    #: event object is built at all.
+    observer: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Charging primitives

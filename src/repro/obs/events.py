@@ -1,45 +1,45 @@
-"""Elasticity event bus and typed events.
+"""Typed state-change events.
 
 The paper's contribution is *dynamic* behaviour — leaves converting
 between representations under pressure, capacities doubling and halving,
 tuple-id arrays breathing — and ``collect_stats()`` can only show the
-aggregate outcome.  The event bus makes each individual transition
-observable: instrumented components publish a typed event at the moment
-an elasticity action lands, and subscribers (metric registries, event
-logs, pressure-timeline recorders) consume them.
+aggregate outcome.  Events make each individual transition observable:
+an instrumented component records a typed event at the moment an
+elasticity action lands, on the :class:`~repro.obs.Observer` watching
+its cost model (its database's ledger), which folds it into metrics and
+a bounded log.
 
-The bus carries only state changes: a structure, bound, budget,
-route, replica's availability, recovery or tuning action changed.
-Per-call activity (cache probes, batch dispatches, prefetch waves, log
-appends and barriers, arbiter samples, advisor probes) is counted by
-each layer's own ``stats`` and read from there at snapshot time (see
+Events mark only state changes: a structure, bound, budget, route,
+replica's availability, recovery or tuning action changed.  Per-call
+activity (cache probes, batch dispatches, prefetch waves, log appends
+and barriers, arbiter samples, advisor probes) is counted by each
+layer's own ``stats`` and read from there at snapshot time (see
 :mod:`repro.db.metrics`).
 
 Determinism: events carry **no wall-clock timestamps**.  Ordering is a
-monotonically increasing per-bus sequence number assigned at publish
-time, and every quantitative field is either a structural fact (node id,
-capacity, byte counts from the tracking allocator) or a cost-model
-figure — so two runs of the same seeded workload produce byte-identical
-event streams.
+sequence number the observer assigns as it records, from 1, and every
+quantitative field is either a structural fact (node id, capacity, byte
+counts from the tracking allocator) or a cost-model figure — so two
+runs of the same seeded workload produce byte-identical event streams.
 
-Emission is gated by the module-level flag in :mod:`repro.obs`; when the
-flag is off, emitting sites skip event construction entirely, so the hot
-path neither charges cost-model units nor allocates.
+A ledger nobody watches has ``observer is None``, and emitting sites
+then skip event construction entirely, so the hot path neither charges
+cost-model units nor allocates.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Callable, ClassVar, Dict, List
+from typing import ClassVar, Dict, List
 
 
 @dataclass
 class Event:
-    """Base class for bus events.
+    """Base class for state-change events.
 
     ``kind`` is a class-level tag used for filtering and serialization;
-    ``seq`` is assigned by the bus at publish time (0 = unpublished).
+    ``seq`` is assigned by the observer that records the event (0 =
+    unrecorded).
     """
 
     kind: ClassVar[str] = "event"
@@ -335,60 +335,3 @@ class TuningPaybackEvent(Event):
     modeled_saving_units: float = 0.0
     apply_cost_units: float = 0.0
     payback_window_ops: int = 0
-
-
-class EventBus:
-    """A tiny synchronous publish/subscribe hub.
-
-    Subscribers are called in subscription order with the published
-    event.  Bound-method subscribers are held through weak references so
-    that short-lived observers (per-test, per-benchmark) do not leak:
-    once the owning object is collected, the subscription is pruned at
-    the next publish.
-    """
-
-    def __init__(self) -> None:
-        self._subscribers: List[Callable] = []
-        self._seq = 0
-
-    def subscribe(self, callback: Callable[[Event], None]) -> Callable[[], None]:
-        """Register ``callback``; returns an unsubscribe function."""
-        try:
-            ref: Callable = weakref.WeakMethod(callback)
-        except TypeError:
-            # Plain callables and builtin methods (e.g. ``list.append``)
-            # are not weak-referenceable; hold them strongly.
-            ref = lambda cb=callback: cb  # uniform call shape
-        self._subscribers.append(ref)
-
-        def unsubscribe() -> None:
-            try:
-                self._subscribers.remove(ref)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def publish(self, event: Event) -> Event:
-        """Assign the event its sequence number and fan it out."""
-        self._seq += 1
-        event.seq = self._seq
-        dead: List[Callable] = []
-        for ref in self._subscribers:
-            callback = ref()
-            if callback is None:
-                dead.append(ref)
-            else:
-                callback(event)
-        for ref in dead:
-            self._subscribers.remove(ref)
-        return event
-
-    @property
-    def subscriber_count(self) -> int:
-        return sum(1 for ref in self._subscribers if ref() is not None)
-
-    def reset(self) -> None:
-        """Drop all subscribers and restart the sequence counter."""
-        self._subscribers.clear()
-        self._seq = 0

@@ -13,9 +13,9 @@ covers the file-shaped outputs the bench drivers dump into
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
-from repro.obs.events import Event, EventBus, PressureTransitionEvent
+from repro.obs.events import Event, PressureTransitionEvent
 
 
 def event_to_json(event: Event) -> str:
@@ -54,24 +54,28 @@ class PressureTimeline:
 
     Bench drivers call :meth:`sample` at their own cadence (per chunk,
     per day, per phase) with a driver-chosen ``x`` coordinate — ops
-    executed, day number — while pressure-state *transitions* are picked
-    up automatically from the bus the recorder subscribes to.  The
-    resulting JSONL file interleaves ``{"kind": "sample", ...}`` and
-    ``{"kind": "pressure_transition", ...}`` rows ordered as observed,
-    which is exactly the shape the fig-1/fig-5 space-over-time plots
-    need.
+    executed, day number — while pressure-state *transitions* are read
+    from ``observer``'s log: the ones recorded since the last read are
+    appended before each sample, and on :meth:`dump` and
+    :attr:`transitions`.  The resulting JSONL file interleaves
+    ``{"kind": "sample", ...}`` and ``{"kind": "pressure_transition",
+    ...}`` rows ordered as observed, which is exactly the shape the
+    fig-1/fig-5 space-over-time plots need.  A transition that left the
+    observer's bounded log before it was read raises instead of going
+    missing (:meth:`~repro.obs.Observer.since`).
     """
 
-    def __init__(self, bus: Optional[EventBus] = None, label: str = "") -> None:
+    def __init__(self, observer, label: str = "") -> None:
+        self.observer = observer
         self.label = label
         self.rows: List[Dict] = []
-        self._unsubscribe = None
-        if bus is not None:
-            self._unsubscribe = bus.subscribe(self._on_event)
+        self._read = observer.seq
 
-    def _on_event(self, event: Event) -> None:
-        if isinstance(event, PressureTransitionEvent):
-            self.rows.append(event.as_dict())
+    def _pull(self) -> None:
+        for event in self.observer.since(self._read):
+            if isinstance(event, PressureTransitionEvent):
+                self.rows.append(event.as_dict())
+        self._read = self.observer.seq
 
     def sample(
         self,
@@ -81,6 +85,7 @@ class PressureTimeline:
         **extra,
     ) -> None:
         """Record one driver-cadence sample point."""
+        self._pull()
         row = {"kind": "sample", "x": x, "index_bytes": int(index_bytes),
                "state": state}
         if extra:
@@ -89,19 +94,15 @@ class PressureTimeline:
 
     @property
     def transitions(self) -> List[Dict]:
+        self._pull()
         return [r for r in self.rows if r.get("kind") == "pressure_transition"]
 
     def dump(self, path) -> int:
         """Write the timeline as JSON-lines; returns rows written."""
+        self._pull()
         with open(path, "w", encoding="utf-8") as fh:
             for row in self.rows:
                 fh.write(json.dumps(row, sort_keys=True,
                                     separators=(",", ":")))
                 fh.write("\n")
         return len(self.rows)
-
-    def close(self) -> None:
-        """Detach from the bus (idempotent)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None

@@ -1,24 +1,27 @@
-"""Observer: turns bus events into metrics and a bounded event log.
+"""Observer: folds a ledger's events into metrics and a bounded log.
 
-One ``Observer`` subscribes to the process-wide bus
-:data:`repro.obs.BUS`, folds every event into a pre-registered
+An ``Observer`` watches one or more cost models (:meth:`Observer.watch`
+sets their ``observer`` slot); every component charging such a ledger
+records its state-change events on it.  The observer numbers them, from
+1, folds each into a pre-registered
 :class:`~repro.obs.metrics.MetricsRegistry`, and retains the last
-:data:`DEFAULT_MAX_EVENTS` raw events in a deque for JSON-lines export.
-A :class:`~repro.obs.tracing.Tracer` of :data:`TRACE_CAPACITY` spans
-rides along for cost-attributed spans.  Its registry holds only the
-event-fed families; the families counted by the layers themselves are
-read from their ``stats`` by :func:`repro.db.metrics.layer_metrics`.
+:data:`DEFAULT_MAX_EVENTS` of them in a deque for JSON-lines export.
+Its registry holds only the event-fed families; the families counted by
+the layers themselves are read from their ``stats`` by
+:func:`repro.db.metrics.layer_metrics`.
 
-The subscription is a bound method held weakly by the bus, so observers
-created per test or per benchmark do not accumulate on the global bus
-once dropped.
+A database is one ledger, so watching ``db.cost`` observes exactly that
+database.  Nothing else switches observability on: a ledger nobody
+watches records nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, List, Optional
 
+from repro.memory.cost_model import NULL_COST_MODEL, CostModel
 from repro.obs.events import (
     BreathingResizeEvent,
     BudgetRebalanceEvent,
@@ -39,28 +42,50 @@ from repro.obs.events import (
 )
 from repro.obs.exporters import write_event_log
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 
 #: Retained-event ceiling; pressure transitions are rare but leaf
 #: conversions are per-leaf, so long runs need headroom.
 DEFAULT_MAX_EVENTS = 65536
 
-#: Spans the observer's tracer retains.
-TRACE_CAPACITY = 256
-
 
 class Observer:
-    """Aggregates bus events into metrics plus a bounded event log."""
+    """Aggregates the events of the ledgers it watches into metrics plus
+    a bounded event log."""
 
     def __init__(self) -> None:
-        from repro import obs
-
         self.events: Deque[Event] = deque(maxlen=DEFAULT_MAX_EVENTS)
-        self.dropped_events = 0
+        #: Events recorded so far: the last recorded event's ``seq``.
+        self.seq = 0
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(capacity=TRACE_CAPACITY)
+        self._watched: List[CostModel] = []
         self._register_instruments()
-        self._unsubscribe = obs.BUS.subscribe(self._on_event)
+
+    def watch(self, cost: CostModel) -> None:
+        """Record the events of every component charging ``cost``.
+
+        Watching a ledger this observer already watches is a no-op.
+
+        Raises:
+            ValueError: for the shared disabled ledger, or for a ledger
+                another observer watches.
+        """
+        if cost.observer is self:
+            return
+        if cost is NULL_COST_MODEL:
+            raise ValueError("the shared disabled cost model cannot be "
+                             "watched")
+        if cost.observer is not None:
+            raise ValueError("cost model is already watched by another "
+                             "observer")
+        cost.observer = self
+        self._watched.append(cost)
+
+    def close(self) -> None:
+        """Stop watching every ledger (idempotent); the retained log and
+        metrics stay readable."""
+        for cost in self._watched:
+            cost.observer = None
+        self._watched.clear()
 
     def _register_instruments(self) -> None:
         reg = self.registry
@@ -157,9 +182,10 @@ class Observer:
             "Modeled payback (saving over the window) per fired action.",
         )
 
-    def _on_event(self, event: Event) -> None:
-        if len(self.events) == self.events.maxlen:
-            self.dropped_events += 1
+    def record(self, event: Event) -> None:
+        """Number ``event``, retain it and fold it into the metrics."""
+        self.seq += 1
+        event.seq = self.seq
         self.events.append(event)
         if isinstance(event, LeafConversionEvent):
             self._leaf_conversions.inc(
@@ -244,16 +270,21 @@ class Observer:
             return list(self.events)
         return [e for e in self.events if e.kind == kind]
 
+    def since(self, seq: int) -> List[Event]:
+        """The events recorded after event ``seq``, oldest first — one
+        phase's slice of the log, with ``seq`` read before the phase.
+
+        Raises:
+            RuntimeError: if some of them already left the bounded log.
+        """
+        fresh = self.seq - seq
+        if fresh > len(self.events):
+            raise RuntimeError(
+                f"{fresh - len(self.events)} events after seq {seq} "
+                f"left the {self.events.maxlen}-event log"
+            )
+        return list(islice(reversed(self.events), fresh))[::-1]
+
     def write_event_log(self, path) -> int:
         """Dump retained events as JSON-lines; returns lines written."""
         return write_event_log(self.events, path)
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped_events = 0
-
-    def close(self) -> None:
-        """Detach from the bus (idempotent); retained data stays readable."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None

@@ -47,7 +47,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.cluster import ReplicaSet
 from repro.engine import ShardedIndex
 from repro.engine.builder import build, live_bound, withdraw
@@ -226,8 +225,9 @@ class SelfTuningAdvisor:
         cost_units = best.fire()
         self._take_churn()
         self.stats.modeled_saving_units += best.modeled_saving
-        if obs.is_enabled():
-            obs.emit(TuningPaybackEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(TuningPaybackEvent(
                 action=best.family, target=best.label,
                 modeled_saving_units=best.modeled_saving,
                 apply_cost_units=best.apply_cost,
@@ -246,8 +246,9 @@ class SelfTuningAdvisor:
             self.stats.actions_by_family.get(family, 0) + 1
         )
         self.stats.apply_cost_units += cost_units
-        if obs.is_enabled():
-            obs.emit(TuningActionEvent(
+        observer = self.cost.observer
+        if observer is not None:
+            observer.record(TuningActionEvent(
                 action=family, target=label, detail=detail, items=items,
                 cost_units=cost_units,
             ))

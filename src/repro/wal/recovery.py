@@ -35,7 +35,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro import obs
 from repro.cluster import ReplicaSet
 from repro.errors import RecoveryError
 from repro.memory.cost_model import CostModel
@@ -82,6 +81,9 @@ def recover_database(db: Database) -> "tuple[Database, RecoveryReport]":
     new_db = Database(
         cost_model=CostModel(weights=db.cost.weights), wal=config
     )
+    if db.cost.observer is not None:
+        # The crashed database's log continues on the recovered one.
+        db.cost.observer.watch(new_db.cost)
 
     durable = wal.durable_prefix()
     discarded = len(wal.records) - len(durable)
@@ -174,8 +176,9 @@ def recover_database(db: Database) -> "tuple[Database, RecoveryReport]":
         indexes=n_indexes,
         cost_units=delta.weighted_cost(),
     )
-    if obs.is_enabled():
-        obs.emit(RecoveryReplayEvent(
+    observer = new_db.cost.observer
+    if observer is not None:
+        observer.record(RecoveryReplayEvent(
             records_replayed=report.records_replayed,
             records_discarded=report.records_discarded,
             snapshot_lsn=report.snapshot_lsn,

@@ -7,7 +7,6 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from repro import obs
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
@@ -74,20 +73,6 @@ class SortedModel:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-
-@pytest.fixture(autouse=True)
-def _obs_left_off():
-    """Fail any test that returns with observability enabled.
-
-    The obs switch is process-wide, so a test that leaves it on slows
-    and changes the event streams of every test after it.  Tests turn
-    it on with ``with obs.enabled():``, which restores the flag.
-    """
-    yield
-    if obs.is_enabled():
-        obs.set_enabled(False)
-        pytest.fail("test returned with observability enabled")
 
 
 @pytest.fixture

@@ -164,13 +164,11 @@ class TestBudgetArbiter:
         arbiter = BudgetArbiter(100_000)
         arbiter.register("big", big.index.controller)
         arbiter.register("small", small.index.controller)
-        with obs.enabled() as bus:
-            events = []
-            unsubscribe = bus.subscribe(events.append)
-            try:
-                arbiter.rebalance(reason="test")
-            finally:
-                unsubscribe()
+        arbiter.cost = big.cost
+        observer = obs.Observer()
+        observer.watch(big.cost)
+        arbiter.rebalance(reason="test")
+        events = observer.event_log()
         # Per-shard pressure samples are counted, not published.
         assert sum(arbiter.stats.samples_by_state.values()) == 2
         assert "shard_pressure" not in {e.kind for e in events}
@@ -195,11 +193,12 @@ class TestBudgetArbiter:
         arbiter = BudgetArbiter(100_000)
         arbiter.register("big", big.index.controller)
         arbiter.register("small", small.index.controller)
-        with obs.enabled():
-            observer = obs.Observer()
-            arbiter.rebalance()
-            snapshot = observer.metrics_snapshot()
-            observer.close()
+        arbiter.cost = big.cost
+        observer = obs.Observer()
+        observer.watch(big.cost)
+        arbiter.rebalance()
+        snapshot = observer.metrics_snapshot()
+        observer.close()
         assert "repro_budget_rebalances_total" in snapshot
         assert "repro_shard_soft_bound_bytes" in snapshot
         assert 'shard="big"' in snapshot

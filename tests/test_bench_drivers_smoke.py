@@ -5,7 +5,13 @@ that ``pytest tests/`` alone exercises every driver's code path and that
 the results are structurally sane.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+
+import pytest
 
 from repro import obs
 from repro.bench import (
@@ -77,6 +83,62 @@ def test_event_dirs_log_only_state_changes(tmp_path):
         )
         assert any(row["kind"] == "pressure_transition" for row in rows)
         assert any(row["kind"] == "sample" for row in rows)
+
+
+#: The ``events_dir`` calls pinned by :data:`EVENT_DIGESTS`.
+EVENT_CALLS = {
+    "fig1": "fig1.run(days=20, events_dir=OUT)",
+    "fig5": "fig5.run(n_items=3_000, indexes=('elastic',), events_dir=OUT)",
+    "fig6": "fig6.run(load_n=1_500, txn_n=1_500, workloads=('A',), "
+            "distributions=('uniform',), indexes=('elastic50',), "
+            "events_dir=OUT)",
+}
+
+#: sha256 of every file each call writes, recorded when events were
+#: published on a process-wide bus; observers on the ledgers must
+#: reproduce them byte for byte.
+EVENT_DIGESTS = {
+    "fig1": {
+        "fig1_events.jsonl": "113ced1dbca3e35912050e804d4b7ec1"
+                             "399d5b1b3468951e18ca1f0c13922801",
+        "fig1_metrics.prom": "512f3634502975c0ca83d2f840d6c1a8"
+                             "d7fe855870650f81859fae26870bbb0c",
+        "fig1_pressure_timeline.jsonl": "6258e36a330885a29aa5d113dbaa3a77"
+                                        "3317f29d8d6936a1039848fe7b58ee1d",
+    },
+    "fig5": {
+        "fig5_events.jsonl": "faada17c0cd8fb884880d7b496eaf0c0"
+                             "c414bd64282c1391366b87262c4a4b9e",
+        "fig5_metrics.prom": "431a01fd5855858df098d5a81925bb69"
+                             "080f48caa3e0f2f800a7c28ad8b83c88",
+        "fig5_pressure_timeline.jsonl": "ff692d821189fa8cb0064802fdc7d889"
+                                        "3518356eb00843e4bb6ac40d94cb6718",
+    },
+    "fig6": {
+        "fig6_events.jsonl": "b87e1ece9c61ba6b39384521993e1d85"
+                             "a08dbc68cacffb5c44b2f87d211a1089",
+        "fig6_metrics.prom": "37e77f9664b4c9969670499f2985d9dd"
+                             "27421a977279258287ea3cac23f6c3c1",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_CALLS))
+def test_event_artifacts_are_pinned(name, tmp_path):
+    """Each call runs in a fresh interpreter: node ids are process-wide,
+    so a run's artifacts depend on what ran before it in the process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    script = (f"from repro.bench import {name}\nOUT = {str(tmp_path)!r}\n"
+              f"{EVENT_CALLS[name]}\n")
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env=dict(os.environ, PYTHONPATH=src),
+                   stdout=subprocess.DEVNULL)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == EVENT_DIGESTS[name]
 
 
 def test_fig7_driver():

@@ -666,19 +666,20 @@ class TestCacheObservability:
         )
 
     def test_budget_events(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            source = U64Source()
-            tree = make_elastic(source, size_bound=1 << 20)
-            cache = attach_small_cache(tree, budget=8192)
-            arbiter = BudgetArbiter(total_bytes=1 << 20)
-            arbiter.register("s0", tree.controller)
-            arbiter.register_cache("s0", cache)
-            key = encode_u64(1)
-            cache.admit_row(key, 1)
-            for _ in range(200):
-                cache.probe_row(key)
-            arbiter.rebalance()
+        observer = obs.Observer()
+        source = U64Source()
+        observer.watch(source.cost)
+        tree = make_elastic(source, size_bound=1 << 20)
+        cache = attach_small_cache(tree, budget=8192)
+        arbiter = BudgetArbiter(total_bytes=1 << 20)
+        arbiter.cost = source.cost
+        arbiter.register("s0", tree.controller)
+        arbiter.register_cache("s0", cache)
+        key = encode_u64(1)
+        cache.admit_row(key, 1)
+        for _ in range(200):
+            cache.probe_row(key)
+        arbiter.rebalance()
         budget_events = [
             e for e in observer.events if e.kind == "cache_budget"
         ]

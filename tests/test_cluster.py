@@ -312,6 +312,8 @@ class TestFailover:
         queries = [rng.choice(values) for _ in range(400)]
         plan = FaultPlan().down(replica=0, beats=4, after=2)
         db, table = make_table()
+        if capture:
+            obs.Observer().watch(db.cost)
         cfg = ReplicaConfig(
             replicas=3, total_bound_bytes=120_000,
             score_interval_ops=64, heartbeat_interval_ops=32,
@@ -323,16 +325,9 @@ class TestFailover:
         with db.cost.measure() as delta:
             for v in queries:
                 results.append(table.get("by_k", (v,)))
-        events = []
-        if capture:
-            for event in db.event_log():
-                kind = type(event).kind
-                if kind.startswith("replica"):
-                    # seq is a process-global counter; replay identity
-                    # is about the payloads, in order.
-                    fields = {k: v for k, v in vars(event).items()
-                              if k != "seq"}
-                    events.append((kind, sorted(fields.items())))
+        # Each run has its own observer, so seq replays too.
+        events = [(event.kind, event.as_dict()) for event in db.event_log()
+                  if event.kind.startswith("replica")]
         return results, delta.weighted_cost(), events, plan
 
     def test_replay_is_deterministic(self):
@@ -343,9 +338,8 @@ class TestFailover:
         assert first[3].exhausted  # the outage actually fired
 
     def test_failover_events_replay_identically(self):
-        with obs.enabled():
-            first = self.run_outage(capture=True)
-            second = self.run_outage(capture=True)
+        first = self.run_outage(capture=True)
+        second = self.run_outage(capture=True)
         assert first[2] == second[2]
         kinds = [kind for kind, _ in first[2]]
         assert "replica_failover" in kinds
@@ -439,11 +433,11 @@ class TestAdvisor:
         advisor = ReplicaAdvisor(replica_set)
         items_before = len(replica_set.replicas[2])
         before = db.cost.weighted_cost()
-        with obs.enabled():
-            observer = obs.Observer()
-            units = advisor.rebuild(2, preset_profile("lattice", weight=0.2))
-            events = observer.event_log("replica_rebuild")
-            observer.close()
+        observer = obs.Observer()
+        observer.watch(db.cost)
+        units = advisor.rebuild(2, preset_profile("lattice", weight=0.2))
+        events = observer.event_log("replica_rebuild")
+        observer.close()
         assert units > 0
         assert db.cost.weighted_cost() - before == pytest.approx(units)
         assert replica_set.replicas[2].profile.name == "lattice"
@@ -604,16 +598,16 @@ class TestClusterIntegration:
             "t.by_k/r0", "t.by_k/r1", "t.by_k/r2"]
 
     def test_cluster_budget_event_announced_at_build(self):
-        with obs.enabled():
-            db, table = make_table()
-            table.create_index(
-                "by_k", ("k",), kind="elastic",
-                replicas=ReplicaConfig(
-                    replicas=3, profiles=divergent_profiles(),
-                    total_bound_bytes=90_000,
-                ),
-            )
-            events = db.event_log("cluster_budget")
+        db, table = make_table()
+        obs.Observer().watch(db.cost)
+        table.create_index(
+            "by_k", ("k",), kind="elastic",
+            replicas=ReplicaConfig(
+                replicas=3, profiles=divergent_profiles(),
+                total_bound_bytes=90_000,
+            ),
+        )
+        events = db.event_log("cluster_budget")
         assert len(events) == 1
         assert events[0].total_bytes == 90_000
         assert sum(events[0].bounds) == 90_000

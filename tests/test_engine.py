@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from repro import obs
+from repro.cache import CacheConfig
+from repro.cluster import ReplicaConfig
 from repro.db.database import Database
 from repro.engine import (
     HashPartitioner,
@@ -236,15 +237,106 @@ class TestShardedIndexSurface:
 
 
 class TestShardRouteEvents:
-    def test_no_events_when_disabled(self):
-        _, sharded = make_table(2, "hash", kind="stx")
-        events = []
-        unsubscribe = obs.BUS.subscribe(events.append)
-        try:
-            sharded.insert_batch(make_rows(50))
-        finally:
-            unsubscribe()
-        assert events == []
+    def test_no_events_when_disabled(self, monkeypatch):
+        from tests.test_obs import count_event_construction
+
+        db, sharded = make_table(2, "hash", kind="stx")
+        built = count_event_construction(monkeypatch)
+        sharded.insert_batch(make_rows(50))
+        assert built == []
+        assert db.event_log() == []
+
+
+# ----------------------------------------------------------------------
+# Invariant checks
+# ----------------------------------------------------------------------
+def move_key(index, src, dst):
+    """Move one key of shard ``src`` to shard ``dst`` (counts unchanged)."""
+    key, tid = next(iter(index.shards[src].index.items()))
+    index.shards[src].index.remove(key)
+    index.shards[dst].index.insert(key, tid)
+
+
+class TestShardedInvariants:
+    def build(self):
+        """A live 4-shard elastic index under pressure, each shard
+        cached, after repeated point reads of a hot seventh."""
+        cost = CostModel()
+        table = Table(encode_u64, row_bytes=32, cost_model=cost)
+        index = build_sharded_index(
+            "elastic", table=table, cost=cost, key_width=8, n_shards=4,
+            partitioner="hash", size_bound_bytes=160_000, name="inv",
+            cache=CacheConfig(budget_bytes=1 << 16),
+        )
+        rng = random.Random(8)
+        values = sorted({rng.getrandbits(48) for _ in range(6000)})
+        for value in values:
+            index.insert(encode_u64(value), table.insert_row(value))
+        for _ in range(3):
+            for value in values[::7]:
+                index.lookup(encode_u64(value))
+        return index, cost
+
+    def test_check_walks_without_side_effects(self):
+        index, cost = self.build()
+
+        def state():
+            leaves = []
+            for shard in index.shards:
+                leaf = shard.index.first_leaf
+                while leaf is not None:
+                    leaves.append((leaf.node_id, leaf.access_count))
+                    leaf = leaf.next_leaf
+            return (
+                list(cost.counts.items()),
+                {tag: list(b.items()) for tag, b in cost.tagged.items()},
+                leaves,
+                [cache.report().as_dict() for cache in index.caches()],
+            )
+
+        before = state()
+        assert any(count for _, count in before[2])
+        assert all(report["row_entries"] for report in before[3])
+        assert all(c.stats.conversions_to_compact
+                   for c in index.controllers())
+        index.check_invariants()
+        assert state() == before
+
+    def test_key_on_the_wrong_shard_raises(self):
+        index, _ = self.build()
+        move_key(index, 1, 0)
+        with pytest.raises(ValueError, match="on inv\\[0\\] belongs to "
+                                             "shard 1"):
+            index.check_invariants()
+
+    def test_kinds_without_a_leaf_chain_are_scanned(self):
+        cost = CostModel()
+        table = Table(encode_u64, row_bytes=32, cost_model=cost)
+        index = build_sharded_index("hot", table=table, cost=cost,
+                                    key_width=8, n_shards=3, name="hot")
+        for value in range(300):
+            index.insert(encode_u64(value), table.insert_row(value))
+        index.check_invariants()
+        value = next(v for v in range(300, 400)
+                     if index.partitioner.shard_of(encode_u64(v)) != 0)
+        index.shards[0].index.insert(encode_u64(value),
+                                     table.insert_row(value))
+        with pytest.raises(ValueError, match="on hot\\[0\\] belongs"):
+            index.check_invariants()
+
+    def test_replica_set_checks_its_sharded_replicas(self):
+        _, table = make_table(1)
+        secondary = table.create_index(
+            "by_ts", ("ts",), kind="elastic", size_bound_bytes=60_000,
+            shards=2, replicas=ReplicaConfig(
+                replicas=2, total_bound_bytes=120_000),
+        )
+        table.insert_batch(make_rows(800))
+        replica_set = secondary.index
+        replica_set.check_invariants()
+        move_key(replica_set.replicas[1].index, 0, 1)
+        with pytest.raises(ValueError, match="belongs to shard 0"):
+            replica_set.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -300,18 +300,15 @@ class TestCriticalPath:
             values = load_values(index, table, n=800)
             rng = random.Random(9)
             probes = [encode_u64(rng.choice(values)) for _ in range(256)]
-            with obs.enabled() as bus:
-                events = []
-                unsubscribe = bus.subscribe(events.append)
-                try:
-                    with cost.measure() as delta:
-                        results = index.lookup_batch(probes)
-                finally:
-                    unsubscribe()
+            observer = obs.Observer()
+            observer.watch(cost)
+            with cost.measure() as delta:
+                results = index.lookup_batch(probes)
             return (
                 results,
                 delta.weighted_cost(),
-                [(e.kind, getattr(e, "shard", None)) for e in events],
+                [(e.kind, getattr(e, "shard", None))
+                 for e in observer.event_log()],
             )
 
         assert run_once() == run_once()
@@ -329,10 +326,10 @@ class TestCriticalPath:
         stats = executor.stats
         batches, dispatches = stats.batches, stats.dispatches
         saved = stats.saved_units
-        with obs.enabled():
-            observer = obs.Observer()
-            table.get_batch("by_key", [(r[0], r[1]) for r in rows[:200]])
-            observer.close()
+        observer = obs.Observer()
+        observer.watch(db.cost)
+        table.get_batch("by_key", [(r[0], r[1]) for r in rows[:200]])
+        observer.close()
         # One gather over all four shards, counted, not published.
         assert not observer.events
         assert (stats.batches, stats.dispatches) == (

@@ -22,7 +22,6 @@ from dataclasses import asdict
 
 import pytest
 
-from repro import obs
 from repro.cache import CacheConfig
 from repro.cluster import ReplicaConfig, ReplicaProfile, preset_profile
 from repro.db.database import Database, _encode_column
@@ -900,8 +899,9 @@ class TestLoadKeysBatched:
             assert batched[1]
 
 def _traced_reads():
-    """One of each read shape through the facade with observability on;
-    returns each span's label and per-category cost delta."""
+    """One of each read shape through the facade, each wrapped in a
+    ``db.cost.measure()``; returns each read's label and per-category
+    cost delta."""
     rng = random.Random("hot-path:obs")
     db = Database()
     table = db.create_table(KV)
@@ -911,13 +911,19 @@ def _traced_reads():
     rows = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(800)]
     table.insert_batch(rows)
     probes = [(row[0],) for row in rows[::100]]
-    with obs.enabled():
-        table.get("by_k", probes[0])
-        table.scan("by_k", probes[1], count=5)
-        table.get_batch("by_k", probes[2:6])
-        table.scan_batch("by_k", probes[6:8], count=3)
-    return [(span.op, list(span.by_category.items()))
-            for span in db.observer.tracer.snapshot()]
+    reads = [
+        ("db.get[by_k]", lambda: table.get("by_k", probes[0])),
+        ("db.scan[by_k]", lambda: table.scan("by_k", probes[1], count=5)),
+        ("db.get_batch[by_k]", lambda: table.get_batch("by_k", probes[2:6])),
+        ("db.scan_batch[by_k]",
+         lambda: table.scan_batch("by_k", probes[6:8], count=3)),
+    ]
+    spans = []
+    for label, read in reads:
+        with db.cost.measure() as delta:
+            read()
+        spans.append((label, list(delta.counts.items())))
+    return spans
 
 
 #: Recorded from the code that formatted every label eagerly.
@@ -952,21 +958,6 @@ PINNED_SPANS = [('db.get[by_k]',
 class TestObservabilitySpans:
     def test_labels_and_cost_deltas(self):
         assert _traced_reads() == PINNED_SPANS
-
-    def test_labels_only_when_enabled(self):
-        db = Database()
-        tracer = db.observer.tracer
-        with db.trace_op("db.get", "by_k"):
-            pass
-        assert tracer.snapshot() == []
-        with obs.enabled():
-            with db.trace_op("db.get", "by_k"):
-                pass
-            with db.trace_op("plain"):
-                pass
-        assert [span.op for span in tracer.snapshot()] == [
-            "db.get[by_k]", "plain",
-        ]
 
 
 U64_EDGES = (0, 1, 2**63, 2**64 - 1)

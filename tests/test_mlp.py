@@ -185,10 +185,10 @@ class TestObsVisibility:
     def test_wave_events_and_metrics_when_enabled(self):
         env, probes = _loaded("elastic", n=1500)
         executor = BatchExecutor(env.index, max_batch=128, mlp_width=4)
-        with obs.enabled():
-            observer = obs.Observer()
-            executor.get_batch(probes)
-            observer.close()
+        observer = obs.Observer()
+        observer.watch(env.cost)
+        executor.get_batch(probes)
+        observer.close()
         totals = env.cost.mlp_totals
         assert totals.loads > totals.waves > 0
         assert executor.stats.mlp_waves == totals.waves
@@ -215,10 +215,10 @@ class TestObsVisibility:
     def test_no_wave_events_at_width_one(self):
         env, probes = _loaded("stx", n=800)
         executor = BatchExecutor(env.index, max_batch=128, mlp_width=1)
-        with obs.enabled():
-            observer = obs.Observer()
-            executor.get_batch(probes)
-            observer.close()
+        observer = obs.Observer()
+        observer.watch(env.cost)
+        executor.get_batch(probes)
+        observer.close()
         assert not observer.events
         assert env.cost.mlp_totals.waves == env.cost.mlp_totals.loads == 0
         assert executor.stats.mlp_waves == 0

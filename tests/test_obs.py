@@ -1,11 +1,12 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the ISSUE 2 tentpole guarantees: events fire exactly at the
-elasticity action points (cross-checked against the controller's own
-counters), instrumentation is zero-overhead when disabled (differential
-cost/bytes equality), exporter output round-trips through ``json.loads``
-line by line, metrics snapshots are deterministic across scalar and
-batched execution, and the Prometheus text parses.
+Events fire exactly at the elasticity action points (cross-checked
+against the controller's own counters) and reach only the observer
+watching the ledger they were charged on; instrumentation is
+zero-overhead unwatched (no event object is built) and watched
+(differential cost/bytes/answer equality); exporter output round-trips
+through ``json.loads`` line by line, metrics snapshots are deterministic
+across scalar and batched execution, and the Prometheus text parses.
 """
 
 import json
@@ -19,7 +20,7 @@ from repro.core.policies import EagerCompactionPolicy
 from repro.db import Database
 from repro.db.metrics import layer_metrics
 from repro.exec import BatchExecutor
-from repro.memory.cost_model import CostModel
+from repro.memory.cost_model import NULL_COST_MODEL, CostModel
 from repro.table.table import RowSchema
 from repro.wal import WalConfig
 
@@ -29,8 +30,12 @@ from tests.test_elastic import fill, make_elastic
 
 def run_grow_shrink(n=3000, size_bound=40_000, seed=3, policy=None,
                     observer=None):
-    """A grow-then-shrink elastic workload touching every event source."""
+    """A grow-then-shrink elastic workload touching every event source,
+    its ledger watched by ``observer`` if given.  Returns the tree, its
+    source and the lookups' answers."""
     source = U64Source()
+    if observer is not None:
+        observer.watch(source.cost)
     tree = make_elastic(source, size_bound=size_bound)
     if policy is not None:
         tree.controller.policy = policy
@@ -38,13 +43,36 @@ def run_grow_shrink(n=3000, size_bound=40_000, seed=3, policy=None,
     rng = random.Random(seed)
     from repro.keys.encoding import encode_u64
 
-    for _ in range(n // 4):
-        tree.lookup(encode_u64(rng.randrange(n)))
+    answers = [tree.lookup(encode_u64(rng.randrange(n)))
+               for _ in range(n // 4)]
     for v in rng.sample(range(n), 4 * n // 5):
         tree.remove(encode_u64(v))
-    for _ in range(n // 2):
-        tree.lookup(encode_u64(rng.randrange(n)))
-    return tree, source
+    answers += [tree.lookup(encode_u64(rng.randrange(n)))
+                for _ in range(n // 2)]
+    return tree, source, answers
+
+
+def same_events(a, b):
+    """Whether two event logs match in kinds, fields and ``seq``.  Node
+    ids come from a process-wide counter, so they must only differ by
+    one constant offset."""
+    rows_a = [e.as_dict() for e in a]
+    rows_b = [e.as_dict() for e in b]
+    offsets = {x.pop("node_id") - y.pop("node_id")
+               for x, y in zip(rows_a, rows_b) if "node_id" in x}
+    return rows_a == rows_b and len(offsets) <= 1
+
+
+def count_event_construction(monkeypatch):
+    """Patch every event class to log its constructions; returns the
+    log (one ``kind`` per event object built)."""
+    built = []
+    for cls in obs.Event.__subclasses__():
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self.kind)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
 
 
 # ----------------------------------------------------------------------
@@ -52,34 +80,31 @@ def run_grow_shrink(n=3000, size_bound=40_000, seed=3, policy=None,
 # ----------------------------------------------------------------------
 class TestZeroOverhead:
     def test_disabled_run_cost_and_bytes_identical(self):
-        obs.set_enabled(False)
-        tree_a, source_a = run_grow_shrink()
-        with obs.enabled():
-            observer = obs.Observer()
-            tree_b, source_b = run_grow_shrink()
+        tree_a, source_a, answers_a = run_grow_shrink()
+        observer = obs.Observer()
+        tree_b, source_b, answers_b = run_grow_shrink(observer=observer)
         assert len(observer.events) > 0
         assert source_a.cost.weighted_cost() == source_b.cost.weighted_cost()
-        assert source_a.cost.counts == source_b.cost.counts
+        assert list(source_a.cost.counts.items()) == list(
+            source_b.cost.counts.items())
+        assert source_a.cost.tagged == source_b.cost.tagged
         assert tree_a.index_bytes == tree_b.index_bytes
         assert (
             tree_a.allocator.breakdown() == tree_b.allocator.breakdown()
         )
+        assert answers_a == answers_b
 
-    def test_disabled_emit_publishes_nothing(self):
+    def test_disabled_emit_publishes_nothing(self, monkeypatch):
+        """An unwatched ledger builds no event object at all, and an
+        observer watching nothing records nothing."""
+        built = count_event_construction(monkeypatch)
+        idle = obs.Observer()
+        run_grow_shrink()
+        assert built == []
+        assert not idle.events
         observer = obs.Observer()
-        obs.emit(obs.PressureTransitionEvent(previous="normal",
-                                             state="shrinking"))
-        assert not observer.events
-
-    def test_trace_op_is_shared_noop_when_disabled(self):
-        tracer = obs.Tracer()
-        cost = CostModel()
-        ctx_a = tracer.trace_op(cost, "x")
-        ctx_b = tracer.trace_op(cost, "y")
-        assert ctx_a is ctx_b  # the shared null context, no allocation
-        with ctx_a:
-            cost.charge("rand_line", 3)
-        assert tracer.snapshot() == []
+        run_grow_shrink(observer=observer)
+        assert len(built) == len(observer.events) > 0
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +112,8 @@ class TestZeroOverhead:
 # ----------------------------------------------------------------------
 class TestEventAccuracy:
     def test_event_counts_match_controller_stats(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            tree, _ = run_grow_shrink()
+        observer = obs.Observer()
+        tree, _, _ = run_grow_shrink(observer=observer)
         tree.check_elastic_invariants()
         stats = tree.controller.stats
         events = observer.event_log()
@@ -131,18 +155,15 @@ class TestEventAccuracy:
         assert transitions[0].state == "shrinking"
 
     def test_seq_numbers_strictly_increase(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            run_grow_shrink(n=1500)
+        observer = obs.Observer()
+        run_grow_shrink(n=1500, observer=observer)
         seqs = [e.seq for e in observer.event_log()]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-        assert all(s > 0 for s in seqs)
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert observer.seq == len(seqs)
 
     def test_shrinking_run_has_conversion_and_transition(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            tree, _ = run_grow_shrink()
+        observer = obs.Observer()
+        run_grow_shrink(observer=observer)
         assert observer.event_log("leaf_conversion")
         assert observer.event_log("pressure_transition")
         for event in observer.event_log("leaf_conversion"):
@@ -152,12 +173,12 @@ class TestEventAccuracy:
     def test_breathing_resize_events(self):
         # A low capacity cap makes full compact leaves split, which
         # re-bases their breathing arrays (the only "rebase" source).
-        with obs.enabled():
-            observer = obs.Observer()
-            source = U64Source()
-            tree = make_elastic(source, size_bound=40_000,
-                                max_compact_capacity=32)
-            fill(tree, source, 4000, shuffle_seed=9)
+        observer = obs.Observer()
+        source = U64Source()
+        observer.watch(source.cost)
+        tree = make_elastic(source, size_bound=40_000,
+                            max_compact_capacity=32)
+        fill(tree, source, 4000, shuffle_seed=9)
         grows = [e for e in observer.event_log("breathing_resize")
                  if e.reason == "grow"]
         rebases = [e for e in observer.event_log("breathing_resize")
@@ -167,9 +188,8 @@ class TestEventAccuracy:
         assert all(e.new_slots <= e.capacity for e in grows)
 
     def test_policy_action_events(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            run_grow_shrink(policy=EagerCompactionPolicy())
+        observer = obs.Observer()
+        run_grow_shrink(policy=EagerCompactionPolicy(), observer=observer)
         actions = observer.event_log("policy_action")
         assert any(a.policy == "eager_compaction" and
                    a.action == "bulk_compact" for a in actions)
@@ -183,9 +203,8 @@ class TestEventAccuracy:
 # ----------------------------------------------------------------------
 class TestExporters:
     def test_event_log_round_trips_json_lines(self, tmp_path):
-        with obs.enabled():
-            observer = obs.Observer()
-            run_grow_shrink(n=1500)
+        observer = obs.Observer()
+        run_grow_shrink(n=1500, observer=observer)
         path = tmp_path / "events.jsonl"
         written = observer.write_event_log(path)
         assert written == len(observer.events) > 0
@@ -205,19 +224,34 @@ class TestExporters:
     def test_pressure_timeline_records_samples_and_transitions(
         self, tmp_path
     ):
-        with obs.enabled() as bus:
-            timeline = obs.PressureTimeline(bus, label="t")
-            tree, source = run_grow_shrink(n=2000)
-            timeline.sample(2000, tree.index_bytes,
-                            tree.pressure_state.value)
-        timeline.close()
-        assert timeline.transitions
+        observer = obs.Observer()
+        timeline = obs.PressureTimeline(observer, label="t")
+        tree, _, _ = run_grow_shrink(n=2000, observer=observer)
+        timeline.sample(2000, tree.index_bytes, tree.pressure_state.value)
+        # Transitions recorded before the sample precede it.
+        assert [r["kind"] for r in timeline.rows][-1] == "sample"
+        assert timeline.transitions == [
+            e.as_dict() for e in observer.event_log("pressure_transition")
+        ]
         samples = [r for r in timeline.rows if r["kind"] == "sample"]
         assert samples[-1]["x"] == 2000
         path = tmp_path / "timeline.jsonl"
         assert timeline.dump(path) == len(timeline.rows)
         for line in path.read_text().splitlines():
             json.loads(line)
+
+    def test_pressure_timeline_never_misses_a_transition(self):
+        """Transitions that left the observer's bounded log before the
+        timeline read them raise instead of vanishing."""
+        from collections import deque
+
+        observer = obs.Observer()
+        observer.events = deque(maxlen=4)
+        timeline = obs.PressureTimeline(observer)
+        run_grow_shrink(n=2000, observer=observer)
+        assert observer.seq > 4
+        with pytest.raises(RuntimeError, match="left the 4-event log"):
+            timeline.sample(0, 0, "normal")
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +280,8 @@ def parse_prometheus(text: str):
 
 class TestMetrics:
     def test_snapshot_parses_as_prometheus(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            run_grow_shrink()
+        observer = obs.Observer()
+        run_grow_shrink(observer=observer)
         families = parse_prometheus(observer.metrics_snapshot())
         assert families["repro_leaf_conversions_total"]
         assert families["repro_pressure_transitions_total"]
@@ -258,9 +291,8 @@ class TestMetrics:
         )
 
     def test_histogram_counts_conversion_costs(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            tree, _ = run_grow_shrink()
+        observer = obs.Observer()
+        run_grow_shrink(observer=observer)
         histogram = observer.registry.get("repro_conversion_cost_units")
         total = sum(
             state[2] for state in histogram.values.values()
@@ -279,6 +311,7 @@ class TestMetrics:
         def run_one(batched: bool) -> str:
             observer = obs.Observer()
             source = U64Source()
+            observer.watch(source.cost)
             tree = make_elastic(source, size_bound=40_000)
             pairs = [source.add(v) for v in range(3000)]
             keys = [k for k, _ in pairs]
@@ -295,9 +328,8 @@ class TestMetrics:
             observer.close()
             return snapshot
 
-        with obs.enabled():
-            scalar = run_one(batched=False)
-            batched = run_one(batched=True)
+        scalar = run_one(batched=False)
+        batched = run_one(batched=True)
         assert "repro_leaf_conversions_total" in scalar
         assert scalar == batched
 
@@ -314,41 +346,28 @@ class TestMetrics:
 # Tracing
 # ----------------------------------------------------------------------
 class TestTracing:
+    """One operation's cost is its ledger's ``measure()`` delta."""
+
     def test_span_records_cost_delta_by_category(self):
         cost = CostModel()
-        tracer = obs.Tracer()
-        with obs.enabled(), tracer.trace_op(cost, "op1"):
+        cost.charge("seq_line", 4)
+        with cost.measure() as delta:
             cost.charge("rand_line", 2)
             cost.charge("compare", 5)
-        spans = tracer.snapshot()
-        assert len(spans) == 1
-        span = spans[0]
-        assert span.op == "op1"
-        assert span.by_category == {"rand_line": 2, "compare": 5}
+        assert list(delta.counts.items()) == [("rand_line", 2),
+                                              ("compare", 5)]
         expected = 2 * cost.weights.rand_line + 5 * cost.weights.compare
-        assert span.cost_units == pytest.approx(expected)
-
-    def test_ring_buffer_bounds_spans(self):
-        cost = CostModel()
-        tracer = obs.Tracer(capacity=4)
-        with obs.enabled():
-            for i in range(10):
-                with tracer.trace_op(cost, f"op{i}"):
-                    cost.charge("branch", 1)
-        spans = tracer.snapshot()
-        assert len(spans) == 4
-        assert [s.op for s in spans] == ["op6", "op7", "op8", "op9"]
-        assert tracer.dropped == 6
-        assert spans[-1].seq == 10
+        assert delta.weighted_cost() == pytest.approx(expected)
 
     def test_tracing_charges_no_cost(self):
         cost = CostModel()
-        tracer = obs.Tracer()
-        before = cost.weighted_cost()
-        with obs.enabled(), tracer.trace_op(cost, "noop"):
+        observer = obs.Observer()
+        observer.watch(cost)
+        with cost.measure() as delta:
             pass
-        assert cost.weighted_cost() == before
-        assert tracer.snapshot()[0].by_category == {}
+        assert cost.counts == {} and delta.counts == {}
+        # A delta is a fresh ledger nobody watches.
+        assert delta.observer is None
 
 
 # ----------------------------------------------------------------------
@@ -378,31 +397,69 @@ LAYER_FAMILIES = {
 
 
 class TestEventBus:
+    """Events travel on the ledger: a cost model's ``observer`` slot."""
+
     def test_taxonomy_is_the_kept_kinds(self):
         kinds = [cls.kind for cls in obs.Event.__subclasses__()]
         assert len(kinds) == len(KEPT_KINDS) == 15
         assert set(kinds) == KEPT_KINDS
 
     def test_unsubscribe(self):
-        bus = obs.EventBus()
-        seen = []
-        unsubscribe = bus.subscribe(seen.append)
-        bus.publish(obs.PolicyActionEvent(policy="p", action="a"))
-        unsubscribe()
-        bus.publish(obs.PolicyActionEvent(policy="p", action="b"))
-        assert len(seen) == 1
+        """``close()`` detaches the observer from every ledger it
+        watches; what it recorded stays readable."""
+        observer = obs.Observer()
+        other, source = CostModel(), U64Source()
+        observer.watch(other)
+        observer.watch(source.cost)
+        tree = make_elastic(source, size_bound=40_000)
+        fill(tree, source, 1500, shuffle_seed=1)
+        recorded = observer.event_log()
+        assert recorded
+        observer.close()
+        observer.close()  # idempotent
+        assert other.observer is None and source.cost.observer is None
+        fill(tree, source, 1500, start=1500, shuffle_seed=2)
+        assert tree.controller.stats.conversions_to_compact > len(
+            observer.event_log("leaf_conversion"))
+        assert observer.event_log() == recorded
+        # A closed observer may watch again.
+        observer.watch(source.cost)
+        assert source.cost.observer is observer
 
-    def test_dead_observers_pruned_from_global_bus(self):
-        import gc
+    def test_watch_guards(self):
+        observer, other = obs.Observer(), obs.Observer()
+        cost = CostModel()
+        observer.watch(cost)
+        observer.watch(cost)  # the same observer again: a no-op
+        assert cost.observer is observer
+        with pytest.raises(ValueError, match="another observer"):
+            other.watch(cost)
+        with pytest.raises(ValueError, match="disabled cost model"):
+            other.watch(NULL_COST_MODEL)
+        assert NULL_COST_MODEL.observer is None
 
-        gc.collect()  # clear observers awaiting collection from earlier tests
-        with obs.enabled():
-            baseline = obs.BUS.subscriber_count
-            observer = obs.Observer()
-            assert obs.BUS.subscriber_count == baseline + 1
-            del observer
-            gc.collect()
-            assert obs.BUS.subscriber_count == baseline
+    def test_observer_slot_is_no_ledger_state(self):
+        watched, plain = CostModel(), CostModel()
+        obs.Observer().watch(watched)
+        assert watched == plain
+        assert repr(watched) == repr(plain)
+
+    def test_seq_is_per_observer(self):
+        a, b = obs.Observer(), obs.Observer()
+        run_grow_shrink(n=1500, observer=a)
+        run_grow_shrink(n=1500, observer=b)
+        assert [e.seq for e in b.event_log()][:3] == [1, 2, 3]
+        assert same_events(a.event_log(), b.event_log())
+
+    def test_since_is_one_phase_of_the_log(self):
+        observer = obs.Observer()
+        run_grow_shrink(n=1500, observer=observer)
+        mark = observer.seq
+        run_grow_shrink(n=1500, observer=observer)
+        tail = observer.since(mark)
+        assert tail == observer.event_log()[mark:]
+        assert tail[0].seq == mark + 1
+        assert observer.since(observer.seq) == []
 
 
 # ----------------------------------------------------------------------
@@ -417,12 +474,14 @@ class TestDatabaseObservability:
         return db, table
 
     def test_db_metrics_and_event_log(self, tmp_path):
-        with obs.enabled():
-            db, table = self.make_elastic_db()
-            table.insert_batch([(i, i) for i in range(3000)])
-            for i in range(0, 3000, 3):
-                table.get("by_a", (i,))
+        db, table = self.make_elastic_db()
+        observer = obs.Observer()
+        observer.watch(db.cost)
+        table.insert_batch([(i, i) for i in range(3000)])
+        for i in range(0, 3000, 3):
+            table.get("by_a", (i,))
         assert db.event_log("leaf_conversion")
+        assert db.event_log() == observer.event_log()
         families = parse_prometheus(db.metrics_snapshot())
         assert families["repro_leaf_conversions_total"]
         path = tmp_path / "db_events.jsonl"
@@ -447,23 +506,35 @@ class TestDatabaseObservability:
         for i in range(0, 400, 7):
             table.get("by_a", (i,))
 
+    def watched_layered_db(self):
+        db, table = self.make_layered_db()
+        obs.Observer().watch(db.cost)
+        return db, table
+
     def test_layer_families_belong_to_one_database(self):
-        with obs.enabled():
-            busy, busy_table = self.make_layered_db()
-            quiet, _ = self.make_layered_db()
-            self.drive(busy_table)
-            busy_families = parse_prometheus(busy.metrics_snapshot())
-            quiet_families = parse_prometheus(quiet.metrics_snapshot())
+        busy, busy_table = self.watched_layered_db()
+        quiet, _ = self.watched_layered_db()
+        self.drive(busy_table)
+        busy_families = parse_prometheus(busy.metrics_snapshot())
+        quiet_families = parse_prometheus(quiet.metrics_snapshot())
         for family in ("repro_batch_dispatch_ops_total",
                        "repro_cache_events_total", "repro_cache_hit_rate",
                        "repro_wal_records_total",
                        "repro_group_commits_total"):
             assert any(float(v) for v in busy_families[family].values())
             assert not any(float(v) for v in quiet_families[family].values())
-        # Events stay process-wide: the quiet database's observer saw
-        # the busy one's leaf conversions.
-        assert quiet.event_log("leaf_conversion")
-        assert len(quiet.event_log()) == len(busy.event_log())
+        # Events are per database too: the quiet one logged nothing and
+        # its 23 event-fed families are all zero ...
+        assert busy.event_log("leaf_conversion")
+        assert quiet.event_log() == []
+        event_fed = set(obs.Observer().registry.names())
+        assert len(event_fed) == 23
+        for family in event_fed:
+            assert not any(float(v) for v in quiet_families[family].values())
+        # ... and the busy one's log is what it logs alone, seq included.
+        alone, alone_table = self.watched_layered_db()
+        self.drive(alone_table)
+        assert same_events(busy.event_log(), alone.event_log())
 
     def test_layer_families_read_stats_with_obs_off(self):
         db, table = self.make_layered_db()
@@ -498,18 +569,18 @@ class TestDatabaseObservability:
         assert len(names) == 23
         assert "repro_leaf_conversions_total" in names
 
-    def test_db_trace_op_spans(self):
-        with obs.enabled():
-            db, table = self.make_elastic_db()
-            table.insert_batch([(i, i) for i in range(100)])
-            table.get("by_a", (5,))
-            table.scan("by_a", (0,), count=10)
-        ops = [s.op for s in db.observer.tracer.snapshot()]
-        assert "db.get[by_a]" in ops
-        assert "db.scan[by_a]" in ops
-        get_span = next(s for s in db.observer.tracer.snapshot()
-                        if s.op == "db.get[by_a]")
-        assert get_span.cost_units > 0
+    def test_unwatched_db_reports_zero_events(self, tmp_path):
+        db, table = self.make_elastic_db()
+        table.insert_batch([(i, i) for i in range(3000)])
+        assert db.cost.observer is None
+        assert db.event_log() == []
+        assert db.write_event_log(tmp_path / "none.jsonl") == 0
+        assert (tmp_path / "none.jsonl").read_text() == ""
+        families = parse_prometheus(db.metrics_snapshot())
+        event_fed = set(obs.Observer().registry.names())
+        assert set(families) == event_fed | LAYER_FAMILIES
+        for family in event_fed:
+            assert not any(float(v) for v in families[family].values())
 
     def test_executor_has_no_hasattr_probing(self):
         import inspect

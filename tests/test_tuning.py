@@ -335,26 +335,23 @@ class TestProbeAccounting:
 # ----------------------------------------------------------------------
 
 def run_untuned_workload(observed: bool) -> float:
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(observed)
-    try:
-        db, table = make_db(interval_ops=64)
-        with db.cost.measure() as delta:
-            table.insert_batch(rows_u64(512))
-            for i in range(0, 512, 7):
-                table.get("by_k", (i,))
-            table.scan("by_k", (100,), count=32)
-        return delta.weighted_cost()
-    finally:
-        obs.set_enabled(was_enabled)
+    db, table = make_db(interval_ops=64)
+    if observed:
+        obs.Observer().watch(db.cost)
+    with db.cost.measure() as delta:
+        table.insert_batch(rows_u64(512))
+        for i in range(0, 512, 7):
+            table.get("by_k", (i,))
+        table.scan("by_k", (100,), count=32)
+    return delta.weighted_cost()
 
 
 class TestZeroOverhead:
     def test_advisor_off_costs_unchanged_by_observability(self):
         """The advisor's observation plane is cost-model-silent: the
-        same untuned workload prices identically with the obs bus on
-        and off (the contract every BENCH baseline's enabled-replay
-        check enforces end to end)."""
+        same untuned workload prices identically watched and unwatched
+        (the contract every BENCH baseline's enabled-replay check
+        enforces end to end)."""
         assert run_untuned_workload(False) == run_untuned_workload(True)
 
     def test_untuned_runs_are_deterministic(self):
@@ -401,16 +398,16 @@ class TestRecoveryReplay:
 CHURN_EVENTS = (LeafConversionEvent, CapacityChangeEvent, LeafRetrainEvent)
 
 
-def churn_published(action):
-    """Run ``action`` with obs on; return the churn events it published."""
-    events = []
-    with obs.enabled():
-        unsubscribe = obs.BUS.subscribe(events.append)
-        try:
-            action()
-        finally:
-            unsubscribe()
-    return [e for e in events if isinstance(e, CHURN_EVENTS)]
+def churn_published(cost, action):
+    """Run ``action`` with ``cost`` watched; return the churn events
+    recorded on it."""
+    observer = obs.Observer()
+    observer.watch(cost)
+    try:
+        action()
+    finally:
+        observer.close()
+    return [e for e in observer.events if isinstance(e, CHURN_EVENTS)]
 
 
 def closed_window(advisor, index="by_k"):
@@ -458,7 +455,7 @@ class TestChurnSignal:
                 tree.lookup(encode_u64(rng.randrange(5400, 6000)))
             controller.bulk_convert(other[1])
 
-        events = churn_published(grow_shrink)
+        events = churn_published(source.cost, grow_shrink)
         assert controller.stats.expansion_splits > 0
         retrains = [e for e in events if isinstance(e, LeafRetrainEvent)]
         assert bool(retrains) == ("learned" in kinds)
@@ -473,7 +470,7 @@ class TestChurnSignal:
         controller = table.indexes["by_k"].index.controller
         assert controller.churn_events  # before the loop closed
         advisor = db.enable_self_tuning()
-        workload = churn_published(lambda: insert_and_read(table))
+        workload = churn_published(db.cost, lambda: insert_and_read(table))
         assert workload
         lattices = iter(["learned", "paper", "learned"])
         migrated = []
@@ -516,7 +513,7 @@ class TestChurnSignal:
         drive_park(db, table)
         assert advisor.parked_indexes() == ["t.by_aux"]
         rebuild = churn_published(
-            lambda: table.get("by_aux", (7 * 3 + 1,))
+            db.cost, lambda: table.get("by_aux", (7 * 3 + 1,))
         )
         assert advisor.parked_indexes() == []
         assert rebuild  # the rebuild converted leaves ...
@@ -525,19 +522,16 @@ class TestChurnSignal:
             0, 0.0
         )
 
-    def test_self_tuning_leaves_observability_off(self):
+    def test_self_tuning_leaves_observability_off(self, monkeypatch):
+        from tests.test_obs import count_event_construction
+
         db, table = make_db(interval_ops=64, total_bytes=40_000)
         advisor = db.enable_self_tuning()
-        assert not obs.is_enabled()
-        published = []
-        unsubscribe = obs.BUS.subscribe(published.append)
-        try:
-            insert_and_read(table)
-        finally:
-            unsubscribe()
+        built = count_event_construction(monkeypatch)
+        insert_and_read(table)
         assert advisor.stats.ticks > 0 and advisor.stats.churn_events > 0
-        assert not obs.is_enabled()
-        assert published == []
+        assert db.cost.observer is None
+        assert built == []
 
     def test_churn_stays_with_its_database(self):
         busy_db, busy = make_db(interval_ops=64, total_bytes=40_000)

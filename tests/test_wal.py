@@ -974,20 +974,18 @@ class TestTickRegression:
 
 class TestObservability:
     def test_events_emitted_with_obs_on(self):
-        with obs.enabled():
-            observer = obs.Observer()
-            try:
-                plan = FaultPlan().kill(apply=20)
-                db, table = make_db(
-                    wal=WalConfig(group_size=8, faults=plan)
-                )
-                with pytest.raises(CrashError):
-                    apply_batches(db, table, make_unit_ops(60),
-                                  batch_size=16)
-                recover_database(db)
-                replays = observer.event_log("recovery_replay")
-            finally:
-                observer.close()
+        observer = obs.Observer()
+        plan = FaultPlan().kill(apply=20)
+        db, table = make_db(wal=WalConfig(group_size=8, faults=plan))
+        observer.watch(db.cost)
+        with pytest.raises(CrashError):
+            apply_batches(db, table, make_unit_ops(60), batch_size=16)
+        recovered, _ = recover_database(db)
+        # The crashed database's observer watches the recovered one.
+        assert recovered.cost.observer is observer
+        assert recovered.event_log() == db.event_log()
+        replays = observer.event_log("recovery_replay")
+        observer.close()
         # Appends and barriers are the log's own counts, not events.
         assert {e.kind for e in observer.events} == {"recovery_replay"}
         wal = db.wal
@@ -1019,21 +1017,16 @@ class TestObservability:
         )
 
     def test_obs_does_not_change_wal_costs(self):
-        def run():
+        def run(observer=None):
             db, table = make_db(wal=WalConfig(group_size=8))
+            if observer is not None:
+                observer.watch(db.cost)
             with db.cost.measure() as delta:
                 table.insert_batch([(i, i) for i in range(64)])
                 db.wal.flush()
             return delta.weighted_cost()
 
-        base = run()
-        with obs.enabled():
-            observer = obs.Observer()
-            try:
-                enabled = run()
-            finally:
-                observer.close()
-        assert enabled == base
+        assert run(obs.Observer()) == run()
 
 
 class TestToolingAndApi:
